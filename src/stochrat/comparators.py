@@ -147,7 +147,8 @@ def _merged_cuts(
     left: StochasticChoiceFunction, right: StochasticChoiceFunction
 ) -> tuple[Fraction, ...]:
     cuts = sorted(set(threshold_cuts(left)) | set(threshold_cuts(right)))
-    assert cuts and cuts[-1] == 1, "the top likelihood is always 1"
+    if not cuts or cuts[-1] != 1:
+        raise RuntimeError("the top likelihood is always 1")
     return tuple(cuts)
 
 

@@ -1,0 +1,131 @@
+"""Rank-coded integer form of one stochastic choice function.
+
+Every endpoint of a threshold set is a normalized likelihood or 0, so the
+set work only ever compares likelihoods with each other.  :class:`SubjectCore`
+replaces them by their ranks among the subject's distinct values, menus by
+bitmasks over the sorted universe, and probabilities by integers, so the
+analysis runs on small ints and converts back to ``Fraction`` only where an
+:class:`~stochrat.intervals.IntervalUnion` comes out.
+
+A core is built from a validated subject and never changes; the subject
+builds it on first use (``StochasticChoiceFunction.core``).
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Iterable, Iterator, Mapping, Sequence
+
+from .intervals import IntervalUnion
+
+_ZERO = Fraction(0)
+
+
+class SubjectCore:
+    """Integer tables of one subject.
+
+    * ``labels``: the universe in sorted order; alternative i is
+      ``labels[i]`` and bit i of a menu mask.
+    * ``menus``: menu masks in canonical order (size, then labels);
+      ``by_key``: the same masks in ``menu_key`` order, and ``key_pos``
+      maps a mask to its position there.  ``menu_set`` maps a mask back to
+      the subject's frozenset and ``members`` to its ascending indices.
+    * ``cuts``: 0 followed by the sorted distinct positive normalized
+      likelihoods (the last is 1); ``cut_rank`` maps a cut to its index.
+      Cell c >= 1 stands for the thresholds (cuts[c-1], cuts[c]].
+    * ``rank[mask][i]``: rank of alternative i's likelihood on the menu
+      (0 for non-members and for zero probability).
+    * ``pair_rank[i][j]``: rank of i's likelihood on {i, j}.
+    * ``scaled[mask][i]``: the menu's probabilities times the least common
+      multiple of their denominators, an integer row.
+    * ``pair_num[i][j] / pair_den``: P(i over j) over one common even
+      denominator, so one half is ``pair_den // 2``.
+    """
+
+    def __init__(
+        self,
+        labels: Sequence[str],
+        menus: Sequence[frozenset[str]],
+        probs: Mapping[frozenset[str], Mapping[str, Fraction]],
+        nlik: Mapping[frozenset[str], Mapping[str, Fraction]],
+    ) -> None:
+        n = len(labels)
+        index = {label: i for i, label in enumerate(labels)}
+        self.labels = tuple(labels)
+        self.n = n
+        self.full = (1 << n) - 1
+
+        self.menu_set: dict[int, frozenset[str]] = {}
+        self.members: dict[int, tuple[int, ...]] = {}
+        for menu in menus:
+            members = tuple(sorted(index[x] for x in menu))
+            mask = sum(1 << i for i in members)
+            self.menu_set[mask] = menu
+            self.members[mask] = members
+        self.menus = tuple(self.menu_set)
+        self.by_key = tuple(sorted(self.menus, key=self.members.__getitem__))
+        self.key_pos = {mask: pos for pos, mask in enumerate(self.by_key)}
+
+        positive = {v for row in nlik.values() for v in row.values() if v > _ZERO}
+        self.cuts: tuple[Fraction, ...] = (_ZERO, *sorted(positive))
+        self.cut_rank = {v: r for r, v in enumerate(self.cuts)}
+
+        self.rank: dict[int, list[int]] = {}
+        self.scaled: dict[int, list[int]] = {}
+        for mask, menu in self.menu_set.items():
+            row_rank = [0] * n
+            row_scaled = [0] * n
+            dist = probs[menu]
+            scale = math.lcm(*(p.denominator for p in dist.values()))
+            for x, value in nlik[menu].items():
+                i = index[x]
+                row_rank[i] = self.cut_rank[value]
+                p = dist[x]
+                row_scaled[i] = p.numerator * (scale // p.denominator)
+            self.rank[mask] = row_rank
+            self.scaled[mask] = row_scaled
+
+        pairs = [m for m in self.menus if len(self.members[m]) == 2]
+        # a scaled row sums to its own scale, since probabilities sum to 1
+        self.pair_den = 2 * math.lcm(*(sum(self.scaled[m]) for m in pairs))
+        self.pair_rank = [[0] * n for _ in range(n)]
+        self.pair_num = [[0] * n for _ in range(n)]
+        for mask in pairs:
+            i, j = self.members[mask]
+            row_rank, row_scaled = self.rank[mask], self.scaled[mask]
+            up = self.pair_den // sum(row_scaled)
+            for a, b in ((i, j), (j, i)):
+                self.pair_rank[a][b] = row_rank[a]
+                self.pair_num[a][b] = row_scaled[a] * up
+
+    def supersets(self, mask: int) -> Iterator[int]:
+        """Proper supersets of a menu mask within the universe."""
+        rest = self.full ^ mask
+        extra = rest
+        while extra:
+            yield mask | extra
+            extra = (extra - 1) & rest
+
+    def union_of(self, spans: Iterable[tuple[int, int]]) -> IntervalUnion:
+        """Union of the intervals (cuts[lo], cuts[hi]] for rank pairs
+        (lo, hi), by a difference array over the cells."""
+        cells = len(self.cuts)
+        diff = [0] * (cells + 1)
+        for lo, hi in spans:
+            if lo < hi:
+                diff[lo + 1] += 1
+                diff[hi + 1] -= 1
+        pieces = []
+        depth = 0
+        start = 0
+        for c in range(1, cells):
+            depth += diff[c]
+            if depth and not start:
+                start = c
+            elif not depth and start:
+                pieces.append((self.cuts[start - 1], self.cuts[c - 1]))
+                start = 0
+        if start:
+            pieces.append((self.cuts[start - 1], self.cuts[-1]))
+        return IntervalUnion(tuple(pieces))

@@ -95,7 +95,17 @@ class IntervalUnion:
         return False
 
     def is_subset(self, other: "IntervalUnion") -> bool:
-        return self.difference(other).is_empty
+        """Linear merge: each of our intervals must lie inside the first of
+        ``other``'s that reaches its right end (components have gaps
+        between them, so no other component can help)."""
+        theirs = other.intervals
+        j = 0
+        for lo, hi in self.intervals:
+            while j < len(theirs) and theirs[j][1] < hi:
+                j += 1
+            if j == len(theirs) or theirs[j][0] > lo:
+                return False
+        return True
 
     # -- algebra -------------------------------------------------------
 
@@ -105,14 +115,22 @@ class IntervalUnion:
     __or__ = union
 
     def intersection(self, other: "IntervalUnion") -> "IntervalUnion":
+        """Linear merge of the two sorted component lists.  Pieces cut from
+        canonical inputs are sorted and separated by gaps already."""
+        mine, theirs = self.intervals, other.intervals
         out = []
-        for alo, ahi in self.intervals:
-            for blo, bhi in other.intervals:
-                lo = max(alo, blo)
-                hi = min(ahi, bhi)
-                if lo < hi:
-                    out.append((lo, hi))
-        return IntervalUnion(_canonical(out))
+        i = j = 0
+        while i < len(mine) and j < len(theirs):
+            (alo, ahi), (blo, bhi) = mine[i], theirs[j]
+            lo = max(alo, blo)
+            hi = min(ahi, bhi)
+            if lo < hi:
+                out.append((lo, hi))
+            if ahi < bhi:
+                i += 1
+            else:
+                j += 1
+        return IntervalUnion(tuple(out))
 
     __and__ = intersection
 

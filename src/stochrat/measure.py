@@ -6,11 +6,24 @@ threshold correspondence violates that axiom.  Their union is the
 *irrationality set*; its complement in (0, 1] is where the correspondence
 is rational, and one minus its length is the *rationality index*.
 
-The interval formulas work directly on normalized likelihoods, so the
-whole analysis is exact rational arithmetic.  The contraction set is
-enumerated over nested menu pairs differing by one element; a chain
-argument shows larger gaps never contribute new thresholds, and the full
-enumeration is kept behind a flag as a cross-check.
+Every endpoint is a normalized likelihood or 0, so all work runs on the
+subject's rank-coded core (:mod:`stochrat.core`): likelihoods become their
+ranks among the subject's distinct values and menus become bitmasks.  Each
+axiom emits rank pairs (lo, hi]; a difference array over the ranks marks
+the covered cells, and only runs of covered cells become exact Fraction
+intervals.  Contraction uses nested menus differing by one element (a
+chain argument shows larger gaps add nothing; all nested pairs stay behind
+a flag as a cross-check).  Cycles need one interval per ordered (x, z):
+the triples through every y share the right end.
+
+A witness is the least violating tuple at the right end of a maximal
+interval.  Menus are tried in ``menu_key`` order; for contraction the
+first smaller menu with a hit decides, and its supersets are walked by
+bitmask, so at most 3^n menu pairs are visited.  The selectivity checks
+walk the same pairs on integer rows (each menu's probabilities times the
+least common multiple of their denominators): each side of an inequality
+multiplies one entry of each menu, so scaling a row by a positive
+constant scales both sides alike and the integer comparison is exact.
 
 Comparing two subjects means comparing irrationality sets by inclusion:
 smaller (as a set) is more rational.  The induced partial order is
@@ -23,15 +36,13 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .choice import Menu, menu_key
+from .core import SubjectCore
 from .intervals import IntervalUnion
 from .scf import DomainKind, StochasticChoiceFunction
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 
 # -- the three axiom threshold sets --------------------------------------
@@ -49,29 +60,32 @@ def chernoff_set(
     """
     if scf.domain_kind is DomainKind.PAIRWISE:
         return IntervalUnion.empty()
-    pairs = []
+    core = scf.core
+    rank = core.rank
+    spans = []
     if full_pairs:
-        menus = scf.menus()
-        for large in menus:
-            if len(large) < 3:
-                continue
-            for small in menus:
-                if small < large:
-                    row_small = scf.likelihood_row(small)
-                    row_large = scf.likelihood_row(large)
-                    for x in small:
-                        pairs.append((row_small[x], row_large[x]))
+        for small in core.menus:
+            row_small = rank[small]
+            for large in core.supersets(small):
+                row_large = rank[large]
+                spans += [(row_small[x], row_large[x]) for x in core.members[small]]
     else:
-        for large in scf.menus():
-            if len(large) < 3:
+        for large in core.menus:
+            members = core.members[large]
+            if len(members) < 3:
                 continue
-            row_large = scf.likelihood_row(large)
-            for dropped in large:
-                small = large - {dropped}
-                row_small = scf.likelihood_row(small)
-                for x in small:
-                    pairs.append((row_small[x], row_large[x]))
-    return IntervalUnion.from_pairs(pairs)
+            row_large = rank[large]
+            for dropped in members:
+                row_small = rank[large ^ (1 << dropped)]
+                spans += [(row_small[x], row_large[x]) for x in members if x != dropped]
+    return core.union_of(spans)
+
+
+def _condorcet_spans(core: SubjectCore, menu: int) -> list[tuple[int, int]]:
+    """(rank of x on the menu, least rank of x head to head) per member."""
+    members = core.members[menu]
+    row, pair = core.rank[menu], core.pair_rank
+    return [(row[x], min(pair[x][y] for y in members if y != x)) for x in members]
 
 
 def condorcet_set(scf: StochasticChoiceFunction) -> IntervalUnion:
@@ -83,17 +97,13 @@ def condorcet_set(scf: StochasticChoiceFunction) -> IntervalUnion:
     """
     if scf.domain_kind is DomainKind.PAIRWISE:
         return IntervalUnion.empty()
-    pairs = []
-    for menu in scf.menus():
-        if len(menu) < 3:
-            continue  # on a two-element menu the bound equals the start
-        row = scf.likelihood_row(menu)
-        for x in menu:
-            bound = min(
-                scf.normalized_likelihood(x, (x, y)) for y in menu if y != x
-            )
-            pairs.append((row[x], bound))
-    return IntervalUnion.from_pairs(pairs)
+    core = scf.core
+    spans = []
+    for menu in core.menus:
+        # on a two-element menu the bound equals the start
+        if len(core.members[menu]) >= 3:
+            spans += _condorcet_spans(core, menu)
+    return core.union_of(spans)
 
 
 def transitivity_set(scf: StochasticChoiceFunction) -> IntervalUnion:
@@ -102,15 +112,18 @@ def transitivity_set(scf: StochasticChoiceFunction) -> IntervalUnion:
     For an ordered triple (x, y, z): above both nlik(y, {x,y}) and
     nlik(z, {y,z}) the correspondence reveals x over y over z strictly, so
     any threshold still keeping z against x, i.e. up to nlik(z, {x,z}),
-    witnesses a cycle.
+    witnesses a cycle.  For fixed (x, z) the triples share their right
+    end, so one interval per ordered pair starts at the least left end.
     """
-    pairs = []
-    nlik = scf.normalized_likelihood
-    for x, y, z in itertools.permutations(scf.universe, 3):
-        lo = max(nlik(y, (x, y)), nlik(z, (y, z)))
-        hi = nlik(z, (x, z))
-        pairs.append((lo, hi))
-    return IntervalUnion.from_pairs(pairs)
+    core = scf.core
+    r = core.pair_rank
+    n = core.n
+    if n < 3:
+        return IntervalUnion.empty()
+    return core.union_of(
+        (min(max(r[y][x], r[z][y]) for y in range(n) if y != x and y != z), r[z][x])
+        for x, z in itertools.permutations(range(n), 2)
+    )
 
 
 # -- decomposition and index ---------------------------------------------
@@ -150,59 +163,47 @@ class IrrationalitySets:
         return self.union.measure() == _ONE
 
 
-def _least_chernoff_violation(
-    scf: StochasticChoiceFunction, lam: Fraction
-) -> tuple:
-    best: Optional[tuple] = None
-    best_key = None
-    menus = scf.menus()
-    for small in menus:
-        row_small = scf.likelihood_row(small)
-        for large in menus:
-            if not small < large:
-                continue
-            row_large = scf.likelihood_row(large)
-            for x in small:
-                if row_small[x] < lam <= row_large[x]:
-                    key = (menu_key(small), menu_key(large), x)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best = (small, large, x)
-    assert best is not None, "witness requested at a non-violating threshold"
-    return best
-
-
-def _least_condorcet_violation(
-    scf: StochasticChoiceFunction, lam: Fraction
-) -> tuple:
-    best: Optional[tuple] = None
-    best_key = None
-    for menu in scf.menus():
-        if len(menu) < 3:
+def _chernoff_witness(core: SubjectCore, h: int) -> Optional[tuple]:
+    """Least (S, T, x) by (menu_key(S), menu_key(T), x) with
+    rank(x, S) < h <= rank(x, T): the first S in key order with a hit
+    decides, and among its supersets the one earliest in key order."""
+    rank = core.rank
+    for small in core.by_key:
+        row_small = rank[small]
+        below = [x for x in core.members[small] if row_small[x] < h]
+        if not below:
             continue
-        row = scf.likelihood_row(menu)
-        for x in menu:
-            bound = min(
-                scf.normalized_likelihood(x, (x, y)) for y in menu if y != x
-            )
-            if row[x] < lam <= bound:
-                key = (menu_key(menu), x)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (menu, x)
-    assert best is not None, "witness requested at a non-violating threshold"
-    return best
+        best = None
+        for large in core.supersets(small):
+            if best is None or core.key_pos[large] < core.key_pos[best]:
+                row_large = rank[large]
+                if any(row_large[x] >= h for x in below):
+                    best = large
+        if best is not None:
+            x = next(x for x in below if rank[best][x] >= h)
+            return core.menu_set[small], core.menu_set[best], core.labels[x]
+    return None
 
 
-def _least_transitivity_violation(
-    scf: StochasticChoiceFunction, lam: Fraction
-) -> tuple:
-    nlik = scf.normalized_likelihood
-    for x, y, z in itertools.permutations(scf.universe, 3):
-        lo = max(nlik(y, (x, y)), nlik(z, (y, z)))
-        if lo < lam <= nlik(z, (x, z)):
-            return (x, y, z)
-    raise AssertionError("witness requested at a non-violating threshold")
+def _condorcet_witness(core: SubjectCore, h: int) -> Optional[tuple]:
+    for menu in core.by_key:
+        if len(core.members[menu]) < 3:
+            continue
+        for x, (lo, hi) in zip(core.members[menu], _condorcet_spans(core, menu)):
+            if lo < h <= hi:
+                return core.menu_set[menu], core.labels[x]
+    return None
+
+
+def _transitivity_witness(core: SubjectCore, h: int) -> Optional[tuple]:
+    r = core.pair_rank
+    n = core.n
+    for x, y in itertools.permutations(range(n), 2):
+        if r[y][x] < h:
+            for z in range(n):
+                if z != x and z != y and r[z][y] < h <= r[z][x]:
+                    return core.labels[x], core.labels[y], core.labels[z]
+    return None
 
 
 def irrationality_sets(
@@ -218,24 +219,19 @@ def irrationality_sets(
     con = condorcet_set(scf)
     st = transitivity_set(scf)
     union = ch | con | st
+    core = scf.core
     witnesses = []
     for lo, hi in union:
+        h = core.cut_rank[hi]
         if ch.contains(hi):
-            witnesses.append(
-                Witness((lo, hi), "chernoff", _least_chernoff_violation(scf, hi))
-            )
+            axiom, detail = "chernoff", _chernoff_witness(core, h)
         elif con.contains(hi):
-            witnesses.append(
-                Witness((lo, hi), "condorcet", _least_condorcet_violation(scf, hi))
-            )
+            axiom, detail = "condorcet", _condorcet_witness(core, h)
         else:
-            witnesses.append(
-                Witness(
-                    (lo, hi),
-                    "transitivity",
-                    _least_transitivity_violation(scf, hi),
-                )
-            )
+            axiom, detail = "transitivity", _transitivity_witness(core, h)
+        if detail is None:
+            raise RuntimeError(f"witness requested at a non-violating threshold {hi}")
+        witnesses.append(Witness((lo, hi), axiom, detail))
     return IrrationalitySets(ch, con, st, union, tuple(witnesses))
 
 
@@ -261,6 +257,13 @@ class Verdict(str, Enum):
             return Verdict.LEFT_MORE_RATIONAL
         return self
 
+    @classmethod
+    def from_inclusion(cls, left_inside: bool, right_inside: bool) -> "Verdict":
+        """Verdict from whether each set lies inside the other."""
+        if left_inside:
+            return cls.EQUIVALENT if right_inside else cls.LEFT_MORE_RATIONAL
+        return cls.RIGHT_MORE_RATIONAL if right_inside else cls.INCOMPARABLE
+
 
 @dataclass(frozen=True)
 class ComparisonResult:
@@ -282,15 +285,7 @@ class ComparisonResult:
     ) -> "ComparisonResult":
         lmr = left.difference(right)
         rml = right.difference(left)
-        if lmr.is_empty and rml.is_empty:
-            verdict = Verdict.EQUIVALENT
-        elif lmr.is_empty:
-            verdict = Verdict.LEFT_MORE_RATIONAL
-        elif rml.is_empty:
-            verdict = Verdict.RIGHT_MORE_RATIONAL
-        else:
-            verdict = Verdict.INCOMPARABLE
-        return cls(verdict, lmr, rml)
+        return cls(Verdict.from_inclusion(lmr.is_empty, rml.is_empty), lmr, rml)
 
 
 def compare(
@@ -324,57 +319,62 @@ class MultiComparison:
 
 def compare_many(
     subjects: (
-        Mapping[str, StochasticChoiceFunction]
-        | Sequence[tuple[str, StochasticChoiceFunction]]
+        Mapping[str, StochasticChoiceFunction | IrrationalitySets]
+        | Sequence[tuple[str, StochasticChoiceFunction | IrrationalitySets]]
     ),
 ) -> MultiComparison:
+    """Verdicts, equivalence classes and cover edges for named subjects.
+
+    Each value is a subject or its already computed
+    :class:`IrrationalitySets`.  Verdicts and edges are read from one
+    inclusion matrix between the classes' sets.
+    """
     pairs = list(subjects.items()) if isinstance(subjects, Mapping) else list(subjects)
     names = [name for name, _ in pairs]
     if len(set(names)) != len(names):
         raise ValueError("subject names must be distinct")
     order = sorted(names)
     unions = {
-        name: irrationality_sets(scf).union for name, scf in pairs
+        name: (
+            value if isinstance(value, IrrationalitySets) else irrationality_sets(value)
+        ).union
+        for name, value in pairs
     }
+
+    # Equivalence classes by equality of the threshold sets; names are
+    # visited in order, so classes come out ordered by least member.
+    classes: dict[tuple, list[str]] = {}
+    for name in order:
+        classes.setdefault(unions[name].intervals, []).append(name)
+    class_tuples = tuple(tuple(group) for group in classes.values())
+    class_of = {name: c for c, group in enumerate(class_tuples) for name in group}
+
+    # inside[i] has bit j when class i's set is strictly inside class j's
+    # (distinct classes have distinct sets); holds[j] is the transpose.
+    sets = [unions[group[0]] for group in class_tuples]
+    count = len(sets)
+    inside = [0] * count
+    holds = [0] * count
+    for i, j in itertools.permutations(range(count), 2):
+        if sets[i].is_subset(sets[j]):
+            inside[i] |= 1 << j
+            holds[j] |= 1 << i
 
     verdicts: dict[tuple[str, str], Verdict] = {}
     for a, b in itertools.combinations(order, 2):
-        result = ComparisonResult.from_sets(unions[a], unions[b])
-        verdicts[(a, b)] = result.verdict
-        verdicts[(b, a)] = result.verdict.mirror()
+        i, j = class_of[a], class_of[b]
+        verdict = Verdict.from_inclusion(
+            i == j or inside[i] >> j & 1, i == j or inside[j] >> i & 1
+        )
+        verdicts[(a, b)] = verdict
+        verdicts[(b, a)] = verdict.mirror()
 
-    # Equivalence classes by equality of the threshold sets.
-    classes: list[list[str]] = []
-    seen: dict[tuple, int] = {}
-    for name in order:
-        key = unions[name].intervals
-        if key in seen:
-            classes[seen[key]].append(name)
-        else:
-            seen[key] = len(classes)
-            classes.append([name])
-    classes.sort(key=lambda group: group[0])
-    class_tuples = tuple(tuple(group) for group in classes)
-
-    def strictly_above(i: int, j: int) -> bool:
-        a = unions[class_tuples[i][0]]
-        b = unions[class_tuples[j][0]]
-        return a.is_subset(b) and a != b
-
-    edges = []
-    count = len(class_tuples)
-    for i in range(count):
-        for j in range(count):
-            if i == j or not strictly_above(i, j):
-                continue
-            covered = any(
-                strictly_above(i, k) and strictly_above(k, j)
-                for k in range(count)
-                if k not in (i, j)
-            )
-            if not covered:
-                edges.append((class_tuples[i][0], class_tuples[j][0]))
-    edges.sort()
+    # Cover edges: i below j with no class strictly between them.
+    edges = sorted(
+        (class_tuples[i][0], class_tuples[j][0])
+        for i, j in itertools.permutations(range(count), 2)
+        if inside[i] >> j & 1 and not inside[i] & holds[j]
+    )
     return MultiComparison(tuple(order), verdicts, class_tuples, tuple(edges))
 
 
@@ -400,23 +400,31 @@ class TransitivityFlags:
 
 
 def classify_transitivity(scf: StochasticChoiceFunction) -> TransitivityFlags:
+    core = scf.core
+    p = core.pair_num
+    half = core.pair_den // 2
     weak = almost_weak = moderate = almost_moderate = strong = True
-    for x, y, z in itertools.permutations(scf.universe, 3):
-        p_xy = scf.pair_prob(x, y)
-        p_yz = scf.pair_prob(y, z)
-        p_xz = scf.pair_prob(x, z)
-        if p_xy >= _HALF and p_yz >= _HALF:
-            if p_xz < _HALF:
-                weak = False
-            if p_xz < min(p_xy, p_yz):
-                moderate = False
-            if p_xz < max(p_xy, p_yz):
-                strong = False
-        if p_xy > _HALF and p_yz > _HALF:
-            if p_xz < _HALF:
-                almost_weak = False
-            if p_xz < min(p_xy, p_yz):
-                almost_moderate = False
+    for x, y in itertools.permutations(range(core.n), 2):
+        p_xy = p[x][y]
+        if p_xy < half:
+            continue  # no premise holds for any z
+        for z in range(core.n):
+            if z == x or z == y:
+                continue
+            p_yz = p[y][z]
+            p_xz = p[x][z]
+            if p_yz >= half:
+                if p_xz < half:
+                    weak = False
+                if p_xz < min(p_xy, p_yz):
+                    moderate = False
+                if p_xz < max(p_xy, p_yz):
+                    strong = False
+                if p_xy > half and p_yz > half:
+                    if p_xz < half:
+                        almost_weak = False
+                    if p_xz < min(p_xy, p_yz):
+                        almost_moderate = False
     return TransitivityFlags(weak, almost_weak, moderate, almost_moderate, strong)
 
 
@@ -430,27 +438,37 @@ def triangular_condition(scf: StochasticChoiceFunction) -> TriangularResult:
     """Check P(x over y) + P(y over z) + P(z over x) <= 2 on every ordered
     triple; a necessary condition for mixtures of rankings when the
     universe has at most five alternatives."""
-    two = Fraction(2)
-    for x, y, z in itertools.permutations(scf.universe, 3):
-        total = scf.pair_prob(x, y) + scf.pair_prob(y, z) + scf.pair_prob(z, x)
-        if total > two:
-            return TriangularResult(False, (x, y, z))
+    core = scf.core
+    p = core.pair_num
+    two = 2 * core.pair_den
+    for x, y, z in itertools.permutations(range(core.n), 3):
+        if p[x][y] + p[y][z] + p[z][x] > two:
+            return TriangularResult(False, (core.labels[x], core.labels[y], core.labels[z]))
     return TriangularResult(True, None)
 
 
 # -- selectivity -----------------------------------------------------------
 
 
-def _nested_menu_pairs(
-    scf: StochasticChoiceFunction,
-) -> Iterable[tuple[Menu, Menu]]:
-    menus = scf.menus()
-    for large in menus:
-        if len(large) < 3:
-            continue
-        for small in menus:
-            if small < large:
-                yield small, large
+def _ratios_kept(scf: StochasticChoiceFunction, contractions: bool) -> bool:
+    """Over nested S within T and x, y in S: when x beats y on the reference
+    menu (T for contractions, S for expansions), y's likelihood relative to
+    x's must not be lower there than on the other menu."""
+    if scf.domain_kind is DomainKind.PAIRWISE:
+        return True
+    core = scf.core
+    scaled = core.scaled
+    for small in core.menus:
+        row_small = scaled[small]
+        pairs = list(itertools.permutations(core.members[small], 2))
+        for large in core.supersets(small):
+            ref, other = (
+                (scaled[large], row_small) if contractions else (row_small, scaled[large])
+            )
+            for x, y in pairs:
+                if ref[x] > ref[y] and ref[y] * other[x] < other[y] * ref[x]:
+                    return False
+    return True
 
 
 def is_selective_in_contractions(scf: StochasticChoiceFunction) -> bool:
@@ -458,28 +476,10 @@ def is_selective_in_contractions(scf: StochasticChoiceFunction) -> bool:
     drops when the menu shrinks.  Ratios are compared by cross
     multiplication, so zero probabilities need no special casing.
     Vacuously true on the pairwise domain."""
-    if scf.domain_kind is DomainKind.PAIRWISE:
-        return True
-    for small, large in _nested_menu_pairs(scf):
-        probs_large = scf.menu_probs(large)
-        probs_small = scf.menu_probs(small)
-        for x, y in itertools.permutations(sorted(small), 2):
-            if probs_large[x] > probs_large[y]:
-                if probs_large[y] * probs_small[x] < probs_small[y] * probs_large[x]:
-                    return False
-    return True
+    return _ratios_kept(scf, contractions=True)
 
 
 def is_selective_in_expansions(scf: StochasticChoiceFunction) -> bool:
     """Relative likelihood of a worse against a better alternative never
     rises when the menu grows.  Vacuously true on the pairwise domain."""
-    if scf.domain_kind is DomainKind.PAIRWISE:
-        return True
-    for small, large in _nested_menu_pairs(scf):
-        probs_large = scf.menu_probs(large)
-        probs_small = scf.menu_probs(small)
-        for x, y in itertools.permutations(sorted(small), 2):
-            if probs_small[x] > probs_small[y]:
-                if probs_small[y] * probs_large[x] < probs_large[y] * probs_small[x]:
-                    return False
-    return True
+    return _ratios_kept(scf, contractions=False)

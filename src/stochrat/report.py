@@ -137,15 +137,14 @@ def run_analyze(
     dataset: ChoiceDataset, config: AnalysisConfig = AnalysisConfig()
 ) -> AnalysisReport:
     subjects: list[Union[SubjectAnalysis, SubjectError]] = []
-    scfs: list[tuple[str, StochasticChoiceFunction]] = []
     for subject in dataset.subject_ids():
         try:
             scf = dataset.scf(subject, max_universe=config.max_universe)
             subjects.append(analyze_scf(scf, subject=subject, config=config))
-            scfs.append((subject, scf))
         except CapacityError as exc:
             subjects.append(SubjectError(subject, "capacity", str(exc)))
-    comparison = compare_many(scfs) if len(scfs) >= 1 else None
+    analysed = [(s.subject, s.sets) for s in subjects if isinstance(s, SubjectAnalysis)]
+    comparison = compare_many(analysed) if analysed else None
     return AnalysisReport(config=config, subjects=tuple(subjects), comparison=comparison)
 
 

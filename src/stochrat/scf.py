@@ -17,6 +17,8 @@ rises; at lambda = 0 the correspondence is the support.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -32,6 +34,7 @@ from .choice import (
     menu_str,
     sort_menus,
 )
+from .core import SubjectCore
 from .errors import CapacityError
 from .rationals import parse_rational
 
@@ -184,6 +187,11 @@ class StochasticChoiceFunction:
     def menus(self) -> list[Menu]:
         return list(self._menus)
 
+    @functools.cached_property
+    def core(self) -> SubjectCore:
+        """Rank-coded integer tables of this subject, built on first use."""
+        return SubjectCore(self._universe, self._menus, self._table, self._nlik)
+
     def _lookup(self, x: str, menu: Iterable[str]) -> tuple[Menu, str]:
         key = as_menu(menu)
         if x not in key:
@@ -271,14 +279,15 @@ def fishburn_correspondence(
     """Threshold correspondence: keep x in S when its normalized likelihood
     reaches ``lam``.  At lam = 0 this is the support correspondence."""
     lam = _check_threshold(lam)
+    core = scf.core
+    # likelihood >= lam  <=>  rank >= floor; at lam = 0 keep rank >= 1 (> 0)
+    floor = max(1, bisect.bisect_left(core.cuts, lam))
     table = {}
-    for menu in scf.menus():
-        row = scf._nlik[menu]
-        if lam == _ZERO:
-            chosen = frozenset(x for x, v in row.items() if v > _ZERO)
-        else:
-            chosen = frozenset(x for x, v in row.items() if v >= lam)
-        table[menu] = chosen
+    for mask, menu in core.menu_set.items():
+        row = core.rank[mask]
+        table[menu] = frozenset(
+            core.labels[i] for i in core.members[mask] if row[i] >= floor
+        )
     return ChoiceCorrespondence(table, universe=scf.universe)
 
 
@@ -287,16 +296,14 @@ def lambda_floor(scf: StochasticChoiceFunction) -> Fraction:
 
     Thresholds at or below this value all produce the support
     correspondence, which makes the family continuous at zero; the
-    equality is cheap, so it is asserted here rather than assumed.
+    equality is cheap, so it is checked here rather than assumed.
     """
-    floor = _ONE
-    for menu in scf.menus():
-        for value in scf._nlik[menu].values():
-            if _ZERO < value < floor:
-                floor = value
-    assert fishburn_correspondence(scf, floor) == fishburn_correspondence(
-        scf, _ZERO
-    ), "support correspondence must persist up to the smallest positive likelihood"
+    floor = scf.core.cuts[1]
+    if fishburn_correspondence(scf, floor) != fishburn_correspondence(scf, _ZERO):
+        raise RuntimeError(
+            "support correspondence must persist up to the smallest positive "
+            "likelihood"
+        )
     return floor
 
 
@@ -304,16 +311,11 @@ def critical_lambdas(scf: StochasticChoiceFunction) -> tuple[Fraction, ...]:
     """Sorted distinct positive normalized likelihoods plus the midpoints
     between consecutive ones.  The threshold correspondence is constant
     between consecutive critical values, so this grid is exhaustive."""
-    values: set[Fraction] = set()
-    for menu in scf.menus():
-        for value in scf._nlik[menu].values():
-            if value > _ZERO:
-                values.add(value)
-    ordered = sorted(values)
-    grid = set(ordered)
+    ordered = threshold_cuts(scf)
+    grid = list(ordered[:1])
     for a, b in zip(ordered, ordered[1:]):
-        grid.add((a + b) / 2)
-    return tuple(sorted(grid))
+        grid += [(a + b) / 2, b]
+    return tuple(grid)
 
 
 def threshold_cuts(scf: StochasticChoiceFunction) -> tuple[Fraction, ...]:
@@ -322,12 +324,7 @@ def threshold_cuts(scf: StochasticChoiceFunction) -> tuple[Fraction, ...]:
     These are the right endpoints of the maximal threshold regions on
     which the correspondence family is constant; the last cut is always 1.
     """
-    values: set[Fraction] = set()
-    for menu in scf.menus():
-        for value in scf._nlik[menu].values():
-            if value > _ZERO:
-                values.add(value)
-    return tuple(sorted(values))
+    return scf.core.cuts[1:]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from stochrat import ChoiceCorrespondence, SplitMix64, StochasticChoiceFunction
+from stochrat import (
+    ChoiceCorrespondence,
+    DomainKind,
+    IntervalUnion,
+    SplitMix64,
+    StochasticChoiceFunction,
+)
 
 Relation = frozenset[tuple[str, str]]
 
@@ -125,3 +131,191 @@ def naive_swap_minimizers(
             winners.append(order)
     assert best is not None
     return best, winners
+
+
+# -- threshold sets by the interval formulas, over Fractions ------------------
+#
+# These are the formulas and the exhaustive witness scans that the rank-coded
+# core in stochrat.measure replaced.  They read only public accessors of the
+# subject and never import stochrat.measure.
+
+
+def chernoff_pairs(scf: StochasticChoiceFunction, full_pairs: bool = False) -> list:
+    """(nlik(x, S), nlik(x, T)) for nested S within T and x in S; with
+    ``full_pairs`` False only |T| = |S| + 1."""
+    if scf.domain_kind is DomainKind.PAIRWISE:
+        return []
+    menus = scf.menus()
+    pairs = []
+    for large in menus:
+        if len(large) < 3:
+            continue
+        row_large = scf.likelihood_row(large)
+        smalls = (
+            [small for small in menus if small < large]
+            if full_pairs
+            else [large - {dropped} for dropped in large]
+        )
+        for small in smalls:
+            row_small = scf.likelihood_row(small)
+            for x in small:
+                pairs.append((row_small[x], row_large[x]))
+    return pairs
+
+
+def _condorcet_bound(scf: StochasticChoiceFunction, menu, x: str) -> Fraction:
+    return min(scf.normalized_likelihood(x, (x, y)) for y in menu if y != x)
+
+
+def condorcet_pairs(scf: StochasticChoiceFunction) -> list:
+    if scf.domain_kind is DomainKind.PAIRWISE:
+        return []
+    pairs = []
+    for menu in scf.menus():
+        if len(menu) < 3:
+            continue
+        row = scf.likelihood_row(menu)
+        for x in menu:
+            pairs.append((row[x], _condorcet_bound(scf, menu, x)))
+    return pairs
+
+
+def _transitivity_span(scf: StochasticChoiceFunction, x: str, y: str, z: str):
+    nlik = scf.normalized_likelihood
+    return max(nlik(y, (x, y)), nlik(z, (y, z))), nlik(z, (x, z))
+
+
+def transitivity_pairs(scf: StochasticChoiceFunction) -> list:
+    return [
+        _transitivity_span(scf, x, y, z)
+        for x, y, z in itertools.permutations(scf.universe, 3)
+    ]
+
+
+def _menu_key(menu) -> tuple[str, ...]:
+    return tuple(sorted(menu))
+
+
+def least_chernoff_violation(scf: StochasticChoiceFunction, lam: Fraction):
+    """Lexicographically least (S, T, x) by (menu_key(S), menu_key(T), x),
+    scanning every ordered pair of menus."""
+    best = None
+    menus = scf.menus()
+    for small in menus:
+        row_small = scf.likelihood_row(small)
+        for large in menus:
+            if not small < large:
+                continue
+            row_large = scf.likelihood_row(large)
+            for x in small:
+                if row_small[x] < lam <= row_large[x]:
+                    key = (_menu_key(small), _menu_key(large), x)
+                    if best is None or key < best[0]:
+                        best = (key, (small, large, x))
+    return None if best is None else best[1]
+
+
+def least_condorcet_violation(scf: StochasticChoiceFunction, lam: Fraction):
+    best = None
+    for menu in scf.menus():
+        if len(menu) < 3:
+            continue
+        row = scf.likelihood_row(menu)
+        for x in menu:
+            if row[x] < lam <= _condorcet_bound(scf, menu, x):
+                key = (_menu_key(menu), x)
+                if best is None or key < best[0]:
+                    best = (key, (menu, x))
+    return None if best is None else best[1]
+
+
+def least_transitivity_violation(scf: StochasticChoiceFunction, lam: Fraction):
+    for x, y, z in itertools.permutations(scf.universe, 3):
+        lo, hi = _transitivity_span(scf, x, y, z)
+        if lo < lam <= hi:
+            return (x, y, z)
+    return None
+
+
+def reference_sets(scf: StochasticChoiceFunction) -> dict:
+    """Per-axiom sets, their union and one (interval, axiom, detail)
+    witness per maximal interval, tried in the order contraction,
+    pairwise winner, cycle composition at the right endpoint."""
+    ch = IntervalUnion.from_pairs(chernoff_pairs(scf))
+    con = IntervalUnion.from_pairs(condorcet_pairs(scf))
+    st = IntervalUnion.from_pairs(transitivity_pairs(scf))
+    union = ch | con | st
+    witnesses = []
+    for lo, hi in union:
+        if ch.contains(hi):
+            witnesses.append(((lo, hi), "chernoff", least_chernoff_violation(scf, hi)))
+        elif con.contains(hi):
+            witnesses.append(((lo, hi), "condorcet", least_condorcet_violation(scf, hi)))
+        else:
+            witnesses.append(
+                ((lo, hi), "transitivity", least_transitivity_violation(scf, hi))
+            )
+    return {
+        "chernoff": ch,
+        "condorcet": con,
+        "transitivity": st,
+        "union": union,
+        "witnesses": tuple(witnesses),
+    }
+
+
+def _ratio_test(scf: StochasticChoiceFunction, contractions: bool) -> bool:
+    if scf.domain_kind is DomainKind.PAIRWISE:
+        return True
+    menus = scf.menus()
+    for large in menus:
+        if len(large) < 3:
+            continue
+        for small in menus:
+            if not small < large:
+                continue
+            probs_large = scf.menu_probs(large)
+            probs_small = scf.menu_probs(small)
+            ref, other = (
+                (probs_large, probs_small) if contractions else (probs_small, probs_large)
+            )
+            for x, y in itertools.permutations(sorted(small), 2):
+                if ref[x] > ref[y] and ref[y] * other[x] < other[y] * ref[x]:
+                    return False
+    return True
+
+
+def selective_in_contractions(scf: StochasticChoiceFunction) -> bool:
+    return _ratio_test(scf, contractions=True)
+
+
+def selective_in_expansions(scf: StochasticChoiceFunction) -> bool:
+    return _ratio_test(scf, contractions=False)
+
+
+def transitivity_flags(scf: StochasticChoiceFunction) -> tuple[bool, ...]:
+    """(weak, almost weak, moderate, almost moderate, strong) from the
+    definitions, one Fraction lookup per pair probability."""
+    half = Fraction(1, 2)
+    flags = [True] * 5
+    for x, y, z in itertools.permutations(scf.universe, 3):
+        p_xy, p_yz, p_xz = scf.pair_prob(x, y), scf.pair_prob(y, z), scf.pair_prob(x, z)
+        for strict, checks in ((False, (0, 2, 4)), (True, (1, 3))):
+            premise = (p_xy > half and p_yz > half) if strict else (
+                p_xy >= half and p_yz >= half
+            )
+            if not premise:
+                continue
+            bounds = {0: half, 1: half, 2: min(p_xy, p_yz), 3: min(p_xy, p_yz), 4: max(p_xy, p_yz)}
+            for flag in checks:
+                if p_xz < bounds[flag]:
+                    flags[flag] = False
+    return tuple(flags)
+
+
+def triangular_witness(scf: StochasticChoiceFunction):
+    """First ordered triple with P(x,y) + P(y,z) + P(z,x) > 2, or None."""
+    for x, y, z in itertools.permutations(scf.universe, 3):
+        if scf.pair_prob(x, y) + scf.pair_prob(y, z) + scf.pair_prob(z, x) > 2:
+            return (x, y, z)
+    return None

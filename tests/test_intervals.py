@@ -133,6 +133,10 @@ def test_algebra_on_random_unions():
             assert diff.contains(lam) == (a.contains(lam) and not b.contains(lam))
         # inclusion-exclusion keeps the measures consistent
         assert union.measure() + inter.measure() == a.measure() + b.measure()
-        # subset agrees with an empty difference
+        # subset agrees with an empty difference and with pointwise inclusion
         assert a.is_subset(b) == diff.is_empty
+        assert a.is_subset(b) == all(b.contains(lam) for lam in grid if a.contains(lam))
+        assert a.is_subset(union) and inter.is_subset(a) and inter.is_subset(b)
+        # the merged intersection is already canonical
+        assert inter.intervals == IntervalUnion.from_pairs(inter.intervals).intervals
         assert a.complement().measure() == 1 - a.measure()

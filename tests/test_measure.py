@@ -244,6 +244,8 @@ def test_compare_many_merges_equivalent_subjects():
         "c": uniform_drum(u, v, F(3, 4)),
     }
     multi = compare_many(named)
+    # already computed sets may stand in for the subjects
+    assert compare_many({k: irrationality_sets(v) for k, v in named.items()}) == multi
     assert multi.classes == (("a", "b"), ("c",))
     # the hasse diagram runs between classes, naming least members
     assert multi.hasse_edges == (("c", "a"),)
