@@ -16,17 +16,23 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .choice import menu_str, sort_menus
 from .comparators import swap_index
 from .dataset import parse_dataset, scf_to_rows, write_dataset_csv
 from .errors import CapacityError
-from .measure import compare_many
+from .measure import (
+    TransitivityFlags,
+    TriangularResult,
+    classify_transitivity,
+    compare_many,
+    triangular_condition,
+)
 from .modelspec import load_model_spec
 from .rationals import format_decimal, format_rational, parse_rational
 from .report import AnalysisConfig, analyze_scf, emit_report, run_analyze
-from .scf import fishburn_correspondence, is_lambda_rational
+from .scf import StochasticChoiceFunction, fishburn_correspondence, is_lambda_rational
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--oracle",
         action="store_true",
-        help="enable slow full-enumeration cross-checks during analysis",
+        help="enable slow full-enumeration cross-checks in analyze and model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -100,6 +106,24 @@ def _flag_text(value: Optional[bool]) -> str:
     return "yes" if value else "no"
 
 
+def _print_flags(
+    trans: TransitivityFlags, triangular: TriangularResult, indent: str = ""
+) -> None:
+    print(
+        f"{indent}s-transitivity: "
+        f"weak={_flag_text(trans.weak)} "
+        f"almost-weak={_flag_text(trans.almost_weak)} "
+        f"moderate={_flag_text(trans.moderate)} "
+        f"almost-moderate={_flag_text(trans.almost_moderate)} "
+        f"strong={_flag_text(trans.strong)}"
+    )
+    if triangular.holds:
+        print(f"{indent}triangular condition: PASS")
+    else:
+        x, y, z = triangular.witness
+        print(f"{indent}triangular condition: FAIL ({x},{y},{z})")
+
+
 def _print_analysis(analysis, digits: int) -> None:
     sets = analysis.sets
     print(f"subject: {analysis.subject}")
@@ -115,22 +139,18 @@ def _print_analysis(analysis, digits: int) -> None:
     )
     print(f"maximally rational: {_flag_text(sets.maximally_rational)}")
     print(f"minimally rational: {_flag_text(sets.minimally_rational)}")
-    trans = analysis.transitivity
-    print(
-        "s-transitivity: "
-        f"weak={_flag_text(trans.weak)} "
-        f"almost-weak={_flag_text(trans.almost_weak)} "
-        f"moderate={_flag_text(trans.moderate)} "
-        f"almost-moderate={_flag_text(trans.almost_moderate)} "
-        f"strong={_flag_text(trans.strong)}"
-    )
-    if analysis.triangular.holds:
-        print("triangular condition: PASS")
-    else:
-        x, y, z = analysis.triangular.witness
-        print(f"triangular condition: FAIL ({x},{y},{z})")
+    _print_flags(analysis.transitivity, analysis.triangular)
     print(f"selective in contractions: {_flag_text(analysis.selective_contractions)}")
     print(f"selective in expansions: {_flag_text(analysis.selective_expansions)}")
+
+
+def _subjects(
+    path: str, config: AnalysisConfig
+) -> Iterator[tuple[str, StochasticChoiceFunction]]:
+    """Each subject of the dataset at ``path``, built as it is reached."""
+    dataset = parse_dataset(path)
+    for subject in dataset.subject_ids():
+        yield subject, dataset.scf(subject, max_universe=config.max_universe)
 
 
 def _cmd_analyze(args: argparse.Namespace, config: AnalysisConfig) -> int:
@@ -141,12 +161,7 @@ def _cmd_analyze(args: argparse.Namespace, config: AnalysisConfig) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace, config: AnalysisConfig) -> int:
-    dataset = parse_dataset(args.data)
-    subjects = [
-        (subject, dataset.scf(subject, max_universe=config.max_universe))
-        for subject in dataset.subject_ids()
-    ]
-    result = compare_many(subjects)
+    result = compare_many(list(_subjects(args.data, config)))
     for i, left in enumerate(result.names):
         for right in result.names[i + 1 :]:
             print(f"{left} vs {right}: {result.verdict(left, right).value}")
@@ -206,32 +221,14 @@ def _cmd_lambda(args: argparse.Namespace, config: AnalysisConfig) -> int:
 
 
 def _cmd_check(args: argparse.Namespace, config: AnalysisConfig) -> int:
-    dataset = parse_dataset(args.data)
-    for subject in dataset.subject_ids():
-        scf = dataset.scf(subject, max_universe=config.max_universe)
-        analysis = analyze_scf(scf, subject=subject, config=config)
-        trans = analysis.transitivity
+    for subject, scf in _subjects(args.data, config):
         print(f"subject: {subject}")
-        print(
-            "  s-transitivity: "
-            f"weak={_flag_text(trans.weak)} "
-            f"almost-weak={_flag_text(trans.almost_weak)} "
-            f"moderate={_flag_text(trans.moderate)} "
-            f"almost-moderate={_flag_text(trans.almost_moderate)} "
-            f"strong={_flag_text(trans.strong)}"
-        )
-        if analysis.triangular.holds:
-            print("  triangular condition: PASS")
-        else:
-            x, y, z = analysis.triangular.witness
-            print(f"  triangular condition: FAIL ({x},{y},{z})")
+        _print_flags(classify_transitivity(scf), triangular_condition(scf), "  ")
     return 0
 
 
 def _cmd_swap(args: argparse.Namespace, config: AnalysisConfig) -> int:
-    dataset = parse_dataset(args.data)
-    for subject in dataset.subject_ids():
-        scf = dataset.scf(subject, max_universe=config.max_universe)
+    for subject, scf in _subjects(args.data, config):
         result = swap_index(scf)
         print(
             f"{subject}: swap index {format_rational(result.value)} "

@@ -31,7 +31,7 @@ from .choice import (
 )
 from .errors import CapacityError
 from .intervals import IntervalUnion
-from .measure import ComparisonResult, Verdict
+from .measure import ComparisonResult
 from .scf import StochasticChoiceFunction, fishburn_correspondence, threshold_cuts
 
 SWAP_CAP = 9
@@ -175,24 +175,9 @@ def _region_compare(
         elif sign > 0:
             right_worse.append((lower, cut))
         lower = cut
-    return _result_from_regions(left_worse, right_worse)
-
-
-def _result_from_regions(
-    left_worse: list[tuple[Fraction, Fraction]],
-    right_worse: list[tuple[Fraction, Fraction]],
-) -> ComparisonResult:
-    lmr = IntervalUnion.from_pairs(left_worse)
-    rml = IntervalUnion.from_pairs(right_worse)
-    if lmr.is_empty and rml.is_empty:
-        verdict = Verdict.EQUIVALENT
-    elif lmr.is_empty:
-        verdict = Verdict.LEFT_MORE_RATIONAL
-    elif rml.is_empty:
-        verdict = Verdict.RIGHT_MORE_RATIONAL
-    else:
-        verdict = Verdict.INCOMPARABLE
-    return ComparisonResult(verdict, lmr, rml)
+    return ComparisonResult.from_differences(
+        IntervalUnion.from_pairs(left_worse), IntervalUnion.from_pairs(right_worse)
+    )
 
 
 def hybrid_compare(

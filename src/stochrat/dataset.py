@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .choice import Menu, as_menu, menu_key, menu_str, sort_menus
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, to_probability
 from .scf import DomainKind, StochasticChoiceFunction, required_menus
 
 _ONE = Fraction(1)
@@ -94,9 +94,7 @@ def _observation_from_fields(
         if count < 0:
             raise ValueError(f"{where}: count {count} is negative")
         return Observation(subject, menu, alternative, "count", count)
-    prob = parse_rational(str(prob_field))
-    if prob < 0 or prob > 1:
-        raise ValueError(f"{where}: probability {prob} outside [0, 1]")
+    prob = to_probability(str(prob_field), f"{where}: probability")
     return Observation(subject, menu, alternative, "prob", prob)
 
 

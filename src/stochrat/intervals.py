@@ -16,17 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, to_probability
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _check_endpoint(value: Fraction) -> Fraction:
-    value = Fraction(value)
-    if value < _ZERO or value > _ONE:
-        raise ValueError(f"interval endpoint {value} outside [0, 1]")
-    return value
 
 
 def _canonical(
@@ -35,8 +28,8 @@ def _canonical(
     """Sort, drop empties, and merge touching intervals."""
     kept = []
     for lo, hi in pairs:
-        lo = _check_endpoint(lo)
-        hi = _check_endpoint(hi)
+        lo = to_probability(lo, "interval endpoint")
+        hi = to_probability(hi, "interval endpoint")
         if lo < hi:
             kept.append((lo, hi))
     kept.sort()

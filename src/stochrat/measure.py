@@ -235,10 +235,15 @@ def irrationality_sets(
     return IrrationalitySets(ch, con, st, union, tuple(witnesses))
 
 
+def _irrationality_union(scf: StochasticChoiceFunction) -> IntervalUnion:
+    """The union of the three axiom sets, without witnesses."""
+    return chernoff_set(scf) | condorcet_set(scf) | transitivity_set(scf)
+
+
 def rationality_index(scf: StochasticChoiceFunction) -> Fraction:
     """One minus the length of the irrationality set.  1 means rational at
     every threshold, 0 means rational at none."""
-    return _ONE - irrationality_sets(scf).union.measure()
+    return _ONE - _irrationality_union(scf).measure()
 
 
 # -- comparisons -----------------------------------------------------------
@@ -280,12 +285,17 @@ class ComparisonResult:
     right_minus_left: IntervalUnion
 
     @classmethod
+    def from_differences(
+        cls, lmr: IntervalUnion, rml: IntervalUnion
+    ) -> "ComparisonResult":
+        """Result from the two differences, however a comparator found them."""
+        return cls(Verdict.from_inclusion(lmr.is_empty, rml.is_empty), lmr, rml)
+
+    @classmethod
     def from_sets(
         cls, left: IntervalUnion, right: IntervalUnion
     ) -> "ComparisonResult":
-        lmr = left.difference(right)
-        rml = right.difference(left)
-        return cls(Verdict.from_inclusion(lmr.is_empty, rml.is_empty), lmr, rml)
+        return cls.from_differences(left.difference(right), right.difference(left))
 
 
 def compare(
@@ -294,7 +304,7 @@ def compare(
     """Inclusion comparison of irrationality sets.  The two subjects may
     live on different universes; only the threshold sets matter."""
     return ComparisonResult.from_sets(
-        irrationality_sets(left).union, irrationality_sets(right).union
+        _irrationality_union(left), _irrationality_union(right)
     )
 
 
@@ -336,8 +346,10 @@ def compare_many(
     order = sorted(names)
     unions = {
         name: (
-            value if isinstance(value, IrrationalitySets) else irrationality_sets(value)
-        ).union
+            value.union
+            if isinstance(value, IrrationalitySets)
+            else _irrationality_union(value)
+        )
         for name, value in pairs
     }
 

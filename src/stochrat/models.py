@@ -17,39 +17,29 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .choice import Menu, as_menu, menu_str
 from .intervals import IntervalUnion
 from .prng import SplitMix64
-from .rationals import parse_rational
+from .rationals import RationalLike, to_fraction, to_probability
 from .scf import DomainKind, StochasticChoiceFunction, required_menus
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
-ValueLike = Union[Fraction, int, str]
 Utility = dict[str, Fraction]
 
 
 # -- utility plumbing -----------------------------------------------------
 
 
-def _coerce_value(value: ValueLike, context: str) -> Fraction:
-    if isinstance(value, str):
-        return parse_rational(value)
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad rational {value!r} for {context}") from exc
-
-
-def as_utility(values: Mapping[str, ValueLike]) -> Utility:
+def as_utility(values: Mapping[str, RationalLike]) -> Utility:
     if not values:
         raise ValueError("utility must cover at least one alternative")
     return {
-        str(label): _coerce_value(value, f"utility of {label!r}")
+        str(label): to_fraction(value, "utility", f" of {label!r}")
         for label, value in values.items()
     }
 
@@ -73,37 +63,22 @@ def _require_same_universe(utilities: Sequence[Utility]) -> tuple[str, ...]:
 
 
 def _argmax(utility: Utility, menu: Menu) -> str:
-    best = None
-    best_value = None
-    for x in sorted(menu):
-        value = utility[x]
-        if best_value is None or value > best_value:
-            best, best_value = x, value
-    assert best is not None
-    return best
+    """The first label, in sorted order, of greatest utility."""
+    return max(sorted(menu), key=utility.__getitem__)
 
 
 # -- proportional models ---------------------------------------------------
 
 
 def luce(
-    utility: Mapping[str, ValueLike], max_universe: Optional[int] = None
+    utility: Mapping[str, RationalLike], max_universe: Optional[int] = None
 ) -> StochasticChoiceFunction:
     """Proportional choice: P(x, S) = u(x) / sum of u over S."""
-    u = as_utility(utility)
-    _require_positive(u)
-    labels = tuple(sorted(u))
-    table = {}
-    for menu in required_menus(labels, DomainKind.FULL):
-        total = sum(u[x] for x in menu)
-        table[menu] = {x: u[x] / total for x in menu}
-    return StochasticChoiceFunction(
-        table, DomainKind.FULL, universe=labels, max_universe=max_universe
-    )
+    return general_luce(utility, {}, max_universe=max_universe)
 
 
 def general_luce(
-    utility: Mapping[str, ValueLike],
+    utility: Mapping[str, RationalLike],
     consideration: Mapping[Iterable[str], Iterable[str]],
     max_universe: Optional[int] = None,
 ) -> StochasticChoiceFunction:
@@ -136,7 +111,7 @@ def general_luce(
 
 
 def two_stage_luce(
-    utility: Mapping[str, ValueLike],
+    utility: Mapping[str, RationalLike],
     dominance: Iterable[tuple[str, str]],
     max_universe: Optional[int] = None,
 ) -> tuple[StochasticChoiceFunction, bool]:
@@ -169,55 +144,33 @@ def two_stage_luce(
 
     proper = all(u[a] > u[b] for a, b in strict)
 
-    def undominated(menu: Menu) -> frozenset[str]:
-        return frozenset(
-            x for x in menu if not any((y, x) in strict for y in menu if y != x)
-        )
-
-    table = {}
-    for menu in required_menus(labels, DomainKind.FULL):
-        focus = undominated(menu)
-        total = sum(u[x] for x in focus)
-        table[menu] = {x: (u[x] / total if x in focus else _ZERO) for x in menu}
-    scf = StochasticChoiceFunction(
-        table, DomainKind.FULL, universe=labels, max_universe=max_universe
-    )
-    return scf, proper
+    # the undominated members of each menu (nonempty: the relation is acyclic)
+    focus = {
+        menu: [x for x in menu if not any((y, x) in strict for y in menu)]
+        for menu in required_menus(labels, DomainKind.FULL)
+    }
+    return general_luce(u, focus, max_universe=max_universe), proper
 
 
 # -- ranking mixtures -------------------------------------------------------
 
 
 def uniform_drum(
-    first: Mapping[str, ValueLike],
-    second: Mapping[str, ValueLike],
-    weight: ValueLike,
+    first: Mapping[str, RationalLike],
+    second: Mapping[str, RationalLike],
+    weight: RationalLike,
     max_universe: Optional[int] = None,
 ) -> StochasticChoiceFunction:
     """Two-ranking mixture with a menu-independent weight on the first."""
-    u = as_utility(first)
-    v = as_utility(second)
-    _require_injective(u)
-    _require_injective(v)
-    labels = _require_same_universe([u, v])
-    theta = _coerce_value(weight, "mixture weight")
-    if theta < _ZERO or theta > _ONE:
-        raise ValueError(f"mixture weight {theta} outside [0, 1]")
-    table = {}
-    for menu in required_menus(labels, DomainKind.FULL):
-        row = {x: _ZERO for x in menu}
-        row[_argmax(u, menu)] += theta
-        row[_argmax(v, menu)] += _ONE - theta
-        table[menu] = row
-    return StochasticChoiceFunction(
-        table, DomainKind.FULL, universe=labels, max_universe=max_universe
-    )
+    theta = to_probability(weight, "mixture weight")
+    weights = {menu: theta for menu in required_menus(first, DomainKind.FULL)}
+    return drum(first, second, weights, max_universe=max_universe)
 
 
 def drum(
-    first: Mapping[str, ValueLike],
-    second: Mapping[str, ValueLike],
-    weights: Mapping[Iterable[str], ValueLike],
+    first: Mapping[str, RationalLike],
+    second: Mapping[str, RationalLike],
+    weights: Mapping[Iterable[str], RationalLike],
     max_universe: Optional[int] = None,
 ) -> StochasticChoiceFunction:
     """Two-ranking mixture with a menu-dependent weight on the first.
@@ -233,10 +186,7 @@ def drum(
     theta_map: dict[Menu, Fraction] = {}
     for raw_menu, value in weights.items():
         menu = as_menu(raw_menu)
-        theta = _coerce_value(value, f"weight of {menu_str(menu)}")
-        if theta < _ZERO or theta > _ONE:
-            raise ValueError(f"weight {theta} for {menu_str(menu)} outside [0, 1]")
-        theta_map[menu] = theta
+        theta_map[menu] = to_probability(value, "weight", f" for {menu_str(menu)}")
     table = {}
     for menu in required_menus(labels, DomainKind.FULL):
         if menu not in theta_map:
@@ -252,7 +202,7 @@ def drum(
 
 
 def rum(
-    components: Sequence[tuple[Mapping[str, ValueLike], ValueLike]],
+    components: Sequence[tuple[Mapping[str, RationalLike], RationalLike]],
     max_universe: Optional[int] = None,
 ) -> StochasticChoiceFunction:
     """Finite mixture of rankings: each component is (utility, weight).
@@ -267,7 +217,7 @@ def rum(
     for index, (raw_utility, raw_weight) in enumerate(components):
         utility = as_utility(raw_utility)
         _require_injective(utility)
-        weight = _coerce_value(raw_weight, f"weight of component {index}")
+        weight = to_fraction(raw_weight, "weight", f" of component {index}")
         if weight <= _ZERO:
             raise ValueError(f"component weight {weight} must be positive")
         parsed.append((utility, weight))
@@ -292,7 +242,7 @@ def rum(
 
 
 def consistent_over_triplets(
-    first: Mapping[str, ValueLike], second: Mapping[str, ValueLike]
+    first: Mapping[str, RationalLike], second: Mapping[str, RationalLike]
 ) -> bool:
     """No triple is ranked x > y > z by the first utility and exactly
     reversed by the second."""
@@ -305,7 +255,7 @@ def consistent_over_triplets(
     return True
 
 
-def consistent_over_tuples(utilities: Sequence[Mapping[str, ValueLike]]) -> bool:
+def consistent_over_tuples(utilities: Sequence[Mapping[str, RationalLike]]) -> bool:
     """Generalization to n utilities over (n+1)-tuples.
 
     Fails when distinct x, x_1, ..., x_n exist such that every utility j
@@ -334,7 +284,7 @@ def consistent_over_tuples(utilities: Sequence[Mapping[str, ValueLike]]) -> bool
 
 
 def lead_consistent_over_triplets(
-    utilities: Sequence[Mapping[str, ValueLike]],
+    utilities: Sequence[Mapping[str, RationalLike]],
 ) -> bool:
     """No triple is ranked x > y > z by the first utility and exactly
     reversed by all the remaining utilities at once."""
@@ -351,7 +301,7 @@ def lead_consistent_over_triplets(
     return True
 
 
-def lead_chain_consistent(utilities: Sequence[Mapping[str, ValueLike]]) -> bool:
+def lead_chain_consistent(utilities: Sequence[Mapping[str, RationalLike]]) -> bool:
     """Whenever the first utility ranks x > y > z, every utility ranks x
     strictly above z."""
     parsed = [as_utility(u) for u in utilities]
@@ -365,9 +315,9 @@ def lead_chain_consistent(utilities: Sequence[Mapping[str, ValueLike]]) -> bool:
 
 
 def uniform_drum_irrationality(
-    first: Mapping[str, ValueLike],
-    second: Mapping[str, ValueLike],
-    weight: ValueLike,
+    first: Mapping[str, RationalLike],
+    second: Mapping[str, RationalLike],
+    weight: RationalLike,
 ) -> IntervalUnion:
     """Closed-form irrationality set of a two-ranking mixture.
 
@@ -375,7 +325,7 @@ def uniform_drum_irrationality(
     (swap the rankings otherwise).  Consistent rankings give the empty
     set; inconsistent ones give (0, (1-w)/w].
     """
-    theta = _coerce_value(weight, "mixture weight")
+    theta = to_fraction(weight, "mixture weight")
     if theta < _HALF or theta > _ONE:
         raise ValueError(
             "closed form needs the first-ranking weight in [1/2, 1]; "
@@ -390,17 +340,15 @@ def uniform_drum_irrationality(
 
 
 def tremble(
-    utility: Mapping[str, ValueLike],
-    alpha: ValueLike,
+    utility: Mapping[str, RationalLike],
+    alpha: RationalLike,
     max_universe: Optional[int] = None,
 ) -> StochasticChoiceFunction:
     """Maximize with probability alpha, otherwise pick uniformly."""
     u = as_utility(utility)
     _require_injective(u)
     labels = tuple(sorted(u))
-    a = _coerce_value(alpha, "tremble weight")
-    if a < _ZERO or a > _ONE:
-        raise ValueError(f"tremble weight {a} outside [0, 1]")
+    a = to_probability(alpha, "tremble weight")
     table = {}
     for menu in required_menus(labels, DomainKind.FULL):
         noise = (_ONE - a) / len(menu)
@@ -412,20 +360,18 @@ def tremble(
     )
 
 
-def tremble_irrationality(size: int, alpha: ValueLike) -> IntervalUnion:
+def tremble_irrationality(size: int, alpha: RationalLike) -> IntervalUnion:
     """Closed-form irrationality set of a tremble on ``size`` alternatives:
     ((1-a)/(1+(size-1)a), (1-a)/(1+a)].  Empty exactly at a in {0, 1}."""
     if size < 3:
         raise ValueError("closed form needs at least 3 alternatives")
-    a = _coerce_value(alpha, "tremble weight")
-    if a < _ZERO or a > _ONE:
-        raise ValueError(f"tremble weight {a} outside [0, 1]")
+    a = to_probability(alpha, "tremble weight")
     lo = (_ONE - a) / (_ONE + (size - 1) * a)
     hi = (_ONE - a) / (_ONE + a)
     return IntervalUnion.single(lo, hi)
 
 
-def tremble_index(size: int, alpha: ValueLike) -> Fraction:
+def tremble_index(size: int, alpha: RationalLike) -> Fraction:
     """Closed-form rationality index of a tremble."""
     return _ONE - tremble_irrationality(size, alpha).measure()
 
@@ -434,7 +380,7 @@ def tremble_index(size: int, alpha: ValueLike) -> Fraction:
 
 
 def mum_response_table(
-    arguments: Iterable[ValueLike],
+    arguments: Iterable[RationalLike],
 ) -> dict[Fraction, Fraction]:
     """Build a strictly increasing odd response table covering ``arguments``.
 
@@ -444,7 +390,7 @@ def mum_response_table(
     ever gets evaluated on finitely many points.
     """
     magnitudes = sorted(
-        {abs(_coerce_value(a, "response argument")) for a in arguments} - {_ZERO}
+        {abs(to_fraction(a, "response argument")) for a in arguments} - {_ZERO}
     )
     table = {_ZERO: _HALF}
     m = len(magnitudes)
@@ -456,9 +402,9 @@ def mum_response_table(
 
 
 def mum_pairwise(
-    utility: Mapping[str, ValueLike],
-    metric: Mapping[Iterable[str], ValueLike],
-    response: Mapping[ValueLike, ValueLike],
+    utility: Mapping[str, RationalLike],
+    metric: Mapping[Iterable[str], RationalLike],
+    response: Mapping[RationalLike, RationalLike],
     max_universe: Optional[int] = None,
 ) -> StochasticChoiceFunction:
     """Pairwise choice driven by utility differences scaled by similarity.
@@ -476,7 +422,7 @@ def mum_pairwise(
         pair = as_menu(raw_pair)
         if len(pair) != 2:
             raise ValueError(f"metric key {menu_str(pair)} is not a pair")
-        d = _coerce_value(value, f"distance of {menu_str(pair)}")
+        d = to_fraction(value, "distance", f" of {menu_str(pair)}")
         if d <= _ZERO:
             raise ValueError(f"distance of {menu_str(pair)} must be positive")
         distances[pair] = d
@@ -494,11 +440,8 @@ def mum_pairwise(
 
     table_f: dict[Fraction, Fraction] = {}
     for raw_arg, raw_value in response.items():
-        arg = _coerce_value(raw_arg, "response argument")
-        value = _coerce_value(raw_value, f"response at {arg}")
-        if value < _ZERO or value > _ONE:
-            raise ValueError(f"response value {value} at {arg} outside [0, 1]")
-        table_f[arg] = value
+        arg = to_fraction(raw_arg, "response argument")
+        table_f[arg] = to_probability(raw_value, "response value", f" at {arg}")
     for arg, value in table_f.items():
         if -arg not in table_f or table_f[-arg] != _ONE - value:
             raise ValueError(

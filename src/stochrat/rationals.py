@@ -8,23 +8,69 @@ via :func:`format_decimal`, and never feed back into computation.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Union
+
+# Bounds on rational text.  Every digit, written or implied by an exponent,
+# becomes a digit of an exact numerator or denominator that every later
+# comparison carries; "1e-1000000" alone would be a 3.3M-bit denominator.
+RATIONAL_TEXT_CAP = 1000
+DECIMAL_EXPONENT_CAP = 1000
+
+RationalLike = Union[Fraction, int, str]
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"``, ``"n"`` or a decimal literal into an exact Fraction.
 
     Decimal strings convert exactly: ``"0.8"`` becomes 4/5, not the binary
-    float nearest to 0.8.
+    float nearest to 0.8.  Text longer than :data:`RATIONAL_TEXT_CAP`
+    characters and decimal exponents beyond :data:`DECIMAL_EXPONENT_CAP` in
+    magnitude are rejected.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {text!r}")
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty rational string")
+    if len(stripped) > RATIONAL_TEXT_CAP:
+        raise ValueError(
+            f"rational text of {len(stripped)} characters exceeds the cap of "
+            f"{RATIONAL_TEXT_CAP}"
+        )
+    _, marker, exponent = stripped.lower().partition("e")
+    try:
+        too_large = bool(marker) and abs(int(exponent)) > DECIMAL_EXPONENT_CAP
+    except ValueError:
+        too_large = False  # not an exponent; Fraction judges the text
+    if too_large:
+        raise ValueError(
+            f"decimal exponent in {stripped!r} exceeds the cap of "
+            f"{DECIMAL_EXPONENT_CAP} in magnitude"
+        )
     try:
         return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
+
+
+def to_fraction(value: RationalLike, name: str, where: str = "") -> Fraction:
+    """Exact Fraction from a rational string (see :func:`parse_rational`) or
+    a number.  ``name`` and ``where`` describe the value in errors, as in
+    ``"bad weight 'x' for {a,b}"``."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad {name} {value!r}{where}") from exc
+
+
+def to_probability(value: RationalLike, name: str, where: str = "") -> Fraction:
+    """:func:`to_fraction`, checked to lie in [0, 1]."""
+    prob = to_fraction(value, name, where)
+    if prob < 0 or prob > 1:
+        raise ValueError(f"{name} {prob}{where} outside [0, 1]")
+    return prob
 
 
 def format_rational(value: Fraction) -> str:

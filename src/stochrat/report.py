@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
@@ -278,7 +278,8 @@ def render_csv(report: AnalysisReport) -> str:
     writer.writerow(_CSV_COLUMNS)
     for entry in report.subjects:
         if isinstance(entry, SubjectError):
-            writer.writerow([entry.subject, f"error:{entry.kind}"] + [""] * 12)
+            padding = [""] * (len(_CSV_COLUMNS) - 2)
+            writer.writerow([entry.subject, f"error:{entry.kind}"] + padding)
             continue
         sets = entry.sets
         writer.writerow(

@@ -23,28 +23,25 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
 from .choice import (
     ChoiceCorrespondence,
     Menu,
     as_menu,
     check_axioms,
-    menu_key,
     menu_str,
     sort_menus,
 )
 from .core import SubjectCore
 from .errors import CapacityError
-from .rationals import parse_rational
+from .rationals import RationalLike, to_probability
 
 FULL_UNIVERSE_CAP = 12
 PAIRWISE_UNIVERSE_CAP = 64
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-ProbLike = Union[Fraction, int, str]
 
 
 class DomainKind(str, Enum):
@@ -67,19 +64,6 @@ def required_menus(universe: Iterable[str], kind: DomainKind) -> list[Menu]:
     return sort_menus(menus)
 
 
-def _to_fraction(value: ProbLike, context: str) -> Fraction:
-    if isinstance(value, str):
-        prob = parse_rational(value)
-    else:
-        try:
-            prob = Fraction(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad probability {value!r} for {context}") from exc
-    if prob < _ZERO or prob > _ONE:
-        raise ValueError(f"probability {prob} for {context} outside [0, 1]")
-    return prob
-
-
 class StochasticChoiceFunction:
     """Validated menu-by-menu choice probabilities on a complete domain.
 
@@ -92,7 +76,7 @@ class StochasticChoiceFunction:
 
     def __init__(
         self,
-        probabilities: Mapping[Iterable[str], Mapping[str, ProbLike]],
+        probabilities: Mapping[Iterable[str], Mapping[str, RationalLike]],
         domain_kind: DomainKind = DomainKind.FULL,
         universe: Optional[Iterable[str]] = None,
         max_universe: Optional[int] = None,
@@ -114,7 +98,9 @@ class StochasticChoiceFunction:
                     raise ValueError(
                         f"alternative {alt!r} not a member of menu {menu_str(menu)}"
                     )
-                row[alt] = _to_fraction(value, f"{alt!r} in {menu_str(menu)}")
+                row[alt] = to_probability(
+                    value, "probability", f" for {alt!r} in {menu_str(menu)}"
+                )
             total = sum(row.values())
             if total != _ONE:
                 raise ValueError(
@@ -192,60 +178,49 @@ class StochasticChoiceFunction:
         """Rank-coded integer tables of this subject, built on first use."""
         return SubjectCore(self._universe, self._menus, self._table, self._nlik)
 
-    def _lookup(self, x: str, menu: Iterable[str]) -> tuple[Menu, str]:
+    def _row(
+        self, menu: Iterable[str], table: Mapping[Menu, dict[str, Fraction]]
+    ) -> dict[str, Fraction]:
+        """The menu's row of ``table``; a singleton's only member gets 1."""
+        key = as_menu(menu)
+        if len(key) == 1:
+            return dict.fromkeys(key, _ONE)
+        if key not in table:
+            raise ValueError(f"menu {menu_str(key)} not in domain")
+        return table[key]
+
+    def _entry(
+        self, x: str, menu: Iterable[str], table: Mapping[Menu, dict[str, Fraction]]
+    ) -> Fraction:
         key = as_menu(menu)
         if x not in key:
             raise ValueError(f"alternative {x!r} not in menu {menu_str(key)}")
-        if len(key) == 1:
-            return key, x
-        if key not in self._table:
-            raise ValueError(f"menu {menu_str(key)} not in domain")
-        return key, x
+        return self._row(key, table)[x]
 
     def prob(self, x: str, menu: Iterable[str]) -> Fraction:
         """Choice probability of x from the menu (1 on singletons)."""
-        key, x = self._lookup(x, menu)
-        if len(key) == 1:
-            return _ONE
-        return self._table[key][x]
+        return self._entry(x, menu, self._table)
 
     def menu_probs(self, menu: Iterable[str]) -> dict[str, Fraction]:
-        key = as_menu(menu)
-        if len(key) == 1:
-            return {next(iter(key)): _ONE}
-        if key not in self._table:
-            raise ValueError(f"menu {menu_str(key)} not in domain")
-        return dict(self._table[key])
+        return dict(self._row(menu, self._table))
 
     def pair_prob(self, x: str, y: str) -> Fraction:
         """P(x beats y) on the two-element menu {x, y}."""
         return self.prob(x, (x, y))
 
     def max_prob(self, menu: Iterable[str]) -> Fraction:
-        key = as_menu(menu)
-        if len(key) == 1:
-            return _ONE
-        if key not in self._table:
-            raise ValueError(f"menu {menu_str(key)} not in domain")
-        return max(self._table[key].values())
+        return max(self._row(menu, self._table).values())
 
     def normalized_likelihood(self, x: str, menu: Iterable[str]) -> Fraction:
         """Choice probability of x divided by the menu's best probability."""
-        key, x = self._lookup(x, menu)
-        if len(key) == 1:
-            return _ONE
-        return self._nlik[key][x]
+        return self._entry(x, menu, self._nlik)
 
     def likelihood_row(self, menu: Menu) -> dict[str, Fraction]:
         return dict(self._nlik[menu])
 
     def support(self, menu: Iterable[str]) -> frozenset[str]:
-        key = as_menu(menu)
-        if len(key) == 1:
-            return key
-        if key not in self._table:
-            raise ValueError(f"menu {menu_str(key)} not in domain")
-        return frozenset(x for x, p in self._table[key].items() if p > _ZERO)
+        row = self._row(menu, self._table)
+        return frozenset(x for x, p in row.items() if p > _ZERO)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StochasticChoiceFunction):
@@ -266,19 +241,12 @@ class StochasticChoiceFunction:
 # -- threshold machinery ------------------------------------------------
 
 
-def _check_threshold(lam: Fraction) -> Fraction:
-    lam = Fraction(lam)
-    if lam < _ZERO or lam > _ONE:
-        raise ValueError(f"threshold {lam} outside [0, 1]")
-    return lam
-
-
 def fishburn_correspondence(
     scf: StochasticChoiceFunction, lam: Fraction
 ) -> ChoiceCorrespondence:
     """Threshold correspondence: keep x in S when its normalized likelihood
     reaches ``lam``.  At lam = 0 this is the support correspondence."""
-    lam = _check_threshold(lam)
+    lam = to_probability(lam, "threshold")
     core = scf.core
     # likelihood >= lam  <=>  rank >= floor; at lam = 0 keep rank >= 1 (> 0)
     floor = max(1, bisect.bisect_left(core.cuts, lam))
@@ -295,16 +263,11 @@ def lambda_floor(scf: StochasticChoiceFunction) -> Fraction:
     """Smallest positive normalized likelihood.
 
     Thresholds at or below this value all produce the support
-    correspondence, which makes the family continuous at zero; the
-    equality is cheap, so it is checked here rather than assumed.
+    correspondence, which makes the family continuous at zero: by
+    construction :func:`fishburn_correspondence` keeps the ranks from 1 up
+    at every threshold in [0, floor].
     """
-    floor = scf.core.cuts[1]
-    if fishburn_correspondence(scf, floor) != fishburn_correspondence(scf, _ZERO):
-        raise RuntimeError(
-            "support correspondence must persist up to the smallest positive "
-            "likelihood"
-        )
-    return floor
+    return scf.core.cuts[1]
 
 
 def critical_lambdas(scf: StochasticChoiceFunction) -> tuple[Fraction, ...]:

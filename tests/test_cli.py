@@ -226,6 +226,18 @@ def test_malformed_data_exits_2(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_oversized_rational_cell_exits_2(capsys, tmp_path):
+    huge = tmp_path / "huge.csv"
+    huge.write_text(
+        "subject,menu,alternative,prob\ns,x|y,x,1e-1000000\ns,x|y,y,1\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "analyze", str(huge))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "exponent" in err
+
+
 def test_bad_threshold_exits_2(capsys):
     code, _, err = run_cli(capsys, "lambda", DEMO, "--subject", "s1", "--lambda", "3/2")
     assert code == 2

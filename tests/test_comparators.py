@@ -5,13 +5,17 @@ import pytest
 from stochrat import (
     CapacityError,
     DomainKind,
+    IntervalUnion,
     StochasticChoiceFunction,
     Verdict,
     compare,
+    fishburn_correspondence,
+    houtman_maks,
     hybrid_compare,
     luce,
     random_scf,
     swap_index,
+    threshold_cuts,
     total_compare,
     totally_rational_regions,
     uniform_drum,
@@ -204,3 +208,42 @@ def test_comparators_on_identical_subjects_are_equivalent():
     scf = random_scf(9, ["a", "b", "c"])
     assert hybrid_compare(scf, scf).verdict is Verdict.EQUIVALENT
     assert total_compare(scf, scf).verdict is Verdict.EQUIVALENT
+
+
+def worse_regions(left, right, worse):
+    """Union of the merged threshold regions (lo, hi] on which
+    ``worse(left correspondence, right correspondence)`` holds at hi."""
+    cuts = sorted(set(threshold_cuts(left)) | set(threshold_cuts(right)))
+    return IntervalUnion.from_pairs(
+        (lo, hi)
+        for lo, hi in zip([F(0)] + cuts, cuts)
+        if worse(fishburn_correspondence(left, hi), fishburn_correspondence(right, hi))
+    )
+
+
+@pytest.mark.parametrize(
+    "seeds, verdict",
+    [
+        ((0, 2), Verdict.INCOMPARABLE),
+        ((0, 7), Verdict.LEFT_MORE_RATIONAL),
+        ((0, 1), Verdict.RIGHT_MORE_RATIONAL),
+        ((2, 2), Verdict.EQUIVALENT),
+    ],
+)
+def test_region_comparators_reach_every_verdict(seeds, verdict):
+    left, right = (random_scf(seed, ["a", "b", "c"]) for seed in seeds)
+
+    def more_removals(c_left, c_right):
+        return houtman_maks(c_left) > houtman_maks(c_right)
+
+    hybrid = hybrid_compare(left, right)
+    assert hybrid.verdict is verdict
+    assert hybrid.left_minus_right == worse_regions(left, right, more_removals)
+    assert hybrid.right_minus_left == worse_regions(right, left, more_removals)
+
+    total = total_compare(left, right)
+    assert total.verdict is verdict
+    left_total = totally_rational_regions(left)
+    right_total = totally_rational_regions(right)
+    assert total.left_minus_right == right_total.difference(left_total)
+    assert total.right_minus_left == left_total.difference(right_total)

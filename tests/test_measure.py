@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from stochrat import measure
 from stochrat import (
     DomainKind,
     IntervalUnion,
@@ -276,3 +277,24 @@ def test_index_between_zero_and_one():
         scf = random_scf(seed, ["a", "b", "c"])
         index = rationality_index(scf)
         assert 0 <= index <= 1
+
+
+def test_index_and_comparisons_never_search_witnesses(demo_scf, monkeypatch):
+    other = random_scf(3, ["x", "y", "z"])
+    subjects = {"demo": demo_scf, "other": other}
+    expected = (
+        rationality_index(demo_scf),
+        compare(demo_scf, other),
+        compare_many(subjects),
+    )
+
+    def refuse(*args):
+        raise RuntimeError("witness search run for a set-only result")
+
+    for name in ("_chernoff_witness", "_condorcet_witness", "_transitivity_witness"):
+        monkeypatch.setattr(measure, name, refuse)
+    assert (
+        rationality_index(demo_scf),
+        compare(demo_scf, other),
+        compare_many(subjects),
+    ) == expected

@@ -3,6 +3,12 @@ from fractions import Fraction
 import pytest
 
 from stochrat import format_decimal, format_rational, parse_rational
+from stochrat.rationals import (
+    DECIMAL_EXPONENT_CAP,
+    RATIONAL_TEXT_CAP,
+    to_fraction,
+    to_probability,
+)
 
 
 def test_parse_fraction_form():
@@ -55,3 +61,47 @@ def test_round_trip_exactness():
     for text in ["5/12", "7/13", "1", "0.416667"]:
         value = parse_rational(text)
         assert parse_rational(format_rational(value)) == value
+
+
+def test_parse_accepts_exponents_up_to_the_cap():
+    assert parse_rational("2.5e-1") == Fraction(1, 4)
+    power = 10**DECIMAL_EXPONENT_CAP
+    assert parse_rational(f"1e-{DECIMAL_EXPONENT_CAP}") == Fraction(1, power)
+    assert parse_rational(f"1E+{DECIMAL_EXPONENT_CAP}") == power
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1e-1000000",
+        f"1e{DECIMAL_EXPONENT_CAP + 1}",
+        f"0.5E-{DECIMAL_EXPONENT_CAP + 1}",
+        "1" * (RATIONAL_TEXT_CAP + 1),
+        "1/" + "3" * RATIONAL_TEXT_CAP,
+    ],
+)
+def test_parse_rejects_oversized_text(text):
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        parse_rational(text)
+
+
+def test_parse_length_cap_ignores_surrounding_space():
+    text = "1" * RATIONAL_TEXT_CAP
+    assert parse_rational(f"  {text}  ") == int(text)
+
+
+def test_to_fraction_accepts_text_and_numbers():
+    assert to_fraction("3/4", "weight") == Fraction(3, 4)
+    assert to_fraction(2, "weight") == 2
+    assert to_fraction(Fraction(1, 3), "weight") == Fraction(1, 3)
+    with pytest.raises(ValueError, match=r"^bad weight \[1\] for \{x,y\}$"):
+        to_fraction([1], "weight", " for {x,y}")
+
+
+def test_to_probability_checks_the_unit_interval():
+    assert to_probability("0", "weight") == 0
+    assert to_probability(1, "weight") == 1
+    with pytest.raises(ValueError, match=r"^weight 3/2 for \{x,y\} outside \[0, 1\]$"):
+        to_probability("3/2", "weight", " for {x,y}")
+    with pytest.raises(ValueError, match=r"^threshold -1 outside \[0, 1\]$"):
+        to_probability(-1, "threshold")

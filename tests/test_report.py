@@ -192,6 +192,7 @@ def test_capacity_error_isolated_per_subject(tmp_path):
     csv_lines = render_csv(report).splitlines()
     big_line = next(line for line in csv_lines if line.startswith("big,"))
     assert big_line.split(",")[1] == "error:capacity"
+    assert len(big_line.split(",")) == len(csv_lines[0].split(","))
 
 
 def test_emit_report_files(tmp_path, cycles_report):
