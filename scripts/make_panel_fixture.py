@@ -14,10 +14,14 @@ The first four subjects are hand-built anchors:
 The remaining 22 subjects draw their winner counts from SplitMix64 with a
 fixed seed, so the file is reproducible byte for byte.
 
-Usage: python3 scripts/make_panel_fixture.py [out.csv]
+The same panel in the JSON dataset format (fixtures/pairwise5_panel26.json)
+is written when the output path ends in ``.json``.
+
+Usage: python3 scripts/make_panel_fixture.py [out.csv | out.json]
 """
 
 import itertools
+import json
 import sys
 from pathlib import Path
 
@@ -60,15 +64,40 @@ def rows() -> list[tuple[str, str, str, int]]:
     return out
 
 
+def json_document(data: list[tuple[str, str, str, int]]) -> str:
+    """The rows as a ``{"subjects": [...]}`` document, one observation per
+    line, subjects in the order of their first row."""
+    by_subject: dict[str, list[str]] = {}
+    for subject, menu, alternative, count in data:
+        observation = {
+            "menu": menu.split("|"),
+            "alternative": alternative,
+            "count": count,
+        }
+        by_subject.setdefault(subject, []).append(json.dumps(observation))
+    blocks = []
+    for subject, observations in by_subject.items():
+        body = ",\n    ".join(observations)
+        blocks.append(
+            f'  {{"subject": {json.dumps(subject)}, "observations": [\n    {body}\n  ]}}'
+        )
+    return '{"subjects": [\n' + ",\n".join(blocks) + "\n]}\n"
+
+
 def main() -> None:
     target = Path(sys.argv[1]) if len(sys.argv) > 1 else (
         Path(__file__).resolve().parent.parent / "fixtures" / "pairwise5_panel26.csv"
     )
-    lines = ["subject,menu,alternative,count,prob"]
-    for subject, menu, alternative, count in rows():
-        lines.append(f"{subject},{menu},{alternative},{count},")
-    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {target} ({len(lines) - 1} rows)")
+    data = rows()
+    if target.suffix == ".json":
+        text = json_document(data)
+    else:
+        lines = ["subject,menu,alternative,count,prob"]
+        for subject, menu, alternative, count in data:
+            lines.append(f"{subject},{menu},{alternative},{count},")
+        text = "\n".join(lines) + "\n"
+    target.write_text(text, encoding="utf-8")
+    print(f"wrote {target} ({len(data)} rows)")
 
 
 if __name__ == "__main__":

@@ -26,19 +26,19 @@ class SubjectCore:
     """Integer tables of one subject.
 
     * ``labels``: the universe in sorted order; alternative i is
-      ``labels[i]`` and bit i of a menu mask.
+      ``labels[i]`` (``index`` maps back) and bit i of a menu mask.
     * ``menus``: menu masks in canonical order (size, then labels);
       ``by_key``: the same masks in ``menu_key`` order, and ``key_pos``
       maps a mask to its position there.  ``menu_set`` maps a mask back to
       the subject's frozenset and ``members`` to its ascending indices.
     * ``cuts``: 0 followed by the sorted distinct positive normalized
-      likelihoods (the last is 1); ``cut_rank`` maps a cut to its index.
+      likelihoods (the last is 1).
       Cell c >= 1 stands for the thresholds (cuts[c-1], cuts[c]].
     * ``rank[mask][i]``: rank of alternative i's likelihood on the menu
       (0 for non-members and for zero probability).
     * ``pair_rank[i][j]``: rank of i's likelihood on {i, j}.
     * ``scaled[mask][i]``: the menu's probabilities times the least common
-      multiple of their denominators, an integer row.
+      multiple of their denominators, an integer row (the subject's own).
     * ``pair_num[i][j] / pair_den``: P(i over j) over one common even
       denominator, so one half is ``pair_den // 2``.
     """
@@ -47,12 +47,12 @@ class SubjectCore:
         self,
         labels: Sequence[str],
         menus: Sequence[frozenset[str]],
-        probs: Mapping[frozenset[str], Mapping[str, Fraction]],
-        nlik: Mapping[frozenset[str], Mapping[str, Fraction]],
+        rows: Mapping[frozenset[str], tuple[Mapping[str, int], int]],
     ) -> None:
         n = len(labels)
         index = {label: i for i, label in enumerate(labels)}
         self.labels = tuple(labels)
+        self.index = index
         self.n = n
         self.full = (1 << n) - 1
 
@@ -67,24 +67,36 @@ class SubjectCore:
         self.by_key = tuple(sorted(self.menus, key=self.members.__getitem__))
         self.key_pos = {mask: pos for pos, mask in enumerate(self.by_key)}
 
-        positive = {v for row in nlik.values() for v in row.values() if v > _ZERO}
-        self.cuts: tuple[Fraction, ...] = (_ZERO, *sorted(positive))
-        self.cut_rank = {v: r for r, v in enumerate(self.cuts)}
-
-        self.rank: dict[int, list[int]] = {}
+        # x's likelihood on a menu is nums[x] / max(nums) over the row's
+        # integer numerators; key each by its reduced (num, den) pair
         self.scaled: dict[int, list[int]] = {}
+        keyed: dict[int, list[tuple[int, tuple[int, int]]]] = {}
         for mask, menu in self.menu_set.items():
-            row_rank = [0] * n
+            nums = rows[menu][0]
+            top = max(nums.values())
             row_scaled = [0] * n
-            dist = probs[menu]
-            scale = math.lcm(*(p.denominator for p in dist.values()))
-            for x, value in nlik[menu].items():
+            row_keys = []
+            for x, num in nums.items():
                 i = index[x]
-                row_rank[i] = self.cut_rank[value]
-                p = dist[x]
-                row_scaled[i] = p.numerator * (scale // p.denominator)
-            self.rank[mask] = row_rank
+                row_scaled[i] = num
+                g = math.gcd(num, top)
+                row_keys.append((i, (num // g, top // g)))
             self.scaled[mask] = row_scaled
+            keyed[mask] = row_keys
+
+        # sort the distinct values by their float, which is correctly
+        # rounded and so never inverts two values; equal floats fall back
+        # to the exact Fraction
+        value = {key: Fraction(*key) for row in keyed.values() for _, key in row}
+        order = sorted(value, key=lambda key: (key[0] / key[1], value[key]))
+        self.cuts: tuple[Fraction, ...] = (_ZERO, *(value[key] for key in order))
+        rank_of = {key: r for r, key in enumerate(order, 1)}
+        self.rank: dict[int, list[int]] = {}
+        for mask, row_keys in keyed.items():
+            row_rank = [0] * n
+            for i, key in row_keys:
+                row_rank[i] = rank_of[key]
+            self.rank[mask] = row_rank
 
         pairs = [m for m in self.menus if len(self.members[m]) == 2]
         # a scaled row sums to its own scale, since probabilities sum to 1

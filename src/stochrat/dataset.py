@@ -11,6 +11,7 @@ mirrors the same fields:
                                      "alternative": "x",
                                      "count": 16}, ...]}, ...]}
 
+JSON menu labels may not contain ``|``, which the CSV form cannot hold.
 Per subject and menu the rows must be all-count or all-prob; duplicate
 count rows are summed, duplicate prob rows are rejected.  Each subject
 must cover a complete domain: every two-element menu (pairwise) or every
@@ -22,32 +23,19 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
-from .choice import Menu, as_menu, menu_key, menu_str, sort_menus
-from .rationals import format_rational, to_probability
-from .scf import DomainKind, StochasticChoiceFunction, required_menus
-
-_ONE = Fraction(1)
+from .choice import Menu, as_menu, menu_str, sort_menus
+from .rationals import common_scale, format_rational, to_probability
+from .scf import DomainKind, StochasticChoiceFunction, missing_menus
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One parsed data row."""
-
-    subject: str
-    menu: Menu
-    alternative: str
-    kind: str  # "count" | "prob"
-    value: Union[int, Fraction]
-
-
-def _parse_menu_field(field: str, where: str) -> Menu:
-    labels = [part.strip() for part in field.split("|")]
-    if any(not label for label in labels):
+def _menu_from_labels(labels: list[str], field: str, where: str) -> Menu:
+    """A menu from its labels; ``field`` is the menu as written, for errors."""
+    labels = [label.strip() for label in labels]
+    if not labels or any(not label for label in labels):
         raise ValueError(f"{where}: empty label in menu field {field!r}")
     if len(set(labels)) != len(labels):
         raise ValueError(f"{where}: duplicate label in menu field {field!r}")
@@ -60,102 +48,150 @@ def _parse_menu_field(field: str, where: str) -> Menu:
     return menu
 
 
-def _observation_from_fields(
-    subject: str,
-    menu_field: str,
-    alternative: str,
-    count_field: Optional[str],
-    prob_field: Optional[str],
-    where: str,
-) -> Observation:
-    if not subject:
-        raise ValueError(f"{where}: empty subject id")
-    menu = (
-        _parse_menu_field(menu_field, where)
-        if isinstance(menu_field, str)
-        else as_menu(menu_field)
-    )
-    if not alternative:
-        raise ValueError(f"{where}: empty alternative")
-    if alternative not in menu:
-        raise ValueError(
-            f"{where}: alternative {alternative!r} not in menu {menu_str(menu)}"
-        )
-    has_count = count_field is not None and str(count_field).strip() != ""
-    has_prob = prob_field is not None and str(prob_field).strip() != ""
-    if has_count == has_prob:
-        raise ValueError(f"{where}: each row needs exactly one of count/prob")
-    if has_count:
-        text = str(count_field).strip()
-        try:
-            count = int(text)
-        except ValueError:
-            raise ValueError(f"{where}: count {text!r} is not an integer") from None
-        if count < 0:
-            raise ValueError(f"{where}: count {count} is negative")
-        return Observation(subject, menu, alternative, "count", count)
-    prob = to_probability(str(prob_field), f"{where}: probability")
-    return Observation(subject, menu, alternative, "prob", prob)
+class _Ingest:
+    """The one route from data rows to per-subject probability rows.
+
+    Each distinct menu and each distinct probability cell of a file is
+    parsed once.  Rows are summed (counts) or collected (probabilities) per
+    (subject, menu) as they are read; :meth:`table` then checks each row's
+    total in integers and hands out exact probabilities.
+    """
+
+    def __init__(self) -> None:
+        self.menus: dict[Union[str, tuple[str, ...]], Menu] = {}
+        self.cells: dict[str, Fraction] = {}
+        # (subject, menu) -> (kind, alternative -> count or probability)
+        self.slots: dict[tuple[str, Menu], tuple[str, dict]] = {}
+
+    def menu(self, written: Union[str, list], where: str) -> Menu:
+        """A CSV menu field (``|``-separated) or a JSON label list."""
+        key = written if isinstance(written, str) else tuple(map(str, written))
+        menu = self.menus.get(key)
+        if menu is not None:
+            return menu
+        if isinstance(key, str):
+            labels, field = key.split("|"), key
+        else:
+            for label in key:
+                if "|" in label:
+                    raise ValueError(
+                        f"{where}: label {label!r} contains '|', which a CSV "
+                        "menu field cannot hold"
+                    )
+            labels, field = list(key), "|".join(key)
+        menu = self.menus[key] = _menu_from_labels(labels, field, where)
+        return menu
+
+    def probability(self, text: str, where: str) -> Fraction:
+        value = self.cells.get(text)
+        if value is None:
+            try:
+                value = to_probability(text, "probability")
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            self.cells[text] = value
+        return value
+
+    def add(
+        self,
+        subject: str,
+        written_menu: Union[str, list],
+        alternative: str,
+        count_field: Optional[str],
+        prob_field: Optional[str],
+        where: str,
+    ) -> None:
+        """Validate one data row and fold it into its (subject, menu) row."""
+        if not subject:
+            raise ValueError(f"{where}: empty subject id")
+        menu = self.menu(written_menu, where)
+        if not alternative:
+            raise ValueError(f"{where}: empty alternative")
+        if alternative not in menu:
+            raise ValueError(
+                f"{where}: alternative {alternative!r} not in menu {menu_str(menu)}"
+            )
+        count_text = "" if count_field is None else count_field.strip()
+        prob_text = "" if prob_field is None else prob_field.strip()
+        if bool(count_text) == bool(prob_text):
+            raise ValueError(f"{where}: each row needs exactly one of count/prob")
+        if count_text:
+            kind = "count"
+            try:
+                value: Union[int, Fraction] = int(count_text)
+            except ValueError:
+                raise ValueError(
+                    f"{where}: count {count_text!r} is not an integer"
+                ) from None
+            if value < 0:
+                raise ValueError(f"{where}: count {value} is negative")
+        else:
+            kind = "prob"
+            value = self.probability(prob_text, where)
+        slot = (subject, menu)
+        entry = self.slots.get(slot)
+        if entry is None:
+            entry = self.slots[slot] = (kind, {})
+        elif entry[0] != kind:
+            raise ValueError(
+                f"subject {subject!r}, menu {menu_str(menu)}: "
+                "count and prob rows are mixed"
+            )
+        row = entry[1]
+        if kind == "count":
+            row[alternative] = row.get(alternative, 0) + value
+        elif alternative in row:
+            raise ValueError(
+                f"subject {subject!r}, menu {menu_str(menu)}: "
+                f"duplicate probability row for {alternative!r}"
+            )
+        else:
+            row[alternative] = value
+
+    def table(self) -> dict[str, dict[Menu, dict[str, Fraction]]]:
+        table: dict[str, dict[Menu, dict[str, Fraction]]] = {}
+        for (subject, menu), (kind, row) in self.slots.items():
+            if kind == "count":
+                total = sum(row.values())
+                if total == 0:
+                    raise ValueError(
+                        f"subject {subject!r}, menu {menu_str(menu)}: all counts zero"
+                    )
+                dist = {x: Fraction(c, total) for x, c in row.items()}
+            else:
+                nums, scale = common_scale(row.values())
+                total = sum(nums)
+                if total != scale:
+                    raise ValueError(
+                        f"subject {subject!r}, menu {menu_str(menu)}: probabilities "
+                        f"sum to {Fraction(total, scale)}, not 1"
+                    )
+                dist = row
+            table.setdefault(subject, {})[menu] = dist
+        return table
 
 
 class ChoiceDataset:
-    """Validated per-subject choice probabilities.
+    """Per-subject choice probabilities, as read by :func:`parse_dataset`.
 
-    Construction normalizes counts, enforces the one-mode-per-menu rule,
-    and checks exact probability sums; :meth:`scf` additionally checks
-    domain completeness when building a
-    :class:`~stochrat.scf.StochasticChoiceFunction`.
+    ``table`` maps each subject to its menus and their member -> probability
+    rows; every menu is a frozenset of at least two alternatives.
+    :meth:`scf` infers the subject's domain kind and builds a
+    :class:`~stochrat.scf.StochasticChoiceFunction`, which validates the
+    rows and the domain.
     """
 
-    def __init__(self, observations: Iterable[Observation]) -> None:
-        modes: dict[tuple[str, Menu], str] = {}
-        counts: dict[tuple[str, Menu], dict[str, int]] = {}
-        probs: dict[tuple[str, Menu], dict[str, Fraction]] = {}
-        for obs in observations:
-            slot = (obs.subject, obs.menu)
-            mode = modes.get(slot)
-            if mode is None:
-                modes[slot] = obs.kind
-            elif mode != obs.kind:
-                raise ValueError(
-                    f"subject {obs.subject!r}, menu {menu_str(obs.menu)}: "
-                    "count and prob rows are mixed"
-                )
-            if obs.kind == "count":
-                row = counts.setdefault(slot, {})
-                row[obs.alternative] = row.get(obs.alternative, 0) + int(obs.value)
-            else:
-                row = probs.setdefault(slot, {})
-                if obs.alternative in row:
-                    raise ValueError(
-                        f"subject {obs.subject!r}, menu {menu_str(obs.menu)}: "
-                        f"duplicate probability row for {obs.alternative!r}"
-                    )
-                row[obs.alternative] = Fraction(obs.value)
-
-        table: dict[str, dict[Menu, dict[str, Fraction]]] = {}
-        for (subject, menu), row in counts.items():
-            total = sum(row.values())
-            if total == 0:
-                raise ValueError(
-                    f"subject {subject!r}, menu {menu_str(menu)}: all counts zero"
-                )
-            dist = {x: Fraction(c, total) for x, c in row.items()}
-            table.setdefault(subject, {})[menu] = dist
-        for (subject, menu), dist in probs.items():
-            total = sum(dist.values())
-            if total != _ONE:
-                raise ValueError(
-                    f"subject {subject!r}, menu {menu_str(menu)}: probabilities "
-                    f"sum to {total}, not 1"
-                )
-            table.setdefault(subject, {})[menu] = dict(dist)
+    def __init__(self, table: Mapping[str, Mapping[Menu, Mapping[str, Fraction]]]) -> None:
         if not table:
             raise ValueError("dataset contains no observations")
-        self._table = {
-            subject: dict(sorted(menus.items(), key=lambda kv: menu_key(kv[0])))
-            for subject, menus in sorted(table.items())
-        }
+        for subject, menus in table.items():
+            for menu in menus:
+                if not isinstance(menu, frozenset) or len(menu) < 2:
+                    raise ValueError(
+                        f"subject {subject!r}: menu {menu!r} is not a frozenset "
+                        "of at least two alternatives"
+                    )
+        self._table = {subject: table[subject] for subject in sorted(table)}
 
     def subject_ids(self) -> list[str]:
         return list(self._table)
@@ -163,7 +199,7 @@ class ChoiceDataset:
     def menus(self, subject: str) -> list[Menu]:
         return sort_menus(self._subject(subject))
 
-    def _subject(self, subject: str) -> dict[Menu, dict[str, Fraction]]:
+    def _subject(self, subject: str) -> Mapping[Menu, Mapping[str, Fraction]]:
         try:
             return self._table[subject]
         except KeyError:
@@ -172,27 +208,26 @@ class ChoiceDataset:
     def domain_kind(self, subject: str) -> DomainKind:
         """Infer the domain kind from the menus present.
 
-        All two-element menus over the subject's labels means pairwise
-        (this wins for a two-label universe, where the kinds coincide);
-        the complete family of larger menus means full.  Anything else is
-        an incomplete domain and an error.
+        Menus that all have two members are a pairwise domain (this wins
+        for a two-label universe, where the kinds coincide); any larger
+        menu makes it a full domain.  The menus are distinct subsets of the
+        subject's labels with two or more members each, so the domain is
+        complete exactly when they are as many as it has; an incomplete
+        domain is an error that names its first missing menu.
         """
         menus = self._subject(subject)
-        labels = sorted(set().union(*menus.keys()))
-        present = set(menus)
-        if present == set(required_menus(labels, DomainKind.PAIRWISE)):
-            return DomainKind.PAIRWISE
-        full = required_menus(labels, DomainKind.FULL)
-        if present == set(full):
-            return DomainKind.FULL
-        missing = [m for m in full if m not in present]
-        if missing:
+        labels = set().union(*menus)
+        n = len(labels)
+        if all(len(menu) == 2 for menu in menus):
+            kind, size = DomainKind.PAIRWISE, n * (n - 1) // 2
+        else:
+            kind, size = DomainKind.FULL, 2**n - n - 1
+        if len(menus) < size:
             raise ValueError(
-                f"subject {subject!r} covers an incomplete domain: missing "
-                f"menu {menu_str(missing[0])}"
-                + (f" and {len(missing) - 1} more" if len(missing) > 1 else "")
+                f"subject {subject!r} covers an incomplete domain: "
+                + missing_menus(labels, kind, menus)
             )
-        raise ValueError(f"subject {subject!r} covers an inconsistent menu family")
+        return kind
 
     def scf(
         self, subject: str, max_universe: Optional[int] = None
@@ -207,62 +242,78 @@ class ChoiceDataset:
 # -- file front ends ---------------------------------------------------------
 
 
-def _parse_csv(path: Path) -> list[Observation]:
-    observations = []
+def _read_csv(path: Path, ingest: _Ingest) -> None:
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file")
-        fields = [name.strip() for name in reader.fieldnames]
-        required = {"subject", "menu", "alternative"}
-        if not required <= set(fields):
-            raise ValueError(
-                f"{path}: header must contain subject, menu, alternative and "
-                "count or prob columns"
-            )
-        if "count" not in fields and "prob" not in fields:
-            raise ValueError(f"{path}: header needs a count or prob column")
-        for row in reader:
-            where = f"{path.name}:{reader.line_num}"
-            observations.append(
-                _observation_from_fields(
-                    (row.get("subject") or "").strip(),
-                    (row.get("menu") or "").strip(),
-                    (row.get("alternative") or "").strip(),
-                    row.get("count"),
-                    row.get("prob"),
-                    where,
-                )
-            )
-    return observations
+        reader = csv.reader(handle)
+        try:
+            _read_csv_rows(path, reader, ingest)
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise ValueError(f"{path.name}:{reader.line_num}: {exc}") from None
 
 
-def _parse_json(path: Path) -> list[Observation]:
+def _read_csv_rows(path: Path, reader, ingest: _Ingest) -> None:
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    fields = [name.strip() for name in header]
+    required = {"subject", "menu", "alternative"}
+    if not required <= set(fields):
+        raise ValueError(
+            f"{path}: header must contain subject, menu, alternative and "
+            "count or prob columns"
+        )
+    if "count" not in fields and "prob" not in fields:
+        raise ValueError(f"{path}: header needs a count or prob column")
+    column = {name: i for i, name in enumerate(fields)}
+    width = len(fields)
+    subject_at, menu_at, alternative_at = (
+        column[name] for name in ("subject", "menu", "alternative")
+    )
+    count_at, prob_at = column.get("count"), column.get("prob")
+    for row in reader:
+        if not row:
+            continue
+        if len(row) < width:  # a short row's missing cells read as empty
+            row += [""] * (width - len(row))
+        ingest.add(
+            row[subject_at].strip(),
+            row[menu_at].strip(),
+            row[alternative_at].strip(),
+            None if count_at is None else row[count_at],
+            None if prob_at is None else row[prob_at],
+            f"{path.name}:{reader.line_num}",
+        )
+
+
+def _read_json(path: Path, ingest: _Ingest) -> None:
     with path.open(encoding="utf-8") as handle:
         data = json.load(handle)
-    if not isinstance(data, dict) or "subjects" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("subjects"), list):
         raise ValueError(f"{path}: expected a top-level object with 'subjects'")
-    observations = []
     for s_idx, entry in enumerate(data["subjects"]):
+        place = f"{path.name}: subjects[{s_idx}]"
+        if not isinstance(entry, dict) or not isinstance(
+            entry.get("observations", []), list
+        ):
+            raise ValueError(f"{place}: expected an object with an 'observations' list")
         subject = str(entry.get("subject", "")).strip()
         for o_idx, obs in enumerate(entry.get("observations", [])):
-            where = f"{path.name}: subjects[{s_idx}].observations[{o_idx}]"
+            where = f"{place}.observations[{o_idx}]"
+            if not isinstance(obs, dict):
+                raise ValueError(f"{where}: expected an object")
             menu = obs.get("menu")
             if not isinstance(menu, list):
                 raise ValueError(f"{where}: menu must be a list of labels")
             count = obs.get("count")
             prob = obs.get("prob")
-            observations.append(
-                _observation_from_fields(
-                    subject,
-                    "|".join(str(x) for x in menu),
-                    str(obs.get("alternative", "")).strip(),
-                    None if count is None else str(count),
-                    None if prob is None else str(prob),
-                    where,
-                )
+            ingest.add(
+                subject,
+                menu,
+                str(obs.get("alternative", "")).strip(),
+                None if count is None else str(count),
+                None if prob is None else str(prob),
+                where,
             )
-    return observations
 
 
 def parse_dataset(path: Union[str, Path], fmt: Optional[str] = None) -> ChoiceDataset:
@@ -270,13 +321,14 @@ def parse_dataset(path: Union[str, Path], fmt: Optional[str] = None) -> ChoiceDa
     path = Path(path)
     if fmt is None:
         fmt = path.suffix.lstrip(".").lower()
+    ingest = _Ingest()
     if fmt == "csv":
-        observations = _parse_csv(path)
+        _read_csv(path, ingest)
     elif fmt == "json":
-        observations = _parse_json(path)
+        _read_json(path, ingest)
     else:
         raise ValueError(f"unsupported dataset format {fmt!r}")
-    return ChoiceDataset(observations)
+    return ChoiceDataset(ingest.table())
 
 
 def scf_to_rows(

@@ -12,6 +12,7 @@ unions are equal as sets exactly when they compare equal as values.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -25,7 +26,7 @@ _ONE = Fraction(1)
 def _canonical(
     pairs: Iterable[tuple[Fraction, Fraction]],
 ) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Sort, drop empties, and merge touching intervals."""
+    """Check endpoints, drop empties, sort, and merge touching intervals."""
     kept = []
     for lo, hi in pairs:
         lo = to_probability(lo, "interval endpoint")
@@ -33,8 +34,16 @@ def _canonical(
         if lo < hi:
             kept.append((lo, hi))
     kept.sort()
+    return _merge_sorted(kept)
+
+
+def _merge_sorted(
+    pairs: Iterable[tuple[Fraction, Fraction]],
+) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Merge touching or overlapping neighbours of nonempty intervals
+    sorted by their left ends."""
     merged: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in kept:
+    for lo, hi in pairs:
         if merged and lo <= merged[-1][1]:
             prev_lo, prev_hi = merged[-1]
             if hi > prev_hi:
@@ -69,7 +78,7 @@ class IntervalUnion:
 
     def insert(self, lo: Fraction, hi: Fraction) -> "IntervalUnion":
         """Return this union with (lo, hi] added.  Empty inputs are no-ops."""
-        return IntervalUnion(_canonical(list(self.intervals) + [(lo, hi)]))
+        return self.union(IntervalUnion.single(lo, hi))
 
     # -- predicates ----------------------------------------------------
 
@@ -103,7 +112,14 @@ class IntervalUnion:
     # -- algebra -------------------------------------------------------
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion(_canonical(self.intervals + other.intervals))
+        """Linear merge of the two sorted component lists."""
+        if not other.intervals:
+            return self
+        if not self.intervals:
+            return other
+        return IntervalUnion(
+            _merge_sorted(heapq.merge(self.intervals, other.intervals))
+        )
 
     __or__ = union
 

@@ -32,6 +32,7 @@ reported as a verdict plus the two set differences that justify it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -222,7 +223,7 @@ def irrationality_sets(
     core = scf.core
     witnesses = []
     for lo, hi in union:
-        h = core.cut_rank[hi]
+        h = bisect.bisect_left(core.cuts, hi)
         if ch.contains(hi):
             axiom, detail = "chernoff", _chernoff_witness(core, h)
         elif con.contains(hi):

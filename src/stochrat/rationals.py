@@ -7,8 +7,9 @@ via :func:`format_decimal`, and never feed back into computation.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 # Bounds on rational text.  Every digit, written or implied by an exponent,
 # becomes a digit of an exact numerator or denominator that every later
@@ -71,6 +72,14 @@ def to_probability(value: RationalLike, name: str, where: str = "") -> Fraction:
     if prob < 0 or prob > 1:
         raise ValueError(f"{name} {prob}{where} outside [0, 1]")
     return prob
+
+
+def common_scale(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The values as integer numerators over the least common multiple of
+    their denominators, and that multiple; ``[]`` and 1 for no values."""
+    values = list(values)
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def format_rational(value: Fraction) -> str:

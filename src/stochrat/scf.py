@@ -18,8 +18,10 @@ rises; at lambda = 0 the correspondence is the support.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -35,12 +37,11 @@ from .choice import (
 )
 from .core import SubjectCore
 from .errors import CapacityError
-from .rationals import RationalLike, to_probability
+from .rationals import RationalLike, common_scale, to_probability
 
 FULL_UNIVERSE_CAP = 12
 PAIRWISE_UNIVERSE_CAP = 64
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -64,6 +65,40 @@ def required_menus(universe: Iterable[str], kind: DomainKind) -> list[Menu]:
     return sort_menus(menus)
 
 
+def missing_menus(
+    universe: Iterable[str], kind: DomainKind, present: Iterable[Menu]
+) -> str:
+    """Names the first menu of the domain (canonical order) that
+    ``present`` lacks, and counts the rest: ``"missing menu {x,z} and 8
+    more"``; ``""`` when none is missing.
+
+    ``present`` holds distinct subsets of the universe.  The count is
+    arithmetic and only the first size with a gap is searched, so a large
+    universe is never enumerated.
+    """
+    labels = sorted({str(x) for x in universe})
+    n = len(labels)
+    top = 2 if kind is DomainKind.PAIRWISE else n
+    present = set(present)
+    have = collections.Counter(
+        len(menu) for menu in present if 2 <= len(menu) <= top
+    )
+    for size in range(2, top + 1):
+        if have[size] < math.comb(n, size):
+            break
+    else:
+        return ""
+    first = next(
+        menu
+        for menu in map(frozenset, itertools.combinations(labels, size))
+        if menu not in present
+    )
+    total = n * (n - 1) // 2 if kind is DomainKind.PAIRWISE else 2**n - n - 1
+    missing = total - sum(have.values())
+    more = f" and {missing - 1} more" if missing > 1 else ""
+    return f"missing menu {menu_str(first)}{more}"
+
+
 class StochasticChoiceFunction:
     """Validated menu-by-menu choice probabilities on a complete domain.
 
@@ -72,6 +107,10 @@ class StochasticChoiceFunction:
     may be Fractions, ints, or rational strings (parsed exactly).
     Validation is eager: the domain must be complete for its kind, every
     menu must sum to one, and the universe size must respect the cap.
+
+    Each menu is kept as an integer row: the numerators of its positive
+    probabilities over the least common multiple of their denominators
+    (the row's scale).  Ranges and sums are checked on those integers.
     """
 
     def __init__(
@@ -82,33 +121,46 @@ class StochasticChoiceFunction:
         max_universe: Optional[int] = None,
     ) -> None:
         domain_kind = DomainKind(domain_kind)
-        table: dict[Menu, dict[str, Fraction]] = {}
+        rows: dict[Menu, tuple[dict[str, int], int]] = {}
+        checked: set[str] = set()  # labels that passed as_menu
         for raw_menu, dist in probabilities.items():
-            menu = as_menu(raw_menu)
+            if type(raw_menu) is frozenset and raw_menu <= checked and len(raw_menu) > 1:
+                menu = raw_menu
+            else:
+                menu = as_menu(raw_menu)
+                checked |= menu
             if len(menu) < 2:
                 raise ValueError(
                     f"menu {menu_str(menu)} has a single member; singleton menus "
                     "are implicit and must not be supplied"
                 )
-            if menu in table:
+            if menu in rows:
                 raise ValueError(f"duplicate menu {menu_str(menu)}")
-            row: dict[str, Fraction] = {x: _ZERO for x in sorted(menu)}
+            values: dict[str, Fraction] = {}
             for alt, value in dist.items():
                 if alt not in menu:
                     raise ValueError(
                         f"alternative {alt!r} not a member of menu {menu_str(menu)}"
                     )
-                row[alt] = to_probability(
-                    value, "probability", f" for {alt!r} in {menu_str(menu)}"
-                )
-            total = sum(row.values())
-            if total != _ONE:
+                if type(value) is not Fraction or not (
+                    0 <= value.numerator <= value.denominator
+                ):
+                    value = to_probability(
+                        value, "probability", f" for {alt!r} in {menu_str(menu)}"
+                    )
+                if value:
+                    values[alt] = value
+            scaled, scale = common_scale(values.values())
+            nums = dict(zip(values, scaled))
+            total = sum(scaled)
+            if total != scale:
                 raise ValueError(
-                    f"probabilities on menu {menu_str(menu)} sum to {total}, not 1"
+                    f"probabilities on menu {menu_str(menu)} sum to "
+                    f"{Fraction(total, scale)}, not 1"
                 )
-            table[menu] = row
+            rows[menu] = (nums, scale)
 
-        members = set().union(*table.keys()) if table else set()
+        members = checked
         if universe is None:
             universe_set = members
         else:
@@ -116,6 +168,7 @@ class StochasticChoiceFunction:
             if not members <= universe_set:
                 raise ValueError("universe does not cover all menu members")
         labels = tuple(sorted(universe_set))
+        n = len(labels)
 
         if domain_kind is DomainKind.FULL:
             cap = max_universe if max_universe is not None else FULL_UNIVERSE_CAP
@@ -123,42 +176,39 @@ class StochasticChoiceFunction:
         else:
             cap = max_universe if max_universe is not None else PAIRWISE_UNIVERSE_CAP
             minimum = 2
-        if len(labels) < minimum:
+        if n < minimum:
             raise ValueError(
                 f"{domain_kind.value} domain needs at least {minimum} alternatives; "
-                f"got {len(labels)}"
+                f"got {n}"
             )
-        if len(labels) > cap:
+        if n > cap:
             raise CapacityError(
-                f"universe of {len(labels)} alternatives exceeds the "
+                f"universe of {n} alternatives exceeds the "
                 f"{domain_kind.value}-domain cap of {cap}"
             )
 
-        needed = required_menus(labels, domain_kind)
-        needed_set = set(needed)
-        missing = [m for m in needed if m not in table]
-        if missing:
+        # Every menu is a distinct subset of the universe with at least two
+        # members, so the domain is complete exactly when the menus of the
+        # domain's sizes are as many as the domain has.
+        if domain_kind is DomainKind.FULL:
+            size, extra = 2**n - n - 1, []
+        else:
+            size, extra = n * (n - 1) // 2, [m for m in rows if len(m) > 2]
+        if len(rows) - len(extra) < size:
             raise ValueError(
-                f"incomplete {domain_kind.value} domain: missing menu "
-                f"{menu_str(missing[0])}"
-                + (f" and {len(missing) - 1} more" if len(missing) > 1 else "")
+                f"incomplete {domain_kind.value} domain: "
+                + missing_menus(labels, domain_kind, rows)
             )
-        extra = sort_menus(set(table) - needed_set)
         if extra:
             raise ValueError(
-                f"menu {menu_str(extra[0])} does not belong to the "
-                f"{domain_kind.value} domain over {len(labels)} alternatives"
+                f"menu {menu_str(sort_menus(extra)[0])} does not belong to the "
+                f"{domain_kind.value} domain over {n} alternatives"
             )
 
         self._kind = domain_kind
         self._universe = labels
-        self._menus = needed
-        self._table = {m: table[m] for m in needed}
-        # Normalized likelihoods are used everywhere downstream; build once.
-        self._nlik: dict[Menu, dict[str, Fraction]] = {}
-        for menu, row in self._table.items():
-            top = max(row.values())
-            self._nlik[menu] = {x: p / top for x, p in row.items()}
+        self._menus = sort_menus(rows)
+        self._rows = rows
 
     # -- basic accessors ----------------------------------------------
 
@@ -176,51 +226,57 @@ class StochasticChoiceFunction:
     @functools.cached_property
     def core(self) -> SubjectCore:
         """Rank-coded integer tables of this subject, built on first use."""
-        return SubjectCore(self._universe, self._menus, self._table, self._nlik)
+        return SubjectCore(self._universe, self._menus, self._rows)
 
     def _row(
-        self, menu: Iterable[str], table: Mapping[Menu, dict[str, Fraction]]
-    ) -> dict[str, Fraction]:
-        """The menu's row of ``table``; a singleton's only member gets 1."""
+        self, menu: Iterable[str], x: Optional[str] = None
+    ) -> tuple[Menu, Mapping[str, int], int]:
+        """The menu, its integer row and scale (a singleton's only member
+        gets 1); ``x``, when given, must be a member."""
         key = as_menu(menu)
-        if len(key) == 1:
-            return dict.fromkeys(key, _ONE)
-        if key not in table:
-            raise ValueError(f"menu {menu_str(key)} not in domain")
-        return table[key]
-
-    def _entry(
-        self, x: str, menu: Iterable[str], table: Mapping[Menu, dict[str, Fraction]]
-    ) -> Fraction:
-        key = as_menu(menu)
-        if x not in key:
+        if x is not None and x not in key:
             raise ValueError(f"alternative {x!r} not in menu {menu_str(key)}")
-        return self._row(key, table)[x]
+        if len(key) == 1:
+            return key, dict.fromkeys(key, 1), 1
+        if key not in self._rows:
+            raise ValueError(f"menu {menu_str(key)} not in domain")
+        nums, scale = self._rows[key]
+        return key, nums, scale
+
+    def _likelihood(self, x: str, key: Menu) -> Fraction:
+        if len(key) == 1:
+            return _ONE
+        core = self.core
+        mask = sum(1 << core.index[y] for y in key)
+        return core.cuts[core.rank[mask][core.index[x]]]
 
     def prob(self, x: str, menu: Iterable[str]) -> Fraction:
         """Choice probability of x from the menu (1 on singletons)."""
-        return self._entry(x, menu, self._table)
+        _, nums, scale = self._row(menu, x)
+        return Fraction(nums.get(x, 0), scale)
 
     def menu_probs(self, menu: Iterable[str]) -> dict[str, Fraction]:
-        return dict(self._row(menu, self._table))
+        key, nums, scale = self._row(menu)
+        return {x: Fraction(nums.get(x, 0), scale) for x in sorted(key)}
 
     def pair_prob(self, x: str, y: str) -> Fraction:
         """P(x beats y) on the two-element menu {x, y}."""
         return self.prob(x, (x, y))
 
     def max_prob(self, menu: Iterable[str]) -> Fraction:
-        return max(self._row(menu, self._table).values())
+        _, nums, scale = self._row(menu)
+        return Fraction(max(nums.values()), scale)
 
     def normalized_likelihood(self, x: str, menu: Iterable[str]) -> Fraction:
         """Choice probability of x divided by the menu's best probability."""
-        return self._entry(x, menu, self._nlik)
+        return self._likelihood(x, self._row(menu, x)[0])
 
     def likelihood_row(self, menu: Menu) -> dict[str, Fraction]:
-        return dict(self._nlik[menu])
+        key = self._row(menu)[0]
+        return {x: self._likelihood(x, key) for x in sorted(key)}
 
     def support(self, menu: Iterable[str]) -> frozenset[str]:
-        row = self._row(menu, self._table)
-        return frozenset(x for x, p in row.items() if p > _ZERO)
+        return frozenset(self._row(menu)[1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StochasticChoiceFunction):
@@ -228,7 +284,7 @@ class StochasticChoiceFunction:
         return (
             self._kind == other._kind
             and self._universe == other._universe
-            and self._table == other._table
+            and self._rows == other._rows
         )
 
     def __repr__(self) -> str:

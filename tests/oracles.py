@@ -9,6 +9,7 @@ so a bug cannot cancel itself out.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from stochrat import (
@@ -319,3 +320,69 @@ def triangular_witness(scf: StochasticChoiceFunction):
         if scf.pair_prob(x, y) + scf.pair_prob(y, z) + scf.pair_prob(z, x) > 2:
             return (x, y, z)
     return None
+
+
+# -- subject tables by plain Fraction formulas ----------------------------------
+#
+# What a subject built from the table ``probs`` (menu -> member -> Fraction,
+# omitted members at zero) must hold, written out from the definitions:
+# likelihood = probability / the menu's best probability, cuts = 0 and the
+# sorted distinct positive likelihoods, ranks = positions among the cuts.
+
+
+def likelihoods(probs: dict) -> dict:
+    """menu -> member -> normalized likelihood, every member listed."""
+    out = {}
+    for menu, row in probs.items():
+        full = {x: Fraction(row.get(x, 0)) for x in sorted(menu)}
+        top = max(full.values())
+        out[menu] = {x: p / top for x, p in full.items()}
+    return out
+
+
+def core_tables(probs: dict) -> dict:
+    """Every table of the subject's rank-coded core, from ``probs``."""
+    labels = tuple(sorted(set().union(*probs)))
+    bit = {x: 1 << i for i, x in enumerate(labels)}
+    mask_of = {menu: sum(bit[x] for x in menu) for menu in probs}
+    canonical = sorted(probs, key=lambda m: (len(m), sorted(m)))
+    lik = likelihoods(probs)
+    cuts = (Fraction(0),) + tuple(
+        sorted({v for row in lik.values() for v in row.values() if v > 0})
+    )
+    rank, scaled = {}, {}
+    for menu, row in probs.items():
+        dens = [Fraction(p).denominator for p in row.values()]
+        scale = 1
+        for d in dens:
+            scale = scale * d // math.gcd(scale, d)
+        rank[mask_of[menu]] = [
+            cuts.index(lik[menu][x]) if x in menu else 0 for x in labels
+        ]
+        scaled[mask_of[menu]] = [
+            int(Fraction(row.get(x, 0)) * scale) for x in labels
+        ]
+    n = len(labels)
+    pair_prob = [[None] * n for _ in range(n)]
+    pair_rank = [[0] * n for _ in range(n)]
+    for i, j in itertools.permutations(range(n), 2):
+        menu = frozenset((labels[i], labels[j]))
+        if menu in probs:
+            pair_prob[i][j] = Fraction(probs[menu].get(labels[i], 0))
+            pair_rank[i][j] = cuts.index(lik[menu][labels[i]])
+    by_key = sorted(probs, key=lambda m: sorted(m))
+    return {
+        "labels": labels,
+        "menus": tuple(mask_of[m] for m in canonical),
+        "by_key": tuple(mask_of[m] for m in by_key),
+        "key_pos": {mask_of[m]: pos for pos, m in enumerate(by_key)},
+        "menu_set": {mask_of[m]: m for m in probs},
+        "members": {
+            mask_of[m]: tuple(i for i, x in enumerate(labels) if x in m) for m in probs
+        },
+        "cuts": cuts,
+        "rank": rank,
+        "scaled": scaled,
+        "pair_rank": pair_rank,
+        "pair_prob": pair_prob,
+    }

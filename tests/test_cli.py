@@ -238,6 +238,56 @@ def test_oversized_rational_cell_exits_2(capsys, tmp_path):
     assert err.startswith("error:") and "exponent" in err
 
 
+@pytest.mark.parametrize(
+    "cell,detail",
+    [
+        ("abc", "not a rational number: 'abc'"),
+        ("1e-1000000", "exponent"),
+    ],
+)
+def test_bad_rational_cell_names_its_row(capsys, tmp_path, cell, detail):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        f"subject,menu,alternative,prob\ns,x|y,x,{cell}\ns,x|y,y,1\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "analyze", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad.csv:2: ") and detail in err
+
+
+def test_bad_rational_json_cell_names_its_observation(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    observations = [
+        {"menu": ["x", "y"], "alternative": "x", "prob": "1/2"},
+        {"menu": ["x", "y"], "alternative": "y", "prob": "abc"},
+    ]
+    bad.write_text(
+        json.dumps({"subjects": [{"subject": "s", "observations": observations}]}),
+        encoding="utf-8",
+    )
+    code, _, err = run_cli(capsys, "analyze", str(bad))
+    assert code == 2
+    assert err.startswith("error: bad.json: subjects[0].observations[1]: not a rational")
+
+
+def test_json_label_with_pipe_exits_2(capsys, tmp_path):
+    bad = tmp_path / "pipe.json"
+    observations = [
+        {"menu": ["a|b", "c"], "alternative": "c", "count": 1},
+        {"menu": ["a|b", "c"], "alternative": "a|b", "count": 1},
+    ]
+    bad.write_text(
+        json.dumps({"subjects": [{"subject": "s", "observations": observations}]}),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "analyze", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: pipe.json: subjects[0].observations[0]: label 'a|b'")
+
+
 def test_bad_threshold_exits_2(capsys):
     code, _, err = run_cli(capsys, "lambda", DEMO, "--subject", "s1", "--lambda", "3/2")
     assert code == 2

@@ -325,3 +325,15 @@ def test_panel_fixture_script_is_reproducible(tmp_path):
     subprocess.run([sys.executable, str(script), str(out)], check=True)
     committed = FIXTURES / "pairwise5_panel26.csv"
     assert out.read_bytes() == committed.read_bytes()
+
+
+def test_panel_json_fixture_script_is_reproducible(tmp_path):
+    # the JSON copy of the panel must match a fresh run of the same generator
+    import subprocess
+    import sys
+
+    out = tmp_path / "panel.json"
+    script = Path(__file__).parent.parent / "scripts" / "make_panel_fixture.py"
+    subprocess.run([sys.executable, str(script), str(out)], check=True)
+    committed = FIXTURES / "pairwise5_panel26.json"
+    assert out.read_bytes() == committed.read_bytes()

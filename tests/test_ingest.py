@@ -1,0 +1,313 @@
+"""Dataset ingest against plain Fraction formulas.
+
+Seeded datasets mix every row shape a file may use: count rows split into
+duplicates that must be summed, ``p/q`` cells not in lowest terms, decimal
+cells, and menus whose zero-probability members are omitted or written
+out.  Each is read as CSV and as JSON, and the subjects built from it must
+hold exactly the probabilities, likelihoods, cuts and core tables that
+``oracles.core_tables`` computes from the generating table.  A second part
+pins the message of every dataset error.
+"""
+
+import itertools
+import json
+from fractions import Fraction
+
+import pytest
+
+from stochrat import (
+    ChoiceDataset,
+    DomainKind,
+    SplitMix64,
+    StochasticChoiceFunction,
+    parse_dataset,
+    threshold_cuts,
+)
+
+from stochrat import dataset as dataset_module
+from stochrat.rationals import to_probability
+
+from oracles import core_tables, likelihoods
+
+LABELS = ["a", "b", "c", "d", "e", "f", "g"]
+DECIMAL_TOTALS = (2, 4, 5, 8, 10, 20, 25, 40, 125)  # divisors of 1000
+
+
+def _split(gen, total, parts):
+    """``parts`` nonnegative integers summing to ``total``."""
+    cuts = sorted(gen.below(total + 1) for _ in range(parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def random_dataset(seed):
+    """(rows, expected): rows as (subject, menu labels, alternative, count,
+    prob text) in shuffled order; expected maps each subject to its domain
+    kind and its probability table with zero members omitted."""
+    gen = SplitMix64(seed)
+    rows, expected = [], {}
+    for k in range(4):
+        subject = f"s{k}"
+        full = gen.below(2) == 0
+        n = 3 + gen.below(3) if full else 3 + gen.below(5)
+        labels = list(LABELS)
+        gen.shuffle(labels)
+        labels = sorted(labels[:n])
+        sizes = range(2, n + 1) if full else (2,)
+        table = {}
+        for size in sizes:
+            for combo in itertools.combinations(labels, size):
+                members = list(combo)
+                gen.shuffle(members)  # the written order of a menu is free
+                shape = gen.below(3)
+                if shape == 2:
+                    total = DECIMAL_TOTALS[gen.below(len(DECIMAL_TOTALS))]
+                else:
+                    total = 1 + gen.below(15)
+                weights = dict(zip(members, _split(gen, total, len(members))))
+                for x, w in weights.items():
+                    if shape == 0:  # counts, split into duplicate rows
+                        if w == 0 and gen.below(2):
+                            continue
+                        for part in _split(gen, w, 1 + gen.below(3)):
+                            rows.append((subject, members, x, part, None))
+                    elif w == 0 and gen.below(3):
+                        continue  # an omitted zero-probability member
+                    elif shape == 1:  # p/q, often not in lowest terms
+                        m = 1 + gen.below(3)
+                        rows.append((subject, members, x, None, f"{w * m}/{total * m}"))
+                    else:  # exact decimal
+                        milli = w * (1000 // total)
+                        rows.append((subject, members, x, None, f"{milli // 1000}.{milli % 1000:03d}"))
+                table[frozenset(combo)] = {
+                    x: Fraction(w, total) for x, w in weights.items() if w
+                }
+        kind = DomainKind.FULL if full else DomainKind.PAIRWISE
+        expected[subject] = (kind, table)
+    gen.shuffle(rows)
+    return rows, expected
+
+
+def write(rows, path):
+    if path.suffix == ".csv":
+        lines = ["subject,menu,alternative,count,prob"]
+        for subject, menu, x, count, prob in rows:
+            lines.append(
+                f"{subject},{'|'.join(menu)},{x},"
+                f"{'' if count is None else count},{'' if prob is None else prob}"
+            )
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return
+    subjects = {}
+    for subject, menu, x, count, prob in rows:
+        obs = {"menu": menu, "alternative": x}
+        obs.update({"count": count} if prob is None else {"prob": prob})
+        subjects.setdefault(subject, []).append(obs)
+    doc = {"subjects": [{"subject": s, "observations": o} for s, o in subjects.items()]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("seed", range(8))
+def test_ingest_matches_fraction_formulas(tmp_path, seed, suffix):
+    rows, expected = random_dataset(seed)
+    path = tmp_path / f"data{suffix}"
+    write(rows, path)
+    dataset = parse_dataset(path)
+    assert dataset.subject_ids() == sorted(expected)
+    for subject, (kind, table) in expected.items():
+        assert dataset.domain_kind(subject) is kind
+        scf = dataset.scf(subject)
+        assert scf == StochasticChoiceFunction(table, kind)
+        lik = likelihoods(table)
+        for menu, row in table.items():
+            assert scf.menu_probs(menu) == {x: row.get(x, 0) for x in sorted(menu)}
+            assert scf.likelihood_row(menu) == lik[menu]
+            assert scf.support(menu) == frozenset(row)
+            for x in menu:
+                assert scf.prob(x, menu) == row.get(x, 0)
+                assert scf.normalized_likelihood(x, menu) == lik[menu][x]
+        want = core_tables(table)
+        assert threshold_cuts(scf) == want["cuts"][1:]
+        core = scf.core
+        for field in ("labels", "menus", "by_key", "key_pos", "menu_set", "members",
+                      "cuts", "rank", "scaled", "pair_rank"):
+            assert getattr(core, field) == want[field], field
+        assert core.pair_den % 2 == 0
+        for i, j in itertools.permutations(range(core.n), 2):
+            if want["pair_prob"][i][j] is not None:
+                assert Fraction(core.pair_num[i][j], core.pair_den) == want["pair_prob"][i][j]
+
+
+def test_each_distinct_cell_is_parsed_once(tmp_path, monkeypatch):
+    rows, _ = random_dataset(3)
+    path = tmp_path / "data.csv"
+    write(rows, path)
+    parsed = []
+
+    def counting(text, *args):
+        parsed.append(text)
+        return to_probability(text, *args)
+
+    monkeypatch.setattr(dataset_module, "to_probability", counting)
+    parse_dataset(path)
+    cells = [prob for *_, prob in rows if prob is not None]
+    assert len(cells) > len(set(cells))
+    assert sorted(parsed) == sorted(set(cells))
+
+
+# -- every dataset error, with its message ----------------------------------------
+
+HEADER = "subject,menu,alternative,count,prob\n"
+
+# (header and body, message); "{path}" stands for the file's full path.  The
+# rational-cell messages gained the row's place; the oversized field and
+# the malformed JSON structures below were uncaught exceptions before.
+CSV_ERRORS = [
+    ("", "{path}: empty file"),
+    ("subject,menu\n",
+     "{path}: header must contain subject, menu, alternative and count or prob columns"),
+    ("subject,menu,alternative\n", "{path}: header needs a count or prob column"),
+    (HEADER, "dataset contains no observations"),
+    (HEADER + ",a|b,a,1,\n", "data.csv:2: empty subject id"),
+    (HEADER + "s1,a|,a,1,\n", "data.csv:2: empty label in menu field 'a|'"),
+    (HEADER + "s1,a|a,a,1,\n", "data.csv:2: duplicate label in menu field 'a|a'"),
+    (HEADER + "s1,a,a,1,\n",
+     "data.csv:2: menu 'a' has a single member; singleton menus are implicit "
+     "and must not appear in data"),
+    (HEADER + "s1,a|b,,1,\n", "data.csv:2: empty alternative"),
+    (HEADER + "s1,a|b,c,1,\n", "data.csv:2: alternative 'c' not in menu {a,b}"),
+    (HEADER + "s1,a|b,a,1,0.5\n", "data.csv:2: each row needs exactly one of count/prob"),
+    (HEADER + "s1,a|b,a,1,\ns1,a|b,b,,\n",
+     "data.csv:3: each row needs exactly one of count/prob"),
+    (HEADER + "s1,a|b,a,2.5,\n", "data.csv:2: count '2.5' is not an integer"),
+    (HEADER + "s1,a|b,a,-3,\n", "data.csv:2: count -3 is negative"),
+    (HEADER + "s1,a|b,a,,3/2\n", "data.csv:2: probability 3/2 outside [0, 1]"),
+    (HEADER + "s1,a|b,a,,-0.5\n", "data.csv:2: probability -1/2 outside [0, 1]"),
+    (HEADER + "s1,a|b,a,,abc\n", "data.csv:2: not a rational number: 'abc'"),
+    (HEADER + "s1,a|b,a,,1/0\n", "data.csv:2: not a rational number: '1/0'"),
+    (HEADER + "s1,a|b,a,,1e-1001\n",
+     "data.csv:2: decimal exponent in '1e-1001' exceeds the cap of 1000 in magnitude"),
+    (HEADER + "s1,a|b,a,," + "1" * 1001 + "\n",
+     "data.csv:2: rational text of 1001 characters exceeds the cap of 1000"),
+    (HEADER + "s1,a|b,a," + "1" * 200_000 + ",\n",
+     "data.csv:2: field larger than field limit (131072)"),
+    (HEADER + "s1,a|b,a,3,\ns1,a|b,b,,0.5\n",
+     "subject 's1', menu {a,b}: count and prob rows are mixed"),
+    (HEADER + "s1,a|b,a,,0.5\ns1,a|b,a,,0.5\n",
+     "subject 's1', menu {a,b}: duplicate probability row for 'a'"),
+    (HEADER + "s1,a|b,a,0,\ns1,a|b,b,0,\n", "subject 's1', menu {a,b}: all counts zero"),
+    (HEADER + "s1,a|b,a,,0.6\ns1,a|b,b,,0.6\n",
+     "subject 's1', menu {a,b}: probabilities sum to 6/5, not 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,message", CSV_ERRORS, ids=[f"csv{i:02d}" for i in range(len(CSV_ERRORS))]
+)
+def test_csv_error_messages(tmp_path, text, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        parse_dataset(path)
+    assert str(info.value) == message.replace("{path}", str(path))
+
+
+def _json_doc(*observations, subject="s1"):
+    return {"subjects": [{"subject": subject, "observations": list(observations)}]}
+
+
+AB = ["a", "b"]
+JSON_ERRORS = [
+    ({"rows": []}, "{path}: expected a top-level object with 'subjects'"),
+    ({"subjects": 5}, "{path}: expected a top-level object with 'subjects'"),
+    ({"subjects": [1]},
+     "data.json: subjects[0]: expected an object with an 'observations' list"),
+    ({"subjects": [{"subject": "s1", "observations": 3}]},
+     "data.json: subjects[0]: expected an object with an 'observations' list"),
+    (_json_doc(3), "data.json: subjects[0].observations[0]: expected an object"),
+    (_json_doc({"menu": "a|b", "alternative": "a", "count": 1}),
+     "data.json: subjects[0].observations[0]: menu must be a list of labels"),
+    (_json_doc({"menu": AB, "alternative": "a", "count": 1}, subject=""),
+     "data.json: subjects[0].observations[0]: empty subject id"),
+    (_json_doc({"menu": [], "alternative": "a", "count": 1}),
+     "data.json: subjects[0].observations[0]: empty label in menu field ''"),
+    (_json_doc({"menu": ["a", " "], "alternative": "a", "count": 1}),
+     "data.json: subjects[0].observations[0]: empty label in menu field 'a| '"),
+    (_json_doc({"menu": ["a|b", "c"], "alternative": "c", "count": 1}),
+     "data.json: subjects[0].observations[0]: label 'a|b' contains '|', which a "
+     "CSV menu field cannot hold"),
+    (_json_doc({"menu": AB, "alternative": "a", "count": 1, "prob": "1"}),
+     "data.json: subjects[0].observations[0]: each row needs exactly one of count/prob"),
+    (_json_doc({"menu": AB, "alternative": "a", "count": 1},
+               {"menu": AB, "alternative": "b", "prob": "x"}),
+     "data.json: subjects[0].observations[1]: not a rational number: 'x'"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc,message", JSON_ERRORS, ids=[f"json{i:02d}" for i in range(len(JSON_ERRORS))]
+)
+def test_json_error_messages(tmp_path, doc, message):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        parse_dataset(path)
+    assert str(info.value) == message.replace("{path}", str(path))
+
+
+PAIRS_30 = list(itertools.combinations([f"l{i:02d}" for i in range(30)], 2))
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("s1,x|y,x,,1\ns1,y|z,y,,1\ns1,x|y|z,x,,1\n",
+         "subject 's1' covers an incomplete domain: missing menu {x,z}"),
+        ("s1,w|x,w,1,\ns1,y|z,y,1,\n",
+         "subject 's1' covers an incomplete domain: missing menu {w,y} and 3 more"),
+        ("s1,w|x|y,w,1,\n",
+         "subject 's1' covers an incomplete domain: missing menu {w,x} and 2 more"),
+        ("".join(f"s1,{m},{m[0]},1,\n" for m in ("w|x", "w|y", "w|z", "x|y", "x|z", "y|z", "w|x|y")),
+         "subject 's1' covers an incomplete domain: missing menu {w,x,z} and 3 more"),
+        # 30 labels: all pairs but one, and the same pairs beside one triple.
+        ("".join(f"s1,{a}|{b},{a},1,\n" for a, b in PAIRS_30[1:]),
+         "subject 's1' covers an incomplete domain: missing menu {l00,l01}"),
+        ("".join(f"s1,{a}|{b},{a},1,\n" for a, b in PAIRS_30[1:]) + "s1,l00|l01|l02,l00,1,\n",
+         "subject 's1' covers an incomplete domain: missing menu {l00,l01} and "
+         f"{2**30 - 30 - 1 - 435 - 1} more"),
+    ],
+)
+def test_incomplete_domain_messages(tmp_path, body, message):
+    path = tmp_path / "data.csv"
+    path.write_text(HEADER + body, encoding="utf-8")
+    dataset = parse_dataset(path)
+    for call in (dataset.domain_kind, dataset.scf):
+        with pytest.raises(ValueError) as info:
+            call("s1")
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "menu", [frozenset("a"), ("a", "b"), frozenset()], ids=["singleton", "tuple", "empty"]
+)
+def test_dataset_table_menus_must_be_frozensets_of_two_or_more(menu):
+    # {a,b}, {a,c}, {b,c} and {a} count as many menus as the full domain over
+    # {a,b,c}; the table is refused rather than read as one.
+    one = {"a": Fraction(1)}
+    table = {frozenset("ab"): one, frozenset("ac"): one, frozenset("bc"): one, menu: one}
+    with pytest.raises(ValueError) as info:
+        ChoiceDataset({"s1": table})
+    assert str(info.value) == (
+        f"subject 's1': menu {menu!r} is not a frozenset of at least two alternatives"
+    )
+
+
+def test_unknown_subject_and_format_messages(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text(HEADER + "s1,a|b,a,1,\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        parse_dataset(path).scf("nobody")
+    assert str(info.value) == "unknown subject 'nobody'"
+    with pytest.raises(ValueError) as info:
+        parse_dataset(path, fmt="xml")
+    assert str(info.value) == "unsupported dataset format 'xml'"

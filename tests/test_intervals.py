@@ -139,4 +139,10 @@ def test_algebra_on_random_unions():
         assert a.is_subset(union) and inter.is_subset(a) and inter.is_subset(b)
         # the merged intersection is already canonical
         assert inter.intervals == IntervalUnion.from_pairs(inter.intervals).intervals
+        # the merged union and insert equal the sorted-and-merged canonical form
+        assert union == IntervalUnion.from_pairs(a.intervals + b.intervals)
+        inserted = a
+        for lo, hi in b:
+            inserted = inserted.insert(lo, hi)
+        assert inserted == union
         assert a.complement().measure() == 1 - a.measure()

@@ -6,6 +6,7 @@ from stochrat import format_decimal, format_rational, parse_rational
 from stochrat.rationals import (
     DECIMAL_EXPONENT_CAP,
     RATIONAL_TEXT_CAP,
+    common_scale,
     to_fraction,
     to_probability,
 )
@@ -105,3 +106,9 @@ def test_to_probability_checks_the_unit_interval():
         to_probability("3/2", "weight", " for {x,y}")
     with pytest.raises(ValueError, match=r"^threshold -1 outside \[0, 1\]$"):
         to_probability(-1, "threshold")
+
+
+def test_common_scale_is_the_lcm_of_reduced_denominators():
+    values = [Fraction(2, 4), Fraction(1, 6), Fraction(1, 3), Fraction(0)]
+    assert common_scale(values) == ([3, 1, 2, 0], 6)
+    assert common_scale([]) == ([], 1)

@@ -40,6 +40,43 @@ def test_accepts_mixed_value_types():
     assert scf.prob("x", frozenset(("x", "z"))) == F(1, 2)
 
 
+XY, YZ, XZ = frozenset("xy"), frozenset("yz"), frozenset("xz")
+HALF = {"x": F(1, 2), "y": F(1, 2)}
+
+
+@pytest.mark.parametrize(
+    "table,kind,message",
+    [
+        ({XY: HALF, YZ: {"y": 1}, XZ: {"x": 1}, XYZ: {"x": F(3, 2), "y": F(-1, 2)}},
+         "full", "probability 3/2 for 'x' in {x,y,z} outside [0, 1]"),
+        ({XY: {"x": "-1/2", "y": "3/2"}}, "pairwise",
+         "probability -1/2 for 'x' in {x,y} outside [0, 1]"),
+        ({XY: {"x": [1], "y": 1}}, "pairwise", "bad probability [1] for 'x' in {x,y}"),
+        ({XY: {"x": "abc"}}, "pairwise", "not a rational number: 'abc'"),
+        ({XY: {"x": F(2, 5), "y": F(2, 5)}}, "pairwise",
+         "probabilities on menu {x,y} sum to 4/5, not 1"),
+        ({XY: {}}, "pairwise", "probabilities on menu {x,y} sum to 0, not 1"),
+        ({XY: {"z": 1}}, "pairwise", "alternative 'z' not a member of menu {x,y}"),
+        ({("x", "y"): HALF, ("y", "x"): HALF}, "pairwise", "duplicate menu {x,y}"),
+        ({frozenset("x"): {"x": 1}}, "pairwise",
+         "menu {x} has a single member; singleton menus are implicit and must "
+         "not be supplied"),
+        ({frozenset(["x", 1]): {"x": 1}}, "pairwise",
+         "alternative labels must be nonempty strings: 1"),
+        ({XY: HALF}, "full", "full domain needs at least 3 alternatives; got 2"),
+        ({XY: HALF, XYZ: {"x": 1}}, "full", "incomplete full domain: missing menu {x,z} and 1 more"),
+        ({XY: HALF, YZ: {"y": 1}}, "pairwise",
+         "incomplete pairwise domain: missing menu {x,z}"),
+        ({XY: HALF, YZ: {"y": 1}, XZ: {"x": 1}, XYZ: {"x": 1}}, "pairwise",
+         "menu {x,y,z} does not belong to the pairwise domain over 3 alternatives"),
+    ],
+)
+def test_constructor_error_messages(table, kind, message):
+    with pytest.raises(ValueError) as info:
+        StochasticChoiceFunction(table, kind)
+    assert str(info.value) == message
+
+
 def test_zero_fill_for_missing_members():
     scf = StochasticChoiceFunction(
         {
