@@ -1,170 +1,116 @@
-"""Exact threshold-based rationality analysis for stochastic choice data."""
+"""Exact threshold-based rationality analysis for stochastic choice data.
 
-from .choice import (
-    AxiomReport,
-    ChoiceCorrespondence,
-    Preorder,
-    check_axioms,
-    houtman_maks,
-    is_rational,
-    is_totally_rational,
-    max_correspondence,
-)
-from .comparators import (
-    SwapResult,
-    hybrid_compare,
-    swap_index,
-    total_compare,
-    totally_rational_regions,
-)
-from .dataset import ChoiceDataset, parse_dataset, scf_to_rows, write_dataset_csv
-from .errors import CapacityError
-from .intervals import IntervalUnion
-from .measure import (
-    ComparisonResult,
-    IrrationalitySets,
-    MultiComparison,
-    TransitivityFlags,
-    TriangularResult,
-    Verdict,
-    Witness,
-    chernoff_set,
-    classify_transitivity,
-    compare,
-    compare_many,
-    condorcet_set,
-    irrationality_sets,
-    is_selective_in_contractions,
-    is_selective_in_expansions,
-    rationality_index,
-    transitivity_set,
-    triangular_condition,
-)
-from .models import (
-    as_utility,
-    consistent_over_triplets,
-    consistent_over_tuples,
-    drum,
-    general_luce,
-    lead_chain_consistent,
-    lead_consistent_over_triplets,
-    luce,
-    mum_pairwise,
-    mum_response_table,
-    random_positive_utility,
-    random_ranking_utility,
-    random_scf,
-    rum,
-    tremble,
-    tremble_index,
-    tremble_irrationality,
-    two_stage_luce,
-    uniform_drum,
-    uniform_drum_irrationality,
-)
-from .prng import SplitMix64
-from .rationals import format_decimal, format_rational, parse_rational
-from .report import (
-    AnalysisConfig,
-    AnalysisReport,
-    SubjectAnalysis,
-    analyze_scf,
-    emit_report,
-    render_csv,
-    render_json,
-    render_plotdata,
-    run_analyze,
-)
-from .scf import (
-    DomainKind,
-    LambdaRationality,
-    StochasticChoiceFunction,
-    critical_lambdas,
-    fishburn_correspondence,
-    is_lambda_rational,
-    lambda_floor,
-    threshold_cuts,
-)
+Importing the package loads none of its modules: each name in ``__all__``
+is imported from its home module on first use (PEP 562), so a command that
+never builds a model never loads ``models``.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisConfig",
-    "AnalysisReport",
-    "AxiomReport",
-    "CapacityError",
-    "ChoiceCorrespondence",
-    "ChoiceDataset",
-    "ComparisonResult",
-    "DomainKind",
-    "IntervalUnion",
-    "IrrationalitySets",
-    "LambdaRationality",
-    "MultiComparison",
-    "Preorder",
-    "SplitMix64",
-    "StochasticChoiceFunction",
-    "SubjectAnalysis",
-    "SwapResult",
-    "TransitivityFlags",
-    "TriangularResult",
-    "Verdict",
-    "Witness",
-    "analyze_scf",
-    "as_utility",
-    "check_axioms",
-    "chernoff_set",
-    "classify_transitivity",
-    "compare",
-    "compare_many",
-    "condorcet_set",
-    "consistent_over_triplets",
-    "consistent_over_tuples",
-    "critical_lambdas",
-    "drum",
-    "emit_report",
-    "fishburn_correspondence",
-    "format_decimal",
-    "format_rational",
-    "general_luce",
-    "houtman_maks",
-    "hybrid_compare",
-    "irrationality_sets",
-    "is_lambda_rational",
-    "is_rational",
-    "is_selective_in_contractions",
-    "is_selective_in_expansions",
-    "is_totally_rational",
-    "lambda_floor",
-    "lead_chain_consistent",
-    "lead_consistent_over_triplets",
-    "luce",
-    "max_correspondence",
-    "mum_pairwise",
-    "mum_response_table",
-    "parse_dataset",
-    "parse_rational",
-    "random_positive_utility",
-    "random_ranking_utility",
-    "random_scf",
-    "rationality_index",
-    "render_csv",
-    "render_json",
-    "render_plotdata",
-    "rum",
-    "run_analyze",
-    "scf_to_rows",
-    "swap_index",
-    "threshold_cuts",
-    "total_compare",
-    "totally_rational_regions",
-    "transitivity_set",
-    "tremble",
-    "tremble_index",
-    "tremble_irrationality",
-    "triangular_condition",
-    "two_stage_luce",
-    "uniform_drum",
-    "uniform_drum_irrationality",
-    "write_dataset_csv",
-]
+# home module -> the public names it defines
+_EXPORTS = {
+    "choice": (
+        "AxiomReport",
+        "ChoiceCorrespondence",
+        "Preorder",
+        "check_axioms",
+        "houtman_maks",
+        "is_rational",
+        "is_totally_rational",
+        "max_correspondence",
+    ),
+    "comparators": (
+        "SwapResult",
+        "hybrid_compare",
+        "swap_index",
+        "total_compare",
+        "totally_rational_regions",
+    ),
+    "dataset": ("ChoiceDataset", "parse_dataset", "scf_to_rows", "write_dataset_csv"),
+    "errors": ("CapacityError",),
+    "intervals": ("IntervalUnion",),
+    "measure": (
+        "ComparisonResult",
+        "IrrationalitySets",
+        "MultiComparison",
+        "TransitivityFlags",
+        "TriangularResult",
+        "Verdict",
+        "Witness",
+        "chernoff_set",
+        "classify_transitivity",
+        "compare",
+        "compare_many",
+        "condorcet_set",
+        "irrationality_sets",
+        "is_selective_in_contractions",
+        "is_selective_in_expansions",
+        "rationality_index",
+        "transitivity_set",
+        "triangular_condition",
+    ),
+    "models": (
+        "as_utility",
+        "consistent_over_triplets",
+        "consistent_over_tuples",
+        "drum",
+        "general_luce",
+        "lead_chain_consistent",
+        "lead_consistent_over_triplets",
+        "luce",
+        "mum_pairwise",
+        "mum_response_table",
+        "random_positive_utility",
+        "random_ranking_utility",
+        "random_scf",
+        "rum",
+        "tremble",
+        "tremble_index",
+        "tremble_irrationality",
+        "two_stage_luce",
+        "uniform_drum",
+        "uniform_drum_irrationality",
+    ),
+    "prng": ("SplitMix64",),
+    "rationals": ("format_decimal", "format_rational", "parse_rational"),
+    "report": (
+        "AnalysisConfig",
+        "AnalysisReport",
+        "SubjectAnalysis",
+        "analyze_scf",
+        "emit_report",
+        "render_csv",
+        "render_json",
+        "render_plotdata",
+        "run_analyze",
+    ),
+    "scf": (
+        "DomainKind",
+        "LambdaRationality",
+        "StochasticChoiceFunction",
+        "critical_lambdas",
+        "fishburn_correspondence",
+        "is_lambda_rational",
+        "lambda_floor",
+        "threshold_cuts",
+    ),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

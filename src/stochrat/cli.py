@@ -19,7 +19,6 @@ import sys
 from typing import Iterator, Optional, Sequence
 
 from .choice import menu_str, sort_menus
-from .comparators import swap_index
 from .dataset import parse_dataset, scf_to_rows, write_dataset_csv
 from .errors import CapacityError
 from .measure import (
@@ -29,7 +28,6 @@ from .measure import (
     compare_many,
     triangular_condition,
 )
-from .modelspec import load_model_spec
 from .rationals import format_decimal, format_rational, parse_rational
 from .report import AnalysisConfig, analyze_scf, emit_report, run_analyze
 from .scf import StochasticChoiceFunction, fishburn_correspondence, is_lambda_rational
@@ -162,9 +160,8 @@ def _cmd_analyze(args: argparse.Namespace, config: AnalysisConfig) -> int:
 
 def _cmd_compare(args: argparse.Namespace, config: AnalysisConfig) -> int:
     result = compare_many(list(_subjects(args.data, config)))
-    for i, left in enumerate(result.names):
-        for right in result.names[i + 1 :]:
-            print(f"{left} vs {right}: {result.verdict(left, right).value}")
+    for left, right, verdict in result.pairs():
+        print(f"{left} vs {right}: {verdict.value}")
     for group in result.classes:
         print("class: " + " ".join(group))
     if result.hasse_edges:
@@ -176,6 +173,8 @@ def _cmd_compare(args: argparse.Namespace, config: AnalysisConfig) -> int:
 
 
 def _cmd_model(args: argparse.Namespace, config: AnalysisConfig) -> int:
+    from .modelspec import load_model_spec
+
     loaded = load_model_spec(
         args.spec, default_seed=config.seed, max_universe=config.max_universe
     )
@@ -228,6 +227,8 @@ def _cmd_check(args: argparse.Namespace, config: AnalysisConfig) -> int:
 
 
 def _cmd_swap(args: argparse.Namespace, config: AnalysisConfig) -> int:
+    from .comparators import swap_index
+
     for subject, scf in _subjects(args.data, config):
         result = swap_index(scf)
         print(

@@ -28,7 +28,12 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
 
 from .choice import Menu, as_menu, menu_str, sort_menus
-from .rationals import common_scale, format_rational, to_probability
+from .rationals import (
+    RATIONAL_TEXT_CAP,
+    common_scale,
+    format_rational,
+    to_probability,
+)
 from .scf import DomainKind, StochasticChoiceFunction, missing_menus
 
 
@@ -117,6 +122,11 @@ class _Ingest:
             raise ValueError(f"{where}: each row needs exactly one of count/prob")
         if count_text:
             kind = "count"
+            if len(count_text) > RATIONAL_TEXT_CAP:
+                raise ValueError(
+                    f"{where}: count {count_text[:20] + '…'!r} of {len(count_text)} "
+                    f"characters exceeds the cap of {RATIONAL_TEXT_CAP}"
+                )
             try:
                 value: Union[int, Fraction] = int(count_text)
             except ValueError:
@@ -285,9 +295,16 @@ def _read_csv_rows(path: Path, reader, ingest: _Ingest) -> None:
         )
 
 
+def _json_int(text: str) -> Union[int, str]:
+    """A JSON integer literal, kept as text beyond the rational text cap so
+    that the cell's own check, not the interpreter's digit limit, rejects
+    it with its place."""
+    return int(text) if len(text) <= RATIONAL_TEXT_CAP else text
+
+
 def _read_json(path: Path, ingest: _Ingest) -> None:
     with path.open(encoding="utf-8") as handle:
-        data = json.load(handle)
+        data = json.load(handle, parse_int=_json_int)
     if not isinstance(data, dict) or not isinstance(data.get("subjects"), list):
         raise ValueError(f"{path}: expected a top-level object with 'subjects'")
     for s_idx, entry in enumerate(data["subjects"]):

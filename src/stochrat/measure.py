@@ -37,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .core import SubjectCore
 from .intervals import IntervalUnion
@@ -316,16 +316,42 @@ class MultiComparison:
     ``classes`` groups names whose irrationality sets are equal, ordered
     by least member; ``hasse_edges`` lists the cover pairs of the strict
     more-rational order on classes, each edge as (more rational
-    representative, less rational representative).
+    representative, less rational representative).  Verdicts are read
+    from ``class_of`` (each name's class index) and ``inside``, where
+    bit j of ``inside[i]`` is set when class i's set lies strictly inside
+    class j's; no table of name pairs is kept.
     """
 
     names: tuple[str, ...]
-    verdicts: dict[tuple[str, str], Verdict]
     classes: tuple[tuple[str, ...], ...]
     hasse_edges: tuple[tuple[str, str], ...]
+    class_of: Mapping[str, int]
+    inside: tuple[int, ...]
+
+    def _judge(self, i: int, j: int) -> Verdict:
+        """Verdict of class i against class j."""
+        inside = self.inside
+        return Verdict.from_inclusion(
+            i == j or inside[i] >> j & 1, i == j or inside[j] >> i & 1
+        )
 
     def verdict(self, left: str, right: str) -> Verdict:
-        return self.verdicts[(left, right)]
+        return self._judge(self.class_of[left], self.class_of[right])
+
+    def pairs(self) -> Iterator[tuple[str, str, Verdict]]:
+        """(left, right, verdict) for every pair of names, left before
+        right in ``names``, in ``itertools.combinations(names, 2)`` order.
+        Each pair of classes is judged once."""
+        names = self.names
+        index = [self.class_of[name] for name in names]
+        rows: dict[int, list[Verdict]] = {}
+        for a, left in enumerate(names):
+            i = index[a]
+            row = rows.get(i)
+            if row is None:
+                row = rows[i] = [self._judge(i, j) for j in range(len(self.classes))]
+            for right, j in zip(names[a + 1 :], index[a + 1 :]):
+                yield left, right, row[j]
 
 
 def compare_many(
@@ -373,22 +399,15 @@ def compare_many(
             inside[i] |= 1 << j
             holds[j] |= 1 << i
 
-    verdicts: dict[tuple[str, str], Verdict] = {}
-    for a, b in itertools.combinations(order, 2):
-        i, j = class_of[a], class_of[b]
-        verdict = Verdict.from_inclusion(
-            i == j or inside[i] >> j & 1, i == j or inside[j] >> i & 1
-        )
-        verdicts[(a, b)] = verdict
-        verdicts[(b, a)] = verdict.mirror()
-
     # Cover edges: i below j with no class strictly between them.
     edges = sorted(
         (class_tuples[i][0], class_tuples[j][0])
         for i, j in itertools.permutations(range(count), 2)
         if inside[i] >> j & 1 and not inside[i] & holds[j]
     )
-    return MultiComparison(tuple(order), verdicts, class_tuples, tuple(edges))
+    return MultiComparison(
+        tuple(order), class_tuples, tuple(edges), class_of, tuple(inside)
+    )
 
 
 # -- pairwise structure diagnostics ---------------------------------------

@@ -19,6 +19,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Optional, Union
 
@@ -30,6 +31,7 @@ from .measure import (
     MultiComparison,
     TransitivityFlags,
     TriangularResult,
+    Verdict,
     Witness,
     classify_transitivity,
     compare_many,
@@ -213,6 +215,44 @@ def _subject_json(entry: Union[SubjectAnalysis, SubjectError], digits: int) -> d
     }
 
 
+# One item of the "comparisons.verdicts" list, at its depth in the document.
+_VERDICT_ITEM = (
+    '      {\n        "left": %s,\n        "right": %s,\n        "verdict": %s\n      }'
+)
+
+
+def _comparisons_json(comparison: MultiComparison) -> str:
+    """The "comparisons" member as ``json.dumps(..., indent=2,
+    ensure_ascii=False)`` writes it for a top-level key.
+
+    The verdicts list, C(n, 2) objects of one shape, comes from a template
+    with strings quoted by ``encode_basestring``, the quoting that
+    ``json.dumps`` itself uses without ``ensure_ascii``.  The other members
+    go through ``json.dumps``; no JSON string holds a raw newline, so
+    indenting its output line by line is exact.
+    """
+    quoted = {name: encode_basestring(name) for name in comparison.names}
+    verdicts = {v: encode_basestring(v.value) for v in Verdict}
+    items = ",\n".join(
+        _VERDICT_ITEM % (quoted[left], quoted[right], verdicts[verdict])
+        for left, right, verdict in comparison.pairs()
+    )
+    rest = json.dumps(
+        {
+            "equivalence_classes": [list(group) for group in comparison.classes],
+            "hasse_edges": [
+                {"more_rational": above, "less_rational": below}
+                for above, below in comparison.hasse_edges
+            ],
+        },
+        indent=2,
+        ensure_ascii=False,
+    )
+    members = "\n".join("  " + line for line in rest.split("\n")[1:-1])
+    verdict_list = "[\n" + items + "\n    ]" if items else "[]"
+    return f'  "comparisons": {{\n    "verdicts": {verdict_list},\n{members}\n  }}'
+
+
 def render_json(report: AnalysisReport) -> str:
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -225,25 +265,11 @@ def render_json(report: AnalysisReport) -> str:
             _subject_json(entry, report.config.digits) for entry in report.subjects
         ],
     }
+    text = json.dumps(doc, indent=2, ensure_ascii=False)
     if report.comparison is not None:
-        comparison = report.comparison
-        doc["comparisons"] = {
-            "verdicts": [
-                {
-                    "left": left,
-                    "right": right,
-                    "verdict": comparison.verdict(left, right).value,
-                }
-                for i, left in enumerate(comparison.names)
-                for right in comparison.names[i + 1 :]
-            ],
-            "equivalence_classes": [list(group) for group in comparison.classes],
-            "hasse_edges": [
-                {"more_rational": above, "less_rational": below}
-                for above, below in comparison.hasse_edges
-            ],
-        }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        # the document ends in "\n}"; "comparisons" is its last member
+        text = f"{text[:-2]},\n{_comparisons_json(report.comparison)}\n}}"
+    return text + "\n"
 
 
 _CSV_COLUMNS = [

@@ -9,6 +9,7 @@ so a bug cannot cancel itself out.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -18,7 +19,9 @@ from stochrat import (
     IntervalUnion,
     SplitMix64,
     StochasticChoiceFunction,
+    Verdict,
 )
+from stochrat.report import SCHEMA_VERSION, SubjectAnalysis, _subject_json
 
 Relation = frozenset[tuple[str, str]]
 
@@ -386,3 +389,43 @@ def core_tables(probs: dict) -> dict:
         "pair_rank": pair_rank,
         "pair_prob": pair_prob,
     }
+
+
+def report_json(report) -> str:
+    """The JSON report as one ``json.dumps(doc, indent=2, ensure_ascii=False)``
+    of the whole document.  Each verdict is judged here from the inclusion
+    of the two subjects' irrationality sets, pair by pair in name order;
+    the subject entries, classes and cover edges are taken as given."""
+    config = report.config
+    doc: dict = {
+        "schema_version": SCHEMA_VERSION,
+        "settings": {
+            "digits": config.digits,
+            "oracle": config.oracle,
+            "max_universe": config.max_universe,
+        },
+        "subjects": [_subject_json(entry, config.digits) for entry in report.subjects],
+    }
+    comparison = report.comparison
+    if comparison is not None:
+        unions = {
+            entry.subject: entry.sets.union
+            for entry in report.subjects
+            if isinstance(entry, SubjectAnalysis)
+        }
+        verdicts = []
+        for left, right in itertools.combinations(sorted(unions), 2):
+            verdict = Verdict.from_inclusion(
+                unions[left].is_subset(unions[right]),
+                unions[right].is_subset(unions[left]),
+            )
+            verdicts.append({"left": left, "right": right, "verdict": verdict.value})
+        doc["comparisons"] = {
+            "verdicts": verdicts,
+            "equivalence_classes": [list(group) for group in comparison.classes],
+            "hasse_edges": [
+                {"more_rational": above, "less_rational": below}
+                for above, below in comparison.hasse_edges
+            ],
+        }
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"

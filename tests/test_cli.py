@@ -11,6 +11,7 @@ import pytest
 import stochrat
 from stochrat.cli import main
 from stochrat.dataset import parse_dataset
+from stochrat.rationals import RATIONAL_TEXT_CAP
 
 from conftest import FIXTURES
 
@@ -270,6 +271,42 @@ def test_bad_rational_json_cell_names_its_observation(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", str(bad))
     assert code == 2
     assert err.startswith("error: bad.json: subjects[0].observations[1]: not a rational")
+
+
+def test_oversized_count_cell_names_its_row_and_the_cap(capsys, tmp_path):
+    # 5000 digits: past the interpreter's integer-string limit as well
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        f"subject,menu,alternative,count\ns,x|y,x,3\ns,x|y,y,{'1' * 5000}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "analyze", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad.csv:3: count '11111111111111111111…' ")
+    assert f"of 5000 characters exceeds the cap of {RATIONAL_TEXT_CAP}" in err
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_oversized_json_count_names_its_observation(capsys, tmp_path, quoted):
+    digits = "1" * 5000
+    cell = f'"{digits}"' if quoted else digits
+    observations = (
+        '{"menu": ["x", "y"], "alternative": "x", "count": 3}, '
+        f'{{"menu": ["x", "y"], "alternative": "y", "count": {cell}}}'
+    )
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        f'{{"subjects": [{{"subject": "s", "observations": [{observations}]}}]}}',
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "analyze", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad.json: subjects[0].observations[1]: count '1111")
+    assert f"exceeds the cap of {RATIONAL_TEXT_CAP}" in err
+    assert len(err) < 200
 
 
 def test_json_label_with_pipe_exits_2(capsys, tmp_path):

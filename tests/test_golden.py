@@ -36,6 +36,12 @@ GOLDEN_TABLES = {
     ("pairwise5_panel26.json", "plotdata"): "848ea6e0f7ce752726a265dcf9be1b0719ba86ebf25ae9c2b91bba327f6c716d",
 }
 
+# fixture -> SHA-256 of ``stochrat compare`` stdout
+GOLDEN_COMPARE = {
+    "pairwise5_panel26.csv": "cae35e5fb409ecd0e182ab4a1f95e3645a391a0be24ffdbc3292243fa55c4e67",
+    "pairwise_cycles.csv": "05643b5eac6caa3fc863bc46a9eae15a514823c3ecd6518d0a50aed2edfa0464",
+}
+
 
 @pytest.mark.parametrize("fixture", sorted(GOLDEN))
 def test_analyze_json_report_is_byte_identical(fixture, tmp_path):
@@ -56,3 +62,10 @@ def test_analyze_table_reports_are_byte_identical(fixture, fmt, tmp_path):
         written = [out]
     digest = hashlib.sha256(b"".join(path.read_bytes() for path in written))
     assert digest.hexdigest() == GOLDEN_TABLES[(fixture, fmt)]
+
+
+@pytest.mark.parametrize("fixture", sorted(GOLDEN_COMPARE))
+def test_compare_output_is_byte_identical(fixture, capsys):
+    assert main(["compare", str(FIXTURES / fixture)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_COMPARE[fixture]

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 from stochrat import measure
@@ -24,6 +25,9 @@ from stochrat import (
     tremble,
     uniform_drum,
 )
+from stochrat.dataset import parse_dataset
+
+from conftest import FIXTURES
 
 F = Fraction
 
@@ -250,6 +254,40 @@ def test_compare_many_merges_equivalent_subjects():
     assert multi.classes == (("a", "b"), ("c",))
     # the hasse diagram runs between classes, naming least members
     assert multi.hasse_edges == (("c", "a"),)
+
+
+def test_comparison_table_matches_direct_inclusion():
+    # the 26-subject panel, with several classes, plus subjects whose sets
+    # repeat a panel set or contain one another
+    dataset = parse_dataset(FIXTURES / "pairwise5_panel26.csv")
+    named = {name: dataset.scf(name) for name in dataset.subject_ids()}
+    u = {"x": 3, "y": 2, "z": 1}
+    v = {"z": 3, "y": 2, "x": 1}
+    for k, weight in enumerate([F(3, 4), F(2, 3), F(5, 9), F(2, 3)]):
+        named[f"drum{k}"] = uniform_drum(u, v, weight)
+    for seed in range(4):
+        named[f"random{seed}"] = random_scf(seed, ["a", "b", "c"])
+    multi = compare_many(named)
+    unions = {name: irrationality_sets(scf).union for name, scf in named.items()}
+    assert 3 < len(multi.classes) < len(named)
+    for left, right in itertools.permutations(named, 2):
+        expected = Verdict.from_inclusion(
+            unions[left].is_subset(unions[right]), unions[right].is_subset(unions[left])
+        )
+        assert multi.verdict(left, right) is expected, (left, right)
+    listed = list(multi.pairs())
+    assert [(left, right) for left, right, _ in listed] == list(
+        itertools.combinations(multi.names, 2)
+    )
+    assert all(multi.verdict(left, right) is v for left, right, v in listed)
+
+
+def test_compare_many_of_one_or_no_subject_has_no_pairs():
+    assert list(compare_many({}).pairs()) == []
+    single = compare_many({"only": luce({"x": 1, "y": 2, "z": 3})})
+    assert single.classes == (("only",),)
+    assert list(single.pairs()) == []
+    assert single.verdict("only", "only") is Verdict.EQUIVALENT
 
 
 def test_sets_to_json_round_trip(demo_scf):

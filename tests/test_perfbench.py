@@ -1,4 +1,4 @@
-"""The benchmark's self-test, run as part of the test suite.
+"""The benchmark's self-test and its layer tracer, run as part of the test suite.
 
 ``perfbench/selftest.py`` checks the benchmark's reference computations
 against the documented fixture answers and closed forms, and shows that
@@ -6,6 +6,8 @@ single alterations of a real ``analyze`` report are flagged; it imports
 nothing from stochrat except through the ``analyze`` command it runs.
 """
 
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +24,30 @@ def test_benchmark_selftest_passes():
         timeout=120,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_layer_tracer_attaches_to_the_analyze_path(tmp_path):
+    # the tracer wraps every module binding of each traced function; a
+    # binding it cannot see would leave that layer's time at zero
+    done = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "perfbench" / "layers.py"),
+            "traced",
+            str(ROOT / "fixtures" / "pairwise5_panel26.csv"),
+            str(tmp_path / "report.json"),
+            str(tmp_path / "spans.json"),
+        ],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    result = json.loads(done.stdout)
+    assert result["exit"] == 0
+    metrics = result["metrics"]
+    assert metrics["report.render_json_s"] > 0
+    assert metrics["measure.compare_many_s"] > 0
+    assert metrics["measure.verdict_pairs"] == 325

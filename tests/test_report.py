@@ -4,10 +4,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stochrat.dataset import parse_dataset
+import oracles
+from stochrat.dataset import ChoiceDataset, parse_dataset
+from stochrat.measure import compare_many
 from stochrat.report import (
     AnalysisConfig,
+    AnalysisReport,
     SubjectAnalysis,
     SubjectError,
     analyze_scf,
@@ -240,3 +245,60 @@ def test_panel_report_has_expected_anchors():
     edges = report.comparison.hasse_edges
     assert ("s01", "s03") in edges
     assert ("s03", "s04") in edges
+
+
+# -- the JSON report against one json.dumps of the whole document -----------
+
+# label pieces: JSON escapes, non-ASCII, DEL, line and paragraph separators,
+# and text that looks like a splice marker or a piece of the report
+_LABEL_PIECES = [
+    "a", "b", "Z", "0", '"', "\\", "/", "\u00e9", "\u6f22", "\U0001f600",
+    "\x7f", "\x00", "\x1f", " ", "\t", "\n", "\u00a0", "\u2028", "\u2029",
+    "\x00comparisons\x00", "\x00VERDICTS\x00", '"verdicts": []', "},\n  {", "%s",
+]
+_labels = st.lists(st.sampled_from(_LABEL_PIECES), max_size=4).map("".join)
+_HEAD_TO_HEAD = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)]
+
+
+def _pairwise_rows(labels, probs):
+    """Pairwise rows over ``labels``: the first of each pair wins with the
+    next probability of ``probs``."""
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]]
+    return {
+        frozenset((a, b)): {a: p, b: 1 - p} for (a, b), p in zip(pairs, probs)
+    }
+
+
+@st.composite
+def _panels(draw):
+    """A report over 0, 1, 2 or 30 analysed subjects with drawn labels and
+    head-to-head rows from a few values (so several subjects share a set),
+    with or without a subject over the universe cap."""
+    count = draw(st.sampled_from([0, 1, 2, 30]))
+    with_error = count == 0 or draw(st.booleans())
+    size = count + with_error
+    names = draw(st.lists(_labels, min_size=size, max_size=size, unique=True))
+    draw_rows = st.lists(st.sampled_from(_HEAD_TO_HEAD), min_size=3, max_size=3)
+    table = {name: _pairwise_rows("xyz", draw(draw_rows)) for name in names[:count]}
+    if with_error:
+        table[names[-1]] = _pairwise_rows("wxyz", [Fraction(1, 2)] * 6)
+    return run_analyze(ChoiceDataset(table), AnalysisConfig(max_universe=3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_panels())
+def test_render_json_matches_one_json_dumps_of_the_document(report):
+    assert render_json(report) == oracles.report_json(report)
+
+
+def test_render_json_of_a_panel_with_several_classes_matches_the_reference():
+    report = run_analyze(parse_dataset(FIXTURES / "pairwise5_panel26.csv"))
+    assert len(report.comparison.classes) > 3
+    assert render_json(report) == oracles.report_json(report)
+
+
+def test_render_json_with_an_empty_comparison():
+    report = AnalysisReport(AnalysisConfig(), (), compare_many({}))
+    text = render_json(report)
+    assert '    "verdicts": [],\n    "equivalence_classes": [],\n' in text
+    assert text == oracles.report_json(report)

@@ -1,7 +1,13 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import stochrat
 
@@ -17,3 +23,41 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_cli_import_loads_only_what_analyze_runs():
+    code = (
+        "import sys, stochrat.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('stochrat')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(ast.literal_eval(done.stdout))
+    assert "stochrat.cli" in loaded
+    for unused in ("models", "comparators", "modelspec", "prng"):
+        assert f"stochrat.{unused}" not in loaded
+
+
+def test_every_exported_name_is_its_home_modules_object():
+    for name in stochrat.__all__:
+        value = getattr(stochrat, name)
+        home = importlib.import_module(value.__module__)
+        assert home.__name__.startswith("stochrat."), name
+        assert getattr(home, name) is value, name
+
+
+def test_package_namespace_lists_and_star_imports_all():
+    assert set(stochrat.__all__) <= set(dir(stochrat))
+    namespace: dict = {}
+    exec("from stochrat import *", namespace)
+    assert {name for name in namespace if not name.startswith("__")} == set(
+        stochrat.__all__
+    )
+    with pytest.raises(AttributeError, match="no_such_name"):
+        stochrat.no_such_name
