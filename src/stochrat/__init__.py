@@ -88,7 +88,6 @@ _EXPORTS = {
     ),
     "scf": (
         "DomainKind",
-        "LambdaRationality",
         "StochasticChoiceFunction",
         "critical_lambdas",
         "fishburn_correspondence",

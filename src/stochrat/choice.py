@@ -117,17 +117,11 @@ class ChoiceCorrespondence:
         except KeyError:
             raise ValueError(f"menu {menu_str(key)} not in domain") from None
 
-    def has_menu(self, menu: Menu) -> bool:
-        return menu in self._table
-
     def without(self, removed: Iterable[Menu]) -> "ChoiceCorrespondence":
         """Restriction of the correspondence to domain minus ``removed``."""
         gone = {as_menu(m) for m in removed}
         kept = {m: c for m, c in self._table.items() if m not in gone}
         return ChoiceCorrespondence(kept, universe=self._universe)
-
-    def as_dict(self) -> dict[Menu, frozenset[str]]:
-        return dict(self._table)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChoiceCorrespondence):
@@ -165,49 +159,61 @@ class AxiomReport:
     def all_hold(self) -> bool:
         return self.chernoff and self.condorcet and self.no_cycle
 
+    @property
+    def failures(self) -> tuple[tuple[str, tuple], ...]:
+        """(axiom, witness) for each violated axiom, in the fixed order
+        contraction ("chernoff"), pairwise winner ("condorcet"), cycle
+        composition ("transitivity")."""
+        named = (
+            ("chernoff", self.chernoff_witness),
+            ("condorcet", self.condorcet_witness),
+            ("transitivity", self.no_cycle_witness),
+        )
+        return tuple((axiom, w) for axiom, w in named if w is not None)
+
+    def __bool__(self) -> bool:
+        return self.all_hold
+
+
+# The generators read the correspondence's table, which is validated and
+# kept in menu_key order, so they yield violations in key order.
+
 
 def _chernoff_violations(c: ChoiceCorrespondence) -> Iterator[tuple]:
-    menus = sorted(c.domain, key=menu_key)
-    for small in menus:
-        chosen_small = c.choice(small)
-        for large in menus:
-            if small == large or not small < large:
-                continue
-            lost = (c.choice(large) & small) - chosen_small
-            for x in sorted(lost):
-                yield (small, large, x)
+    table = c._table
+    top = max(map(len, table), default=0)
+    for small, chosen_small in table.items():
+        # skip a menu that loses nothing or that no menu contains
+        if chosen_small == small or len(small) == top:
+            continue
+        for large, chosen_large in table.items():
+            if small < large:
+                for x in sorted((chosen_large & small) - chosen_small):
+                    yield (small, large, x)
 
 
 def _condorcet_violations(c: ChoiceCorrespondence) -> Iterator[tuple]:
-    domain = c.domain
-    for menu in sorted(domain, key=menu_key):
-        chosen = c.choice(menu)
-        for x in sorted(menu):
-            if x in chosen:
-                continue
-            wins_all = True
-            for y in menu:
-                if y == x:
-                    continue
-                pair = frozenset((x, y))
-                if pair in domain and x not in c.choice(pair):
-                    wins_all = False
-                    break
-            if wins_all:
+    table = c._table
+    for menu, chosen in table.items():
+        for x in sorted(menu - chosen):
+            heads = (table.get(frozenset((x, y))) for y in menu if y != x)
+            if all(pair is None or x in pair for pair in heads):
                 yield (menu, x)
 
 
 def _cycle_violations(c: ChoiceCorrespondence) -> Iterator[tuple]:
-    domain = c.domain
-    labels = c.universe
-    for a, b, z in itertools.permutations(labels, 3):
-        ab = frozenset((a, b))
-        bz = frozenset((b, z))
-        az = frozenset((a, z))
-        if ab not in domain or bz not in domain or az not in domain:
-            continue
-        if c.choice(ab) == {a} and c.choice(bz) == {b} and c.choice(az) != {a}:
-            yield (a, b, z)
+    table = c._table
+    # beats[x]: the other member of each pair that chooses x alone
+    beats: dict[str, set[str]] = {x: set() for x in c.universe}
+    for menu, chosen in table.items():
+        if len(menu) == 2 and len(chosen) == 1:
+            (x,) = chosen
+            beats[x] |= menu - chosen
+    for a in c.universe:
+        for b in sorted(beats[a]):
+            for z in sorted(beats[b] - beats[a]):
+                if frozenset((a, z)) in table:
+                    yield (a, b, z)
 
 
 def check_axioms(c: ChoiceCorrespondence) -> AxiomReport:
@@ -324,19 +330,17 @@ def weak_order_levels(universe: Iterable[str]) -> Iterator[dict[str, int]]:
                 yield dict(zip(labels, assignment))
 
 
-def is_totally_rational(
-    c: ChoiceCorrespondence, cap: int = TOTAL_RATIONALITY_CAP
-) -> bool:
+def is_totally_rational(c: ChoiceCorrespondence) -> bool:
     """True when some *complete* preorder generates the correspondence.
 
     Brute force over all weak orders on the universe; |universe| must not
-    exceed ``cap``.
+    exceed ``TOTAL_RATIONALITY_CAP``.
     """
     labels = c.universe
-    if len(labels) > cap:
+    if len(labels) > TOTAL_RATIONALITY_CAP:
         raise CapacityError(
-            f"total-rationality check is exact only up to {cap} alternatives; "
-            f"got {len(labels)}"
+            f"total-rationality check is exact only up to {TOTAL_RATIONALITY_CAP} "
+            f"alternatives; got {len(labels)}"
         )
     menus = c.menus()
     targets = [(menu, c.choice(menu)) for menu in menus]
@@ -352,17 +356,17 @@ def is_totally_rational(
     return False
 
 
-def houtman_maks(c: ChoiceCorrespondence, cap: int = HOUTMAN_MAKS_CAP) -> int:
+def houtman_maks(c: ChoiceCorrespondence) -> int:
     """Minimum number of menus to drop so the rest is rational.
 
     Exact search over removal sets in increasing cardinality; the domain
-    size must not exceed ``cap``.  Returns 0 exactly when the
+    size must not exceed ``HOUTMAN_MAKS_CAP``.  Returns 0 exactly when the
     correspondence is already rational.
     """
     menus = sort_menus(c.domain)
-    if len(menus) > cap:
+    if len(menus) > HOUTMAN_MAKS_CAP:
         raise CapacityError(
-            f"menu-removal search is exact only up to {cap} menus; "
+            f"menu-removal search is exact only up to {HOUTMAN_MAKS_CAP} menus; "
             f"got {len(menus)}"
         )
     if is_rational(c):

@@ -18,7 +18,7 @@ import argparse
 import sys
 from typing import Iterator, Optional, Sequence
 
-from .choice import menu_str, sort_menus
+from .choice import check_axioms, menu_str, sort_menus
 from .dataset import parse_dataset, scf_to_rows, write_dataset_csv
 from .errors import CapacityError
 from .measure import (
@@ -30,7 +30,7 @@ from .measure import (
 )
 from .rationals import format_decimal, format_rational, parse_rational
 from .report import AnalysisConfig, analyze_scf, emit_report, run_analyze
-from .scf import StochasticChoiceFunction, fishburn_correspondence, is_lambda_rational
+from .scf import StochasticChoiceFunction, fishburn_correspondence
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,7 +43,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="override the full-domain universe-size cap (default 12)",
+        help=(
+            "override the universe-size caps (defaults: 12 alternatives on the "
+            "full domain, 64 on the pairwise domain)"
+        ),
     )
     parser.add_argument(
         "--seed",
@@ -55,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--oracle",
         action="store_true",
-        help="enable slow full-enumeration cross-checks in analyze and model",
+        help="check each threshold set by direct axiom checks (analyze, model)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -197,8 +200,8 @@ def _cmd_lambda(args: argparse.Namespace, config: AnalysisConfig) -> int:
     print(f"subject: {args.subject}, threshold: {format_rational(lam)}")
     for menu in sort_menus(correspondence.domain):
         print(f"  {menu_str(menu)} -> {menu_str(correspondence.choice(menu))}")
-    result = is_lambda_rational(scf, lam)
-    if result.rational:
+    report = check_axioms(correspondence)
+    if report:
         print("lambda-rational: yes")
     else:
         names = {
@@ -206,7 +209,7 @@ def _cmd_lambda(args: argparse.Namespace, config: AnalysisConfig) -> int:
             "condorcet": "pairwise-winner",
             "transitivity": "cycle",
         }
-        for axiom, witness in result.failures:
+        for axiom, witness in report.failures:
             if axiom == "chernoff":
                 small, large, alternative = witness
                 where = f"({menu_str(small)} in {menu_str(large)}, {alternative})"

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .choice import (
-    ChoiceCorrespondence,
-    HOUTMAN_MAKS_CAP,
-    TOTAL_RATIONALITY_CAP,
-    houtman_maks,
-    is_totally_rational,
-)
+from .choice import ChoiceCorrespondence, houtman_maks, is_totally_rational
 from .errors import CapacityError
 from .intervals import IntervalUnion
 from .measure import ComparisonResult
@@ -53,7 +47,7 @@ class SwapResult:
     optimal_orders: int
 
 
-def swap_index(scf: StochasticChoiceFunction, cap: int = SWAP_CAP) -> SwapResult:
+def swap_index(scf: StochasticChoiceFunction) -> SwapResult:
     """Minimize the expected number of passed-over alternatives.
 
     For a linear order the cost is the sum over menus S and members x of
@@ -64,9 +58,9 @@ def swap_index(scf: StochasticChoiceFunction, cap: int = SWAP_CAP) -> SwapResult
     """
     labels = tuple(sorted(scf.universe))
     n = len(labels)
-    if n > cap:
+    if n > SWAP_CAP:
         raise CapacityError(
-            f"swap index enumeration is exact only up to {cap} alternatives; "
+            f"swap index enumeration is exact only up to {SWAP_CAP} alternatives; "
             f"got {n}"
         )
 
@@ -181,9 +175,7 @@ def _region_compare(
 
 
 def hybrid_compare(
-    left: StochasticChoiceFunction,
-    right: StochasticChoiceFunction,
-    houtman_cap: int = HOUTMAN_MAKS_CAP,
+    left: StochasticChoiceFunction, right: StochasticChoiceFunction
 ) -> ComparisonResult:
     """Compare threshold-wise Houtman-Maks counts (fewer removals wins).
 
@@ -193,25 +185,23 @@ def hybrid_compare(
     """
 
     def score(c_left: ChoiceCorrespondence, c_right: ChoiceCorrespondence) -> int:
-        hl = houtman_maks(c_left, cap=houtman_cap)
-        hr = houtman_maks(c_right, cap=houtman_cap)
+        hl = houtman_maks(c_left)
+        hr = houtman_maks(c_right)
         return hr - hl
 
     return _region_compare(left, right, score)
 
 
 def total_compare(
-    left: StochasticChoiceFunction,
-    right: StochasticChoiceFunction,
-    cap: int = TOTAL_RATIONALITY_CAP,
+    left: StochasticChoiceFunction, right: StochasticChoiceFunction
 ) -> ComparisonResult:
     """Compare the regions where each threshold correspondence can be
     generated by a complete preorder.  The left subject dominates when it
     is complete-preorder-consistent wherever the right one is."""
 
     def score(c_left: ChoiceCorrespondence, c_right: ChoiceCorrespondence) -> int:
-        tl = is_totally_rational(c_left, cap=cap)
-        tr = is_totally_rational(c_right, cap=cap)
+        tl = is_totally_rational(c_left)
+        tr = is_totally_rational(c_right)
         if tl == tr:
             return 0
         return 1 if tl else -1
@@ -219,15 +209,13 @@ def total_compare(
     return _region_compare(left, right, score)
 
 
-def totally_rational_regions(
-    scf: StochasticChoiceFunction, cap: int = TOTAL_RATIONALITY_CAP
-) -> IntervalUnion:
+def totally_rational_regions(scf: StochasticChoiceFunction) -> IntervalUnion:
     """Thresholds at which the correspondence has a complete-preorder
     generator, as an interval union over (0, 1]."""
     regions = []
     lower = _ZERO
     for cut in threshold_cuts(scf):
-        if is_totally_rational(fishburn_correspondence(scf, cut), cap=cap):
+        if is_totally_rational(fishburn_correspondence(scf, cut)):
             regions.append((lower, cut))
         lower = cut
     return IntervalUnion.from_pairs(regions)

@@ -53,6 +53,12 @@ def _menu_from_labels(labels: list[str], field: str, where: str) -> Menu:
     return menu
 
 
+def _json_text(value: object) -> str:
+    """A JSON label as text; null reads as a missing value, like an empty
+    CSV cell."""
+    return "" if value is None else str(value)
+
+
 class _Ingest:
     """The one route from data rows to per-subject probability rows.
 
@@ -70,7 +76,7 @@ class _Ingest:
 
     def menu(self, written: Union[str, list], where: str) -> Menu:
         """A CSV menu field (``|``-separated) or a JSON label list."""
-        key = written if isinstance(written, str) else tuple(map(str, written))
+        key = written if isinstance(written, str) else tuple(map(_json_text, written))
         menu = self.menus.get(key)
         if menu is not None:
             return menu
@@ -313,7 +319,7 @@ def _read_json(path: Path, ingest: _Ingest) -> None:
             entry.get("observations", []), list
         ):
             raise ValueError(f"{place}: expected an object with an 'observations' list")
-        subject = str(entry.get("subject", "")).strip()
+        subject = _json_text(entry.get("subject")).strip()
         for o_idx, obs in enumerate(entry.get("observations", [])):
             where = f"{place}.observations[{o_idx}]"
             if not isinstance(obs, dict):
@@ -326,7 +332,7 @@ def _read_json(path: Path, ingest: _Ingest) -> None:
             ingest.add(
                 subject,
                 menu,
-                str(obs.get("alternative", "")).strip(),
+                _json_text(obs.get("alternative")).strip(),
                 None if count is None else str(count),
                 None if prob is None else str(prob),
                 where,

@@ -191,6 +191,3 @@ class IntervalUnion:
             pairs.append((parse_rational(item[0]), parse_rational(item[1])))
         return cls.from_pairs(pairs)
 
-
-EMPTY_UNION = IntervalUnion.empty()
-FULL_UNION = IntervalUnion.single(_ZERO, _ONE)

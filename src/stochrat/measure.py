@@ -12,9 +12,8 @@ ranks among the subject's distinct values and menus become bitmasks.  Each
 axiom emits rank pairs (lo, hi]; a difference array over the ranks marks
 the covered cells, and only runs of covered cells become exact Fraction
 intervals.  Contraction uses nested menus differing by one element (a
-chain argument shows larger gaps add nothing; all nested pairs stay behind
-a flag as a cross-check).  Cycles need one interval per ordered (x, z):
-the triples through every y share the right end.
+chain argument shows larger gaps add nothing).  Cycles need one interval
+per ordered (x, z): the triples through every y share the right end.
 
 A witness is the least violating tuple at the right end of a maximal
 interval.  Menus are tried in ``menu_key`` order; for contraction the
@@ -49,36 +48,28 @@ _ONE = Fraction(1)
 # -- the three axiom threshold sets --------------------------------------
 
 
-def chernoff_set(
-    scf: StochasticChoiceFunction, full_pairs: bool = False
-) -> IntervalUnion:
+def chernoff_set(scf: StochasticChoiceFunction) -> IntervalUnion:
     """Thresholds at which contraction consistency fails.
 
     For nested menus S within T and x in S the violating thresholds are
-    (nlik(x, S), nlik(x, T)].  With ``full_pairs`` False only pairs with
-    |T| = |S| + 1 are enumerated, which yields the same union; the full
-    enumeration is retained for cross-checks.
+    (nlik(x, S), nlik(x, T)].  Only pairs with |T| = |S| + 1 are
+    enumerated: along any chain of one-element steps from S to T the
+    steps' intervals cover (nlik(x, S), nlik(x, T)], so the union is the
+    same.
     """
     if scf.domain_kind is DomainKind.PAIRWISE:
         return IntervalUnion.empty()
     core = scf.core
     rank = core.rank
     spans = []
-    if full_pairs:
-        for small in core.menus:
-            row_small = rank[small]
-            for large in core.supersets(small):
-                row_large = rank[large]
-                spans += [(row_small[x], row_large[x]) for x in core.members[small]]
-    else:
-        for large in core.menus:
-            members = core.members[large]
-            if len(members) < 3:
-                continue
-            row_large = rank[large]
-            for dropped in members:
-                row_small = rank[large ^ (1 << dropped)]
-                spans += [(row_small[x], row_large[x]) for x in members if x != dropped]
+    for large in core.menus:
+        members = core.members[large]
+        if len(members) < 3:
+            continue
+        row_large = rank[large]
+        for dropped in members:
+            row_small = rank[large ^ (1 << dropped)]
+            spans += [(row_small[x], row_large[x]) for x in members if x != dropped]
     return core.union_of(spans)
 
 
@@ -207,16 +198,14 @@ def _transitivity_witness(core: SubjectCore, h: int) -> Optional[tuple]:
     return None
 
 
-def irrationality_sets(
-    scf: StochasticChoiceFunction, full_pairs: bool = False
-) -> IrrationalitySets:
+def irrationality_sets(scf: StochasticChoiceFunction) -> IrrationalitySets:
     """Compute the three axiom threshold sets and their union.
 
     Each maximal interval of the union gets one witness, found at the
     interval's right endpoint; axioms are tried in the fixed order
     contraction, pairwise winner, cycle composition.
     """
-    ch = chernoff_set(scf, full_pairs=full_pairs)
+    ch = chernoff_set(scf)
     con = condorcet_set(scf)
     st = transitivity_set(scf)
     union = ch | con | st

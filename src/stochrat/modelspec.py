@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from . import models
 from .rationals import parse_rational
@@ -36,10 +36,41 @@ class LoadedModel:
     notes: tuple[str, ...] = ()
 
 
-def _utility(doc: dict, key: str = "utility") -> dict:
+def _required(path: Path, doc: dict, key: str):
+    if key not in doc:
+        raise ValueError(f"{path}: model spec lacks field {key!r}")
+    return doc[key]
+
+
+def _entries(path: Path, doc: dict, key: str, *fields: str) -> Iterator[tuple]:
+    """The values of ``fields`` in each object of the list under ``key``
+    (no objects when ``key`` is absent)."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: field {key!r} must be a list of objects")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: {key}[{i}] must be an object")
+        for field in fields:
+            if field not in entry:
+                raise ValueError(f"{path}: {key}[{i}] lacks field {field!r}")
+        yield tuple(entry[field] for field in fields)
+
+
+def _integer(path: Path, doc: dict, key: str, default: int) -> int:
+    value = doc.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"{path}: field {key!r} must be an integer, got {value!r}"
+        ) from None
+
+
+def _utility(path: Path, doc: dict, key: str = "utility") -> dict:
     value = doc.get(key)
     if not isinstance(value, dict) or not value:
-        raise ValueError(f"model spec needs a nonempty {key!r} mapping")
+        raise ValueError(f"{path}: model spec needs a nonempty {key!r} mapping")
     return value
 
 
@@ -58,23 +89,26 @@ def load_model_spec(
         raise ValueError(f"{path}: missing model kind")
 
     if kind == "luce":
-        return LoadedModel(kind, models.luce(_utility(doc), max_universe=max_universe))
+        return LoadedModel(
+            kind, models.luce(_utility(path, doc), max_universe=max_universe)
+        )
 
     if kind == "general_luce":
-        consideration = {}
-        for entry in doc.get("consideration", []):
-            consideration[tuple(entry["menu"])] = tuple(entry["allowed"])
+        consideration = {
+            tuple(menu): tuple(allowed)
+            for menu, allowed in _entries(path, doc, "consideration", "menu", "allowed")
+        }
         return LoadedModel(
             kind,
             models.general_luce(
-                _utility(doc), consideration, max_universe=max_universe
+                _utility(path, doc), consideration, max_universe=max_universe
             ),
         )
 
     if kind == "two_stage_luce":
         dominance = [tuple(pair) for pair in doc.get("dominance", [])]
         scf, proper = models.two_stage_luce(
-            _utility(doc), dominance, max_universe=max_universe
+            _utility(path, doc), dominance, max_universe=max_universe
         )
         note = "proper: utility increases along dominance" if proper else (
             "improper: utility does not increase along dominance"
@@ -85,51 +119,55 @@ def load_model_spec(
         return LoadedModel(
             kind,
             models.uniform_drum(
-                _utility(doc, "first"),
-                _utility(doc, "second"),
-                doc["weight"],
+                _utility(path, doc, "first"),
+                _utility(path, doc, "second"),
+                _required(path, doc, "weight"),
                 max_universe=max_universe,
             ),
         )
 
     if kind == "drum":
         weights = {
-            tuple(entry["menu"]): entry["weight"] for entry in doc.get("weights", [])
+            tuple(menu): weight
+            for menu, weight in _entries(path, doc, "weights", "menu", "weight")
         }
         return LoadedModel(
             kind,
             models.drum(
-                _utility(doc, "first"),
-                _utility(doc, "second"),
+                _utility(path, doc, "first"),
+                _utility(path, doc, "second"),
                 weights,
                 max_universe=max_universe,
             ),
         )
 
     if kind == "rum":
-        components = [
-            (entry["utility"], entry["weight"]) for entry in doc.get("components", [])
-        ]
+        components = list(_entries(path, doc, "components", "utility", "weight"))
         return LoadedModel(kind, models.rum(components, max_universe=max_universe))
 
     if kind == "tremble":
         return LoadedModel(
             kind,
-            models.tremble(_utility(doc), doc["alpha"], max_universe=max_universe),
+            models.tremble(
+                _utility(path, doc),
+                _required(path, doc, "alpha"),
+                max_universe=max_universe,
+            ),
         )
 
     if kind == "mum":
         metric = {
-            tuple(entry["pair"]): entry["distance"] for entry in doc.get("metric", [])
+            tuple(pair): distance
+            for pair, distance in _entries(path, doc, "metric", "pair", "distance")
         }
         response = {
-            parse_rational(str(entry["arg"])): entry["value"]
-            for entry in doc.get("response", [])
+            parse_rational(str(arg)): value
+            for arg, value in _entries(path, doc, "response", "arg", "value")
         }
         return LoadedModel(
             kind,
             models.mum_pairwise(
-                _utility(doc), metric, response, max_universe=max_universe
+                _utility(path, doc), metric, response, max_universe=max_universe
             ),
         )
 
@@ -137,13 +175,12 @@ def load_model_spec(
         universe = doc.get("universe")
         if not isinstance(universe, list) or not universe:
             raise ValueError(f"{path}: random model needs a universe list")
-        seed = doc.get("seed", default_seed)
         return LoadedModel(
             kind,
             models.random_scf(
-                int(seed),
+                _integer(path, doc, "seed", default_seed),
                 [str(x) for x in universe],
-                denominator_bound=int(doc.get("denominator_bound", 20)),
+                denominator_bound=_integer(path, doc, "denominator_bound", 20),
                 domain_kind=DomainKind(doc.get("domain", "full")),
                 max_universe=max_universe,
             ),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .choice import menu_key
 from .errors import CapacityError
@@ -98,24 +98,25 @@ def analyze_scf(
 ) -> SubjectAnalysis:
     """Full single-subject analysis bundle.
 
-    With ``config.oracle`` the cheap enumeration is cross-checked against
-    the slow ones: nested-pair contraction enumeration against the full
-    one, and interval membership against direct axiom checking on the
-    critical threshold grid.  A mismatch is a bug, reported loudly.
+    With ``config.oracle`` every printed set is cross-checked against
+    direct axiom checking on the critical threshold grid: each axiom's
+    part against that axiom's outcome, and the union against all three.
+    A mismatch is a bug, reported loudly.
     """
     sets = irrationality_sets(scf)
     if config.oracle:
-        slow = irrationality_sets(scf, full_pairs=True)
-        if slow.chernoff != sets.chernoff:
-            raise AssertionError(
-                "contraction threshold sets disagree between nested-pair and "
-                "full enumeration"
-            )
         for lam in critical_lambdas(scf):
-            if sets.union.contains(lam) == bool(is_lambda_rational(scf, lam)):
-                raise AssertionError(
-                    f"interval membership and axiom checking disagree at {lam}"
-                )
+            axioms = is_lambda_rational(scf, lam)
+            for name, part, holds in (
+                ("contraction", sets.chernoff, axioms.chernoff),
+                ("pairwise-winner", sets.condorcet, axioms.condorcet),
+                ("cycle", sets.transitivity, axioms.no_cycle),
+                ("irrationality", sets.union, axioms.all_hold),
+            ):
+                if part.contains(lam) == holds:
+                    raise AssertionError(
+                        f"{name} set and axiom checking disagree at {lam}"
+                    )
     if scf.domain_kind is DomainKind.FULL:
         contractions: Optional[bool] = is_selective_in_contractions(scf)
         expansions: Optional[bool] = is_selective_in_expansions(scf)
@@ -173,6 +174,22 @@ def _witness_json(witness: Witness) -> dict:
     return out
 
 
+# The report's flags in output order, each with its reader; the JSON
+# "flags" object and the CSV columns both follow this table.
+_FLAGS: tuple[tuple[str, Callable[[SubjectAnalysis], Optional[bool]]], ...] = (
+    ("maximally_rational", lambda e: e.sets.maximally_rational),
+    ("minimally_rational", lambda e: e.sets.minimally_rational),
+    ("weak_s_transitive", lambda e: e.transitivity.weak),
+    ("almost_weak_s_transitive", lambda e: e.transitivity.almost_weak),
+    ("moderate_s_transitive", lambda e: e.transitivity.moderate),
+    ("almost_moderate_s_transitive", lambda e: e.transitivity.almost_moderate),
+    ("strong_s_transitive", lambda e: e.transitivity.strong),
+    ("triangular_condition", lambda e: e.triangular.holds),
+    ("selective_contractions", lambda e: e.selective_contractions),
+    ("selective_expansions", lambda e: e.selective_expansions),
+)
+
+
 def _subject_json(entry: Union[SubjectAnalysis, SubjectError], digits: int) -> dict:
     if isinstance(entry, SubjectError):
         return {
@@ -196,18 +213,7 @@ def _subject_json(entry: Union[SubjectAnalysis, SubjectError], digits: int) -> d
             "exact": format_rational(entry.index),
             "decimal": format_decimal(entry.index, digits),
         },
-        "flags": {
-            "maximally_rational": sets.maximally_rational,
-            "minimally_rational": sets.minimally_rational,
-            "weak_s_transitive": entry.transitivity.weak,
-            "almost_weak_s_transitive": entry.transitivity.almost_weak,
-            "moderate_s_transitive": entry.transitivity.moderate,
-            "almost_moderate_s_transitive": entry.transitivity.almost_moderate,
-            "strong_s_transitive": entry.transitivity.strong,
-            "triangular_condition": entry.triangular.holds,
-            "selective_contractions": entry.selective_contractions,
-            "selective_expansions": entry.selective_expansions,
-        },
+        "flags": {name: flag(entry) for name, flag in _FLAGS},
         "triangular_witness": (
             list(entry.triangular.witness) if entry.triangular.witness else None
         ),
@@ -277,16 +283,7 @@ _CSV_COLUMNS = [
     "status",
     "rationality_index",
     "irrationality_set",
-    "maximally_rational",
-    "minimally_rational",
-    "weak_s_transitive",
-    "almost_weak_s_transitive",
-    "moderate_s_transitive",
-    "almost_moderate_s_transitive",
-    "strong_s_transitive",
-    "triangular_condition",
-    "selective_contractions",
-    "selective_expansions",
+    *(name for name, _ in _FLAGS),
 ]
 
 
@@ -307,23 +304,13 @@ def render_csv(report: AnalysisReport) -> str:
             padding = [""] * (len(_CSV_COLUMNS) - 2)
             writer.writerow([entry.subject, f"error:{entry.kind}"] + padding)
             continue
-        sets = entry.sets
         writer.writerow(
             [
                 entry.subject,
                 "ok",
                 format_decimal(entry.index, report.config.digits),
-                str(sets.union),
-                _csv_flag(sets.maximally_rational),
-                _csv_flag(sets.minimally_rational),
-                _csv_flag(entry.transitivity.weak),
-                _csv_flag(entry.transitivity.almost_weak),
-                _csv_flag(entry.transitivity.moderate),
-                _csv_flag(entry.transitivity.almost_moderate),
-                _csv_flag(entry.transitivity.strong),
-                _csv_flag(entry.triangular.holds),
-                _csv_flag(entry.selective_contractions),
-                _csv_flag(entry.selective_expansions),
+                str(entry.sets.union),
+                *(_csv_flag(flag(entry)) for _, flag in _FLAGS),
             ]
         )
     return buffer.getvalue()

@@ -22,12 +22,12 @@ import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .choice import (
+    AxiomReport,
     ChoiceCorrespondence,
     Menu,
     as_menu,
@@ -346,38 +346,12 @@ def threshold_cuts(scf: StochasticChoiceFunction) -> tuple[Fraction, ...]:
     return scf.core.cuts[1:]
 
 
-@dataclass(frozen=True)
-class LambdaRationality:
-    """Result of a single-threshold rationality check.
-
-    ``failures`` lists (axiom, witness) pairs for the violated axioms, in
-    the fixed order: contraction ("chernoff"), pairwise winner
-    ("condorcet"), cycle composition ("transitivity").
-    """
-
-    rational: bool
-    failures: tuple[tuple[str, tuple], ...]
-
-    def __bool__(self) -> bool:
-        return self.rational
-
-
-def is_lambda_rational(
-    scf: StochasticChoiceFunction, lam: Fraction
-) -> LambdaRationality:
+def is_lambda_rational(scf: StochasticChoiceFunction, lam: Fraction) -> AxiomReport:
     """Check whether the threshold correspondence at ``lam`` is rational.
 
-    This runs the deterministic axiom checks on the constructed
-    correspondence; it is deliberately independent of the interval-set
-    route in :mod:`stochrat.measure`, so the two can cross-validate.
+    The report is true when all three axioms hold.  This runs the
+    deterministic axiom checks on the constructed correspondence; it is
+    deliberately independent of the interval-set route in
+    :mod:`stochrat.measure`, so the two can cross-validate.
     """
-    correspondence = fishburn_correspondence(scf, lam)
-    report = check_axioms(correspondence)
-    failures: list[tuple[str, tuple]] = []
-    if not report.chernoff:
-        failures.append(("chernoff", report.chernoff_witness))
-    if not report.condorcet:
-        failures.append(("condorcet", report.condorcet_witness))
-    if not report.no_cycle:
-        failures.append(("transitivity", report.no_cycle_witness))
-    return LambdaRationality(rational=not failures, failures=tuple(failures))
+    return check_axioms(fishburn_correspondence(scf, lam))

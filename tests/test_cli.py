@@ -165,6 +165,49 @@ def test_model_random_seed_reproducible(capsys, tmp_path):
     assert first[1] != other[1]
 
 
+UTILITY = {"a": "3", "b": "2", "c": "1"}
+
+
+@pytest.mark.parametrize(
+    "spec,field",
+    [
+        ({"kind": "tremble", "utility": UTILITY}, "lacks field 'alpha'"),
+        (
+            {"kind": "general_luce", "utility": UTILITY,
+             "consideration": [{"menu": ["a", "b"]}]},
+            "consideration[0] lacks field 'allowed'",
+        ),
+        (
+            {"kind": "random", "universe": ["a", "b", "c"], "denominator_bound": None},
+            "field 'denominator_bound' must be an integer, got None",
+        ),
+        (
+            {"kind": "drum", "first": UTILITY, "second": UTILITY, "weights": ["a"]},
+            "weights[0] must be an object",
+        ),
+    ],
+    ids=["tremble-alpha", "consideration-allowed", "null-denominator-bound", "weights-entry"],
+)
+def test_bad_model_spec_exits_2(capsys, tmp_path, spec, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run_cli(capsys, "model", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and field in err
+
+
+def test_max_universe_replaces_both_domain_caps(capsys):
+    code, out, _ = run_cli(capsys, "--max-universe", "4", "analyze", PANEL, "--format", "csv")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 26
+    assert all(row.split(",")[1] == "error:capacity" for row in rows)
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "12 alternatives on the full domain, 64 on the pairwise domain" in help_text
+
+
 def test_lambda_rational_threshold(capsys):
     code, out, _ = run_cli(capsys, "lambda", DEMO, "--subject", "s1", "--lambda", "1/2")
     assert code == 0

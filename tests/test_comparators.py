@@ -124,6 +124,17 @@ def test_swap_capacity():
         swap_index(scf)
 
 
+def test_region_comparator_capacity():
+    seven = random_scf(1, [f"a{i}" for i in range(7)], domain_kind=DomainKind.PAIRWISE)
+    with pytest.raises(CapacityError, match="up to 6 alternatives; got 7"):
+        total_compare(seven, seven)
+    with pytest.raises(CapacityError, match="up to 6 alternatives; got 7"):
+        totally_rational_regions(seven)
+    five = random_scf(1, "abcde")  # 26 menus
+    with pytest.raises(CapacityError, match="up to 20 menus; got 26"):
+        hybrid_compare(five, five)
+
+
 def test_coin_has_maximal_swap_value_among_two_alternative_scfs():
     # on two alternatives the swap index is min(p, 1-p) <= 1/2
     target = swap_index(coin()).value

@@ -241,6 +241,13 @@ JSON_ERRORS = [
     (_json_doc({"menu": AB, "alternative": "a", "count": 1},
                {"menu": AB, "alternative": "b", "prob": "x"}),
      "data.json: subjects[0].observations[1]: not a rational number: 'x'"),
+    # JSON null is a missing value, not the label "None"
+    (_json_doc({"menu": AB, "alternative": "a", "count": 1}, subject=None),
+     "data.json: subjects[0].observations[0]: empty subject id"),
+    (_json_doc({"menu": AB, "alternative": None, "count": 1}),
+     "data.json: subjects[0].observations[0]: empty alternative"),
+    (_json_doc({"menu": ["a", None], "alternative": "a", "count": 1}),
+     "data.json: subjects[0].observations[0]: empty label in menu field 'a|'"),
 ]
 
 

@@ -27,6 +27,7 @@ from stochrat import (
 )
 from stochrat.dataset import parse_dataset
 
+import oracles
 from conftest import FIXTURES
 
 F = Fraction
@@ -77,7 +78,8 @@ def test_witnesses_really_violate(demo_scf):
 
 
 def test_adjacent_and_full_pair_chernoff_agree(demo_scf):
-    assert chernoff_set(demo_scf) == chernoff_set(demo_scf, full_pairs=True)
+    all_nested = oracles.chernoff_pairs(demo_scf, full_pairs=True)
+    assert chernoff_set(demo_scf) == IntervalUnion.from_pairs(all_nested)
 
 
 # -- interval route vs direct route ----------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 import oracles
 from stochrat import (
     DomainKind,
+    IntervalUnion,
     SplitMix64,
     chernoff_set,
     classify_transitivity,
@@ -66,7 +67,8 @@ def test_rank_core_matches_fraction_reference(name):
     assert tuple((w.interval, w.axiom, w.detail) for w in sets.witnesses) == (
         expected["witnesses"]
     )
-    assert chernoff_set(scf, full_pairs=True) == sets.chernoff
+    all_nested = oracles.chernoff_pairs(scf, full_pairs=True)
+    assert IntervalUnion.from_pairs(all_nested) == sets.chernoff
     assert is_selective_in_contractions(scf) == oracles.selective_in_contractions(scf)
     assert is_selective_in_expansions(scf) == oracles.selective_in_expansions(scf)
     flags = classify_transitivity(scf)

@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from stochrat import measure
 from stochrat.dataset import ChoiceDataset, parse_dataset
+from stochrat.intervals import IntervalUnion
 from stochrat.measure import compare_many
+from stochrat.models import random_scf
 from stochrat.report import (
     AnalysisConfig,
     AnalysisReport,
@@ -53,6 +56,17 @@ def test_analyze_scf_oracle_mode_agrees(demo_scf):
     checked = analyze_scf(demo_scf, subject="demo", config=AnalysisConfig(oracle=True))
     assert checked.sets.union == fast.sets.union
     assert checked.index == fast.index
+
+
+def test_oracle_checks_each_part_not_only_the_union(monkeypatch):
+    # The true cycle part, (1/2,8/9], lies inside the other two parts, so
+    # emptying it leaves the union as it was.
+    scf = random_scf(0, "abc", denominator_bound=9)
+    config = AnalysisConfig(oracle=True)
+    assert str(analyze_scf(scf, config=config).sets.transitivity) == "(1/2,8/9]"
+    monkeypatch.setattr(measure, "transitivity_set", lambda scf: IntervalUnion.empty())
+    with pytest.raises(AssertionError, match="^cycle set and axiom checking disagree at 25/36$"):
+        analyze_scf(scf, config=config)
 
 
 def test_run_analyze_demo(demo_report):
