@@ -76,8 +76,13 @@ class ChoiceCorrespondence:
         universe: Optional[Iterable[str]] = None,
     ) -> None:
         table: dict[Menu, frozenset[str]] = {}
+        checked: set[str] = set()  # labels that passed as_menu
         for raw_menu, raw_chosen in choices.items():
-            menu = as_menu(raw_menu)
+            if type(raw_menu) is frozenset and raw_menu and raw_menu <= checked:
+                menu = raw_menu
+            else:
+                menu = as_menu(raw_menu)
+                checked |= menu
             if menu in table:
                 raise ValueError(f"duplicate menu {menu_str(menu)}")
             chosen = frozenset(raw_chosen)
@@ -89,14 +94,14 @@ class ChoiceCorrespondence:
                     f"chosen alternatives {stray} not in menu {menu_str(menu)}"
                 )
             table[menu] = chosen
-        members = set().union(*table.keys()) if table else set()
         if universe is None:
-            universe_set = members
+            universe_set = checked
         else:
             universe_set = {str(x) for x in universe}
-            if not members <= universe_set:
+            if not checked <= universe_set:
                 raise ValueError("universe does not cover all menu members")
-        self._table = dict(sorted(table.items(), key=lambda kv: menu_key(kv[0])))
+        # menu_key order (``sorted`` gives the same key as a list)
+        self._table = {menu: table[menu] for menu in sorted(table, key=sorted)}
         self._universe = tuple(sorted(universe_set))
 
     @property

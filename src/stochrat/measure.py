@@ -13,7 +13,11 @@ axiom emits rank pairs (lo, hi]; a difference array over the ranks marks
 the covered cells, and only runs of covered cells become exact Fraction
 intervals.  Contraction uses nested menus differing by one element (a
 chain argument shows larger gaps add nothing).  Cycles need one interval
-per ordered (x, z): the triples through every y share the right end.
+per ordered (x, z), since the triples through every y share the right
+end; one ascending sweep over the pair ranks, on bitsets of the revealed
+strict preferences, finds every left end without visiting the triples.
+The transitivity flags read the relations "at least one half" and "above
+one half" as bitsets too.
 
 A witness is the least violating tuple at the right end of a maximal
 interval.  Menus are tried in ``menu_key`` order; for contraction the
@@ -98,6 +102,14 @@ def condorcet_set(scf: StochasticChoiceFunction) -> IntervalUnion:
     return core.union_of(spans)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def transitivity_set(scf: StochasticChoiceFunction) -> IntervalUnion:
     """Thresholds at which strict pairwise preference fails to compose.
 
@@ -105,17 +117,49 @@ def transitivity_set(scf: StochasticChoiceFunction) -> IntervalUnion:
     nlik(z, {y,z}) the correspondence reveals x over y over z strictly, so
     any threshold still keeping z against x, i.e. up to nlik(z, {x,z}),
     witnesses a cycle.  For fixed (x, z) the triples share their right
-    end, so one interval per ordered pair starts at the least left end.
+    end, so one interval per ordered pair starts at the least left end,
+    min over y of max(rank(y, {x,y}), rank(z, {y,z})); one sweep over the
+    pair ranks finds them all (``_cycle_spans``).
     """
     core = scf.core
+    if core.n < 3:
+        return IntervalUnion.empty()
+    return core.union_of(_cycle_spans(core))
+
+
+def _cycle_spans(core: SubjectCore) -> Iterator[tuple[int, int]]:
+    """(least left end, rank(z, {x,z})) for every ordered pair (x, z).
+
+    Edge (a, b), "a over b", is revealed above rank(b, {a,b}).  The edges
+    are taken in ascending rank; bitsets hold, per alternative, whom it is
+    revealed over (``over``) and under (``under``), and per row x and
+    column z the pairs (x, z) already resolved.  When (a, b) is revealed
+    at rank t, the new pairs are (a, z) for z under b and (x, b) for x
+    over a, minus those resolved: each pair is resolved once, at the
+    least such t.
+    """
     r = core.pair_rank
     n = core.n
-    if n < 3:
-        return IntervalUnion.empty()
-    return core.union_of(
-        (min(max(r[y][x], r[z][y]) for y in range(n) if y != x and y != z), r[z][x])
-        for x, z in itertools.permutations(range(n), 2)
-    )
+    over = [0] * n
+    under = [0] * n
+    row_done = [1 << x for x in range(n)]  # z with (x, z) resolved, x itself
+    col_done = [1 << z for z in range(n)]  # x with (x, z) resolved, z itself
+    edges = sorted((r[b][a], a, b) for a, b in itertools.permutations(range(n), 2))
+    for t, a, b in edges:
+        fresh = over[b] & ~row_done[a]
+        if fresh:
+            row_done[a] |= fresh
+            for z in _bits(fresh):
+                col_done[z] |= 1 << a
+                yield t, r[z][a]
+        fresh = under[a] & ~col_done[b]
+        if fresh:
+            col_done[b] |= fresh
+            for x in _bits(fresh):
+                row_done[x] |= 1 << b
+                yield t, r[b][x]
+        over[a] |= 1 << b
+        under[b] |= 1 << a
 
 
 # -- decomposition and index ---------------------------------------------
@@ -421,31 +465,50 @@ class TransitivityFlags:
 
 
 def classify_transitivity(scf: StochasticChoiceFunction) -> TransitivityFlags:
+    """Evaluate the five notions on the relations W[x] = {z : P(x over z)
+    >= 1/2} and S[x] = {z : P(x over z) > 1/2} (z != x), as bitsets.
+
+    Weak transitivity fails exactly when some y in W[x] has W[y] outside
+    W[x] and {x}; almost-weak when some y in S[x] has S[y] outside them.
+    Moderate, almost-moderate and strong compare values, so for each
+    premise pair (x, y) they walk only z in W[y] minus x.  The walk stops
+    once every flag is false.
+    """
     core = scf.core
     p = core.pair_num
     half = core.pair_den // 2
+    n = core.n
+    at_least = [0] * n
+    above = [0] * n
+    for x, z in itertools.permutations(range(n), 2):
+        if p[x][z] >= half:
+            at_least[x] |= 1 << z
+            if p[x][z] > half:
+                above[x] |= 1 << z
     weak = almost_weak = moderate = almost_moderate = strong = True
-    for x, y in itertools.permutations(range(core.n), 2):
-        p_xy = p[x][y]
-        if p_xy < half:
-            continue  # no premise holds for any z
-        for z in range(core.n):
-            if z == x or z == y:
+    for x in range(n):
+        p_x = p[x]
+        kept = at_least[x] | 1 << x
+        for y in _bits(at_least[x]):
+            p_xy = p_x[y]
+            strict = p_xy > half
+            if at_least[y] & ~kept:
+                weak = False
+                if strict and above[y] & ~kept:
+                    almost_weak = False
+            if not (moderate or almost_moderate or strong):
                 continue
-            p_yz = p[y][z]
-            p_xz = p[x][z]
-            if p_yz >= half:
-                if p_xz < half:
-                    weak = False
-                if p_xz < min(p_xy, p_yz):
-                    moderate = False
-                if p_xz < max(p_xy, p_yz):
+            p_y = p[y]
+            for z in _bits(at_least[y] & ~(1 << x)):
+                p_xz, p_yz = p_x[z], p_y[z]
+                if p_xz < p_xy or p_xz < p_yz:
                     strong = False
-                if p_xy > half and p_yz > half:
-                    if p_xz < half:
-                        almost_weak = False
-                    if p_xz < min(p_xy, p_yz):
-                        almost_moderate = False
+                    if p_xz < p_xy and p_xz < p_yz:
+                        moderate = False
+                        if strict and p_yz > half:
+                            almost_moderate = False
+        if not (weak or almost_weak or moderate or almost_moderate or strong):
+            break
     return TransitivityFlags(weak, almost_weak, moderate, almost_moderate, strong)
 
 
@@ -457,14 +520,30 @@ class TriangularResult:
 
 def triangular_condition(scf: StochasticChoiceFunction) -> TriangularResult:
     """Check P(x over y) + P(y over z) + P(z over x) <= 2 on every ordered
-    triple; a necessary condition for mixtures of rankings when the
-    universe has at most five alternatives."""
+    triple.  The condition is necessary for mixtures of rankings (binary
+    random utility) at every universe size, and sufficient only when the
+    universe has at most five alternatives.
+
+    The witness is the first violating triple in
+    ``itertools.permutations`` order.  The three rotations of a triple
+    have the same sum, so that triple starts with its least alternative,
+    and only x < y, z is scanned.  With P(z over x) = 1 - P(x over z) the
+    test reads off two rows: P(y over z) - P(x over z) > 1 - P(x over y).
+    """
     core = scf.core
     p = core.pair_num
-    two = 2 * core.pair_den
-    for x, y, z in itertools.permutations(range(core.n), 3):
-        if p[x][y] + p[y][z] + p[z][x] > two:
-            return TriangularResult(False, (core.labels[x], core.labels[y], core.labels[z]))
+    n = core.n
+    den = core.pair_den
+    for x in range(n):
+        p_x = p[x]
+        for y in range(x + 1, n):
+            p_y = p[y]
+            bound = den - p_x[y]
+            for z in range(x + 1, n):
+                # z == y never passes: its left side is -P(x over y)
+                if p_y[z] - p_x[z] > bound:
+                    witness = core.labels[x], core.labels[y], core.labels[z]
+                    return TriangularResult(False, witness)
     return TriangularResult(True, None)
 
 

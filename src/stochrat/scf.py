@@ -306,10 +306,11 @@ def fishburn_correspondence(
     core = scf.core
     # likelihood >= lam  <=>  rank >= floor; at lam = 0 keep rank >= 1 (> 0)
     floor = max(1, bisect.bisect_left(core.cuts, lam))
+    # in menu_key order, which the correspondence keeps
     table = {}
-    for mask, menu in core.menu_set.items():
+    for mask in core.by_key:
         row = core.rank[mask]
-        table[menu] = frozenset(
+        table[core.menu_set[mask]] = frozenset(
             core.labels[i] for i in core.members[mask] if row[i] >= floor
         )
     return ChoiceCorrespondence(table, universe=scf.universe)

@@ -325,6 +325,81 @@ def triangular_witness(scf: StochasticChoiceFunction):
     return None
 
 
+# -- pairwise structure by brute force over the core's integer tables -----------
+#
+# The same formulas as above, on ``scf.core.pair_rank`` and ``pair_num``
+# instead of Fractions, so that every ordered triple can be scanned at n = 64.
+# These are the triple loops that stochrat.measure replaced by bitset sweeps.
+
+
+def core_transitivity_set(scf: StochasticChoiceFunction) -> IntervalUnion:
+    """Union over ordered (x, z) of (min over y of max(r[y][x], r[z][y]),
+    r[z][x]] on the core's cuts."""
+    core = scf.core
+    r, cuts, n = core.pair_rank, core.cuts, core.n
+    pairs = []
+    for x, z in itertools.permutations(range(n), 2):
+        middles = [max(r[y][x], r[z][y]) for y in range(n) if y != x and y != z]
+        if middles and min(middles) < r[z][x]:
+            pairs.append((cuts[min(middles)], cuts[r[z][x]]))
+    return IntervalUnion.from_pairs(pairs)
+
+
+def core_transitivity_witness(scf: StochasticChoiceFunction, hi: Fraction):
+    """First ordered (x, y, z) with max(r[y][x], r[z][y]) < h <= r[z][x],
+    where h is the rank of ``hi``."""
+    core = scf.core
+    r, h = core.pair_rank, core.cuts.index(hi)
+    for x, y, z in itertools.permutations(range(core.n), 3):
+        if max(r[y][x], r[z][y]) < h <= r[z][x]:
+            return core.labels[x], core.labels[y], core.labels[z]
+    return None
+
+
+def core_transitivity_flags(scf: StochasticChoiceFunction) -> tuple[bool, ...]:
+    """(weak, almost weak, moderate, almost moderate, strong) over every
+    ordered triple of the integer pair table."""
+    core = scf.core
+    p, half = core.pair_num, core.pair_den // 2
+    flags = [True] * 5
+    for x, y, z in itertools.permutations(range(core.n), 3):
+        p_xy, p_yz, p_xz = p[x][y], p[y][z], p[x][z]
+        if p_xy >= half and p_yz >= half:
+            bounds = [half, None, min(p_xy, p_yz), None, max(p_xy, p_yz)]
+            if p_xy > half and p_yz > half:
+                bounds[1], bounds[3] = half, min(p_xy, p_yz)
+            for flag, bound in enumerate(bounds):
+                if bound is not None and p_xz < bound:
+                    flags[flag] = False
+    return tuple(flags)
+
+
+def core_triangular_witness(scf: StochasticChoiceFunction):
+    """First ordered triple of the integer pair table whose cyclic sum
+    exceeds two, or None."""
+    core = scf.core
+    p, two = core.pair_num, 2 * core.pair_den
+    for x, y, z in itertools.permutations(range(core.n), 3):
+        if p[x][y] + p[y][z] + p[z][x] > two:
+            return core.labels[x], core.labels[y], core.labels[z]
+    return None
+
+
+def core_pairwise_reference(scf: StochasticChoiceFunction) -> dict:
+    """Cycle set, its witnesses, the five flags and the triangular witness
+    of a pairwise subject, by brute force on the integer tables."""
+    cycle = core_transitivity_set(scf)
+    return {
+        "transitivity": cycle,
+        "witnesses": tuple(
+            ((lo, hi), "transitivity", core_transitivity_witness(scf, hi))
+            for lo, hi in cycle
+        ),
+        "flags": core_transitivity_flags(scf),
+        "triangular": core_triangular_witness(scf),
+    }
+
+
 # -- subject tables by plain Fraction formulas ----------------------------------
 #
 # What a subject built from the table ``probs`` (menu -> member -> Fraction,

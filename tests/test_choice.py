@@ -47,6 +47,28 @@ def test_choice_must_be_nonempty_subset():
         corr({("x", "y"): ("z",)})
 
 
+def test_frozenset_menus_after_valid_ones_are_still_validated():
+    ok = frozenset(("x", "y"))
+    for bad in (frozenset(("x", 1)), frozenset(("y", "")), frozenset()):
+        with pytest.raises(ValueError):
+            ChoiceCorrespondence({ok: ok, bad: ok})
+    with pytest.raises(ValueError, match="duplicate menu"):
+        ChoiceCorrespondence({ok: ok, ("y", "x"): ("x",)})
+    with pytest.raises(ValueError, match="not in menu"):
+        ChoiceCorrespondence({ok: ok, frozenset(("y",)): ("x",)})
+    with pytest.raises(ValueError, match="universe"):
+        ChoiceCorrespondence({ok: ok, frozenset(("y",)): ("y",)}, universe=("x",))
+
+
+def test_table_kept_in_menu_key_order_whatever_the_input_order():
+    menus = [frozenset(m) for m in ("xyz", "yz", "xz", "xy", "z", "x")]
+    forward = ChoiceCorrespondence({m: m for m in menus})
+    backward = ChoiceCorrespondence({m: m for m in reversed(menus)})
+    assert repr(forward) == repr(backward)
+    assert repr(forward).startswith("ChoiceCorrespondence({x}->{x}, {x,y}->{x,y}, {x,y,z}")
+    assert forward.universe == ("x", "y", "z")
+
+
 def test_singleton_menus_are_trivial():
     c = corr({("x",): ("x",), ("x", "y"): ("y",)})
     assert c.choice(frozenset(("x",))) == {"x"}

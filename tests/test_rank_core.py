@@ -6,15 +6,19 @@ seeded subjects of both domains every set, witness and flag must agree, and
 the union must agree with direct axiom checking on the critical grid.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from stochrat import (
     DomainKind,
     IntervalUnion,
     SplitMix64,
+    StochasticChoiceFunction,
     chernoff_set,
     classify_transitivity,
     condorcet_set,
@@ -96,3 +100,166 @@ def test_subjects_cover_both_selectivity_outcomes():
     assert any(not is_selective_in_contractions(s) for s in full)
     assert any(not is_selective_in_expansions(s) for s in full)
     assert any(not irrationality_sets(s).maximally_rational for s in full)
+
+
+# -- pairwise subjects at scale -------------------------------------------------
+#
+# Random pairwise tables are minimally rational from n = 10 or so, which tests
+# one witness at the top cut.  These seeded subjects keep most pairs
+# transitive, so their cycle sets break into several maximal intervals, and
+# they put exact halves and zero probabilities into the pair table.
+
+
+def _label(i: int) -> str:
+    return f"a{i:02d}"
+
+
+def _pairwise(n: int, win) -> StochasticChoiceFunction:
+    """Pairwise subject with P(a_i over a_j) = win(i, j) for i < j."""
+    table = {}
+    for i, j in itertools.combinations(range(n), 2):
+        p = win(i, j)
+        table[frozenset((_label(i), _label(j)))] = {_label(i): p, _label(j): 1 - p}
+    return StochasticChoiceFunction(table, DomainKind.PAIRWISE)
+
+
+def _utilities(gen: SplitMix64, n: int, top: int) -> list[int]:
+    return [1 + gen.below(top) for _ in range(n)]
+
+
+def noisy_ranking(seed: int, n: int) -> StochasticChoiceFunction:
+    """Pairwise Luce on utilities 1..30 (rational at every threshold), one
+    pair in four moved by at most 2/40 without changing its winner: each
+    move breaks the product rule and can open an interior interval."""
+    gen = SplitMix64(seed)
+    u = _utilities(gen, n, 30)
+    half = Fraction(1, 2)
+
+    def win(i, j):
+        p = Fraction(u[i], u[i] + u[j])
+        if gen.below(4) == 0:
+            q = p + Fraction(gen.below(5) - 2, 40)
+            if 0 < q < 1 and (q > half) == (p > half):
+                p = q
+        return p
+
+    return _pairwise(n, win)
+
+
+def planted_cycle(seed: int, n: int) -> StochasticChoiceFunction:
+    """Pairwise Luce on distinct utilities 1..n with the pair a > c of one
+    chain a > b > c reversed: a cycle a > b > c > a inside a ranking."""
+    gen = SplitMix64(seed)
+    u = list(range(1, n + 1))
+    gen.shuffle(u)
+    order = sorted(range(n), key=lambda i: -u[i])
+    k = gen.below(n - 2)
+    a, c = order[k], order[k + 2]
+
+    def win(i, j):
+        p = Fraction(u[i], u[i] + u[j])
+        return 1 - p if {i, j} == {a, c} else p
+
+    return _pairwise(n, win)
+
+
+def ties_and_zeros(seed: int, n: int) -> StochasticChoiceFunction:
+    """Four tiers: a higher tier wins with probability 1, and within a
+    tier Luce on utilities 1 and 2, so equal utilities tie at exactly 1/2.
+    That much is strongly transitive; then seed mod 3 pairs are redrawn
+    from 0, 1/4, 1/2, 3/4 and 1."""
+    gen = SplitMix64(seed)
+    tier = _utilities(gen, n, 4)
+    u = _utilities(gen, n, 2)
+    pairs = list(itertools.combinations(range(n), 2))
+    redrawn = {
+        pairs[gen.below(len(pairs))]: Fraction(gen.below(5), 4) for _ in range(seed % 3)
+    }
+
+    def win(i, j):
+        if (i, j) in redrawn:
+            return redrawn[i, j]
+        if tier[i] != tier[j]:
+            return Fraction(int(tier[i] < tier[j]))
+        return Fraction(u[i], u[i] + u[j])
+
+    return _pairwise(n, win)
+
+
+WIDE_KINDS = {"noisy": noisy_ranking, "cycle": planted_cycle, "ties": ties_and_zeros}
+WIDE = {
+    f"{kind}-n{n}-s{seed}": make(1000 * n + seed, n)
+    for kind, make in WIDE_KINDS.items()
+    for n in (16, 24, 64)
+    for seed in range(3)
+}
+
+
+def _pairwise_outputs(scf):
+    sets = irrationality_sets(scf)
+    flags = classify_transitivity(scf)
+    return {
+        "transitivity": transitivity_set(scf),
+        "witnesses": tuple((w.interval, w.axiom, w.detail) for w in sets.witnesses),
+        "flags": (
+            flags.weak,
+            flags.almost_weak,
+            flags.moderate,
+            flags.almost_moderate,
+            flags.strong,
+        ),
+        "triangular": triangular_condition(scf).witness,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(WIDE))
+def test_wide_pairwise_matches_brute_force(name):
+    scf = WIDE[name]
+    got = _pairwise_outputs(scf)
+    assert got == oracles.core_pairwise_reference(scf)
+    assert got["transitivity"] == irrationality_sets(scf).union
+    if scf.core.n <= 24:
+        fractions = oracles.reference_sets(scf)
+        assert got["transitivity"] == fractions["transitivity"] == fractions["union"]
+        assert got["witnesses"] == fractions["witnesses"]
+        assert got["flags"] == oracles.transitivity_flags(scf)
+        assert got["triangular"] == oracles.triangular_witness(scf)
+
+
+def test_wide_subjects_reach_interior_endpoints():
+    """The seeded subjects reach what random tables do not: cycle sets of
+    several maximal intervals, every flag both ways, both triangular
+    outcomes, exact halves and zero-probability pairs."""
+    pieces = [len(transitivity_set(scf).intervals) for scf in WIDE.values()]
+    assert sum(count >= 2 for count in pieces) >= 5
+    assert 0 in pieces
+    flags = [_pairwise_outputs(scf)["flags"] for scf in WIDE.values()]
+    for k in range(5):
+        assert {f[k] for f in flags} == {True, False}
+    assert {triangular_condition(scf).holds for scf in WIDE.values()} == {True, False}
+    tables = [scf.core for scf in WIDE.values() if scf.core.n <= 24]
+    off_diagonal = [
+        (core.pair_num[i][j], core.pair_den)
+        for core in tables
+        for i, j in itertools.permutations(range(core.n), 2)
+    ]
+    assert any(2 * num == den for num, den in off_diagonal)
+    assert any(num == 0 for num, _ in off_diagonal)
+
+
+@st.composite
+def pair_tables(draw):
+    """Pairwise subjects at n = 3..12 whose pair probabilities have
+    denominators 2, 4 and 10, so ties, halves and zeros are common."""
+    n = draw(st.integers(3, 12))
+    cells = {}
+    for i, j in itertools.combinations(range(n), 2):
+        den = draw(st.sampled_from((2, 4, 10)))
+        cells[i, j] = Fraction(draw(st.integers(0, den)), den)
+    return _pairwise(n, lambda i, j: cells[i, j])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pair_tables())
+def test_sweeps_match_brute_force_on_drawn_tables(scf):
+    assert _pairwise_outputs(scf) == oracles.core_pairwise_reference(scf)
