@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .errors import CapacityError
 
 Menu = frozenset[str]
+V = TypeVar("V")
 
 TOTAL_RATIONALITY_CAP = 6
 HOUTMAN_MAKS_CAP = 20
@@ -62,6 +63,35 @@ def menu_str(menu: Menu) -> str:
     return "{" + ",".join(sorted(menu)) + "}"
 
 
+def menu_table(
+    table: Mapping[Iterable[str], V], universe: Optional[Iterable[str]] = None
+) -> tuple[dict[Menu, V], tuple[str, ...]]:
+    """``table`` keyed by validated menus, and the sorted universe: the
+    given one, which must cover every menu, or the menus' labels.
+
+    A frozenset whose labels all passed :func:`as_menu` in earlier menus
+    is taken as it is; a menu may appear only once.
+    """
+    keyed: dict[Menu, V] = {}
+    checked: set[str] = set()  # labels that passed as_menu
+    for raw_menu, value in table.items():
+        if type(raw_menu) is frozenset and raw_menu and raw_menu <= checked:
+            menu = raw_menu
+        else:
+            menu = as_menu(raw_menu)
+            checked |= menu
+        if menu in keyed:
+            raise ValueError(f"duplicate menu {menu_str(menu)}")
+        keyed[menu] = value
+    if universe is None:
+        universe_set = checked
+    else:
+        universe_set = {str(x) for x in universe}
+        if not checked <= universe_set:
+            raise ValueError("universe does not cover all menu members")
+    return keyed, tuple(sorted(universe_set))
+
+
 class ChoiceCorrespondence:
     """Menu -> chosen subset, with eager validation.
 
@@ -75,17 +105,11 @@ class ChoiceCorrespondence:
         choices: Mapping[Iterable[str], Iterable[str]],
         universe: Optional[Iterable[str]] = None,
     ) -> None:
-        table: dict[Menu, frozenset[str]] = {}
-        checked: set[str] = set()  # labels that passed as_menu
-        for raw_menu, raw_chosen in choices.items():
-            if type(raw_menu) is frozenset and raw_menu and raw_menu <= checked:
-                menu = raw_menu
-            else:
-                menu = as_menu(raw_menu)
-                checked |= menu
-            if menu in table:
-                raise ValueError(f"duplicate menu {menu_str(menu)}")
-            chosen = frozenset(raw_chosen)
+        keyed, self._universe = menu_table(choices, universe)
+        # kept in menu_key order (``sorted`` gives the same key as a list)
+        self._table: dict[Menu, frozenset[str]] = {}
+        for menu in sorted(keyed, key=sorted):
+            chosen = frozenset(keyed[menu])
             if not chosen:
                 raise ValueError(f"empty choice set for menu {menu_str(menu)}")
             if not chosen <= menu:
@@ -93,16 +117,7 @@ class ChoiceCorrespondence:
                 raise ValueError(
                     f"chosen alternatives {stray} not in menu {menu_str(menu)}"
                 )
-            table[menu] = chosen
-        if universe is None:
-            universe_set = checked
-        else:
-            universe_set = {str(x) for x in universe}
-            if not checked <= universe_set:
-                raise ValueError("universe does not cover all menu members")
-        # menu_key order (``sorted`` gives the same key as a list)
-        self._table = {menu: table[menu] for menu in sorted(table, key=sorted)}
-        self._universe = tuple(sorted(universe_set))
+            self._table[menu] = chosen
 
     @property
     def universe(self) -> tuple[str, ...]:

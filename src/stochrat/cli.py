@@ -125,7 +125,7 @@ def _print_flags(
         print(f"{indent}triangular condition: FAIL ({x},{y},{z})")
 
 
-def _print_analysis(analysis, digits: int) -> None:
+def _print_analysis(analysis) -> None:
     sets = analysis.sets
     print(f"subject: {analysis.subject}")
     print(f"domain: {analysis.domain.value} over {len(analysis.universe)} alternatives")
@@ -136,7 +136,7 @@ def _print_analysis(analysis, digits: int) -> None:
     print(
         "rationality index: "
         f"{format_rational(analysis.index)} "
-        f"({format_decimal(analysis.index, digits)})"
+        f"({format_decimal(analysis.index)})"
     )
     print(f"maximally rational: {_flag_text(sets.maximally_rational)}")
     print(f"minimally rational: {_flag_text(sets.minimally_rational)}")
@@ -179,13 +179,13 @@ def _cmd_model(args: argparse.Namespace, config: AnalysisConfig) -> int:
     from .modelspec import load_model_spec
 
     loaded = load_model_spec(
-        args.spec, default_seed=config.seed, max_universe=config.max_universe
+        args.spec, default_seed=args.seed, max_universe=config.max_universe
     )
     print(f"model kind: {loaded.kind}")
     for note in loaded.notes:
         print(f"note: {note}")
     analysis = analyze_scf(loaded.scf, subject=loaded.kind, config=config)
-    _print_analysis(analysis, config.digits)
+    _print_analysis(analysis)
     if args.emit_dataset:
         write_dataset_csv(args.emit_dataset, scf_to_rows(loaded.scf))
         print(f"dataset written: {args.emit_dataset}")
@@ -236,7 +236,7 @@ def _cmd_swap(args: argparse.Namespace, config: AnalysisConfig) -> int:
         result = swap_index(scf)
         print(
             f"{subject}: swap index {format_rational(result.value)} "
-            f"({format_decimal(result.value, config.digits)}), "
+            f"({format_decimal(result.value)}), "
             f"order {' > '.join(result.order)}, "
             f"optimal orders {result.optimal_orders}"
         )
@@ -256,9 +256,7 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = AnalysisConfig(
-        max_universe=args.max_universe, oracle=args.oracle, seed=args.seed
-    )
+    config = AnalysisConfig(max_universe=args.max_universe, oracle=args.oracle)
     try:
         return _COMMANDS[args.command](args, config)
     except CapacityError as exc:

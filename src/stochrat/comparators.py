@@ -77,20 +77,18 @@ def swap_index(scf: StochasticChoiceFunction) -> SwapResult:
                     pair_cost[index[a]][index[b]] += probs[b]
 
     # Scale to integers on a common denominator for fast exact DP.
-    denom = 1
-    for row in pair_cost:
-        for value in row:
-            denom = denom * value.denominator // math.gcd(denom, value.denominator)
+    denom = math.lcm(*(value.denominator for row in pair_cost for value in row))
     cost_int = [[int(v * denom) for v in row] for row in pair_cost]
 
     full = (1 << n) - 1
     # completion[mask]: minimal remaining cost when `mask` is already
-    # placed on top; ties[mask]: number of optimal completions.
+    # placed on top; ties[mask]: number of optimal completions;
+    # first[mask]: the least alternative that starts an optimal completion.
     completion = [0] * (full + 1)
     ties = [1] * (full + 1)
+    first = [0] * (full + 1)
     for mask in range(full - 1, -1, -1):
         best = None
-        count = 0
         for x in range(n):
             if mask & (1 << x):
                 continue
@@ -100,32 +98,22 @@ def swap_index(scf: StochasticChoiceFunction) -> SwapResult:
                 low = rest & -rest
                 add += cost_int[low.bit_length() - 1][x]
                 rest ^= low
-            total = add + completion[mask | (1 << x)]
+            below = mask | (1 << x)
+            total = add + completion[below]
             if best is None or total < best:
-                best = total
-                count = ties[mask | (1 << x)]
+                best, count, first[mask] = total, ties[below], x
             elif total == best:
-                count += ties[mask | (1 << x)]
-        completion[mask] = best if best is not None else 0
-        ties[mask] = count if count else 1
+                count += ties[below]
+        completion[mask] = best
+        ties[mask] = count
 
-    # Reconstruct the lexicographically least optimal order greedily.
+    # Following `first` from the empty prefix gives the lexicographically
+    # least optimal order.
     order: list[str] = []
     mask = 0
     while mask != full:
-        for x in range(n):
-            if mask & (1 << x):
-                continue
-            add = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                add += cost_int[low.bit_length() - 1][x]
-                rest ^= low
-            if add + completion[mask | (1 << x)] == completion[mask]:
-                order.append(labels[x])
-                mask |= 1 << x
-                break
+        order.append(labels[first[mask]])
+        mask |= 1 << first[mask]
 
     return SwapResult(
         value=Fraction(completion[0], denom),

@@ -27,8 +27,7 @@ class SubjectCore:
 
     * ``labels``: the universe in sorted order; alternative i is
       ``labels[i]`` (``index`` maps back) and bit i of a menu mask.
-    * ``menus``: menu masks in canonical order (size, then labels);
-      ``by_key``: the same masks in ``menu_key`` order, and ``key_pos``
+    * ``by_key``: the menu masks in ``menu_key`` order, and ``key_pos``
       maps a mask to its position there.  ``menu_set`` maps a mask back to
       the subject's frozenset and ``members`` to its ascending indices.
     * ``cuts``: 0 followed by the sorted distinct positive normalized
@@ -46,7 +45,6 @@ class SubjectCore:
     def __init__(
         self,
         labels: Sequence[str],
-        menus: Sequence[frozenset[str]],
         rows: Mapping[frozenset[str], tuple[Mapping[str, int], int]],
     ) -> None:
         n = len(labels)
@@ -58,21 +56,15 @@ class SubjectCore:
 
         self.menu_set: dict[int, frozenset[str]] = {}
         self.members: dict[int, tuple[int, ...]] = {}
-        for menu in menus:
-            members = tuple(sorted(index[x] for x in menu))
-            mask = sum(1 << i for i in members)
-            self.menu_set[mask] = menu
-            self.members[mask] = members
-        self.menus = tuple(self.menu_set)
-        self.by_key = tuple(sorted(self.menus, key=self.members.__getitem__))
-        self.key_pos = {mask: pos for pos, mask in enumerate(self.by_key)}
-
         # x's likelihood on a menu is nums[x] / max(nums) over the row's
         # integer numerators; key each by its reduced (num, den) pair
         self.scaled: dict[int, list[int]] = {}
         keyed: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-        for mask, menu in self.menu_set.items():
-            nums = rows[menu][0]
+        for menu, (nums, _) in rows.items():
+            members = tuple(sorted(index[x] for x in menu))
+            mask = sum(1 << i for i in members)
+            self.menu_set[mask] = menu
+            self.members[mask] = members
             top = max(nums.values())
             row_scaled = [0] * n
             row_keys = []
@@ -83,6 +75,8 @@ class SubjectCore:
                 row_keys.append((i, (num // g, top // g)))
             self.scaled[mask] = row_scaled
             keyed[mask] = row_keys
+        self.by_key = tuple(sorted(self.members, key=self.members.__getitem__))
+        self.key_pos = {mask: pos for pos, mask in enumerate(self.by_key)}
 
         # sort the distinct values by their float, which is correctly
         # rounded and so never inverts two values; equal floats fall back
@@ -98,7 +92,7 @@ class SubjectCore:
                 row_rank[i] = rank_of[key]
             self.rank[mask] = row_rank
 
-        pairs = [m for m in self.menus if len(self.members[m]) == 2]
+        pairs = [m for m in self.by_key if len(self.members[m]) == 2]
         # a scaled row sums to its own scale, since probabilities sum to 1
         self.pair_den = 2 * math.lcm(*(sum(self.scaled[m]) for m in pairs))
         self.pair_rank = [[0] * n for _ in range(n)]

@@ -259,7 +259,7 @@ class ChoiceDataset:
 
 
 def _read_csv(path: Path, ingest: _Ingest) -> None:
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             _read_csv_rows(path, reader, ingest)
@@ -309,7 +309,7 @@ def _json_int(text: str) -> Union[int, str]:
 
 
 def _read_json(path: Path, ingest: _Ingest) -> None:
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding="utf-8-sig") as handle:
         data = json.load(handle, parse_int=_json_int)
     if not isinstance(data, dict) or not isinstance(data.get("subjects"), list):
         raise ValueError(f"{path}: expected a top-level object with 'subjects'")
@@ -339,11 +339,11 @@ def _read_json(path: Path, ingest: _Ingest) -> None:
             )
 
 
-def parse_dataset(path: Union[str, Path], fmt: Optional[str] = None) -> ChoiceDataset:
-    """Load a dataset from CSV or JSON.  ``fmt`` defaults to the suffix."""
+def parse_dataset(path: Union[str, Path]) -> ChoiceDataset:
+    """Load a dataset from CSV or JSON, as the file suffix says.  A byte-order
+    mark at the start of the file is skipped."""
     path = Path(path)
-    if fmt is None:
-        fmt = path.suffix.lstrip(".").lower()
+    fmt = path.suffix.lstrip(".").lower()
     ingest = _Ingest()
     if fmt == "csv":
         _read_csv(path, ingest)

@@ -61,12 +61,10 @@ def chernoff_set(scf: StochasticChoiceFunction) -> IntervalUnion:
     steps' intervals cover (nlik(x, S), nlik(x, T)], so the union is the
     same.
     """
-    if scf.domain_kind is DomainKind.PAIRWISE:
-        return IntervalUnion.empty()
     core = scf.core
     rank = core.rank
     spans = []
-    for large in core.menus:
+    for large in core.by_key:
         members = core.members[large]
         if len(members) < 3:
             continue
@@ -91,11 +89,9 @@ def condorcet_set(scf: StochasticChoiceFunction) -> IntervalUnion:
     up to the smallest head-to-head normalized likelihood of x against
     the other members of S.
     """
-    if scf.domain_kind is DomainKind.PAIRWISE:
-        return IntervalUnion.empty()
     core = scf.core
     spans = []
-    for menu in core.menus:
+    for menu in core.by_key:
         # on a two-element menu the bound equals the start
         if len(core.members[menu]) >= 3:
             spans += _condorcet_spans(core, menu)
@@ -122,8 +118,6 @@ def transitivity_set(scf: StochasticChoiceFunction) -> IntervalUnion:
     pair ranks finds them all (``_cycle_spans``).
     """
     core = scf.core
-    if core.n < 3:
-        return IntervalUnion.empty()
     return core.union_of(_cycle_spans(core))
 
 
@@ -558,7 +552,7 @@ def _ratios_kept(scf: StochasticChoiceFunction, contractions: bool) -> bool:
         return True
     core = scf.core
     scaled = core.scaled
-    for small in core.menus:
+    for small in core.by_key:
         row_small = scaled[small]
         pairs = list(itertools.permutations(core.members[small], 2))
         for large in core.supersets(small):

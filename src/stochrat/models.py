@@ -245,14 +245,9 @@ def consistent_over_triplets(
     first: Mapping[str, RationalLike], second: Mapping[str, RationalLike]
 ) -> bool:
     """No triple is ranked x > y > z by the first utility and exactly
-    reversed by the second."""
-    u = as_utility(first)
-    v = as_utility(second)
-    labels = _require_same_universe([u, v])
-    for x, y, z in itertools.permutations(labels, 3):
-        if u[x] > u[y] > u[z] and v[z] > v[y] > v[x]:
-            return False
-    return True
+    reversed by the second, which is :func:`consistent_over_tuples` for
+    two utilities."""
+    return consistent_over_tuples([first, second])
 
 
 def consistent_over_tuples(utilities: Sequence[Mapping[str, RationalLike]]) -> bool:

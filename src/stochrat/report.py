@@ -15,6 +15,7 @@ fixed-width decimals, no timestamps.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 from dataclasses import dataclass
@@ -56,9 +57,7 @@ _ONE = Fraction(1)
 @dataclass(frozen=True)
 class AnalysisConfig:
     max_universe: Optional[int] = None
-    digits: int = 6
     oracle: bool = False
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ _FLAGS: tuple[tuple[str, Callable[[SubjectAnalysis], Optional[bool]]], ...] = (
 )
 
 
-def _subject_json(entry: Union[SubjectAnalysis, SubjectError], digits: int) -> dict:
+def _subject_json(entry: Union[SubjectAnalysis, SubjectError]) -> dict:
     if isinstance(entry, SubjectError):
         return {
             "subject": entry.subject,
@@ -211,7 +210,7 @@ def _subject_json(entry: Union[SubjectAnalysis, SubjectError], digits: int) -> d
         },
         "rationality_index": {
             "exact": format_rational(entry.index),
-            "decimal": format_decimal(entry.index, digits),
+            "decimal": format_decimal(entry.index),
         },
         "flags": {name: flag(entry) for name, flag in _FLAGS},
         "triangular_witness": (
@@ -263,13 +262,11 @@ def render_json(report: AnalysisReport) -> str:
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "settings": {
-            "digits": report.config.digits,
+            "digits": 6,  # the places format_decimal writes by default
             "oracle": report.config.oracle,
             "max_universe": report.config.max_universe,
         },
-        "subjects": [
-            _subject_json(entry, report.config.digits) for entry in report.subjects
-        ],
+        "subjects": [_subject_json(entry) for entry in report.subjects],
     }
     text = json.dumps(doc, indent=2, ensure_ascii=False)
     if report.comparison is not None:
@@ -294,10 +291,8 @@ def _csv_flag(value: Optional[bool]) -> str:
 
 
 def render_csv(report: AnalysisReport) -> str:
-    import csv as _csv
-
     buffer = io.StringIO()
-    writer = _csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for entry in report.subjects:
         if isinstance(entry, SubjectError):
@@ -308,7 +303,7 @@ def render_csv(report: AnalysisReport) -> str:
             [
                 entry.subject,
                 "ok",
-                format_decimal(entry.index, report.config.digits),
+                format_decimal(entry.index),
                 str(entry.sets.union),
                 *(_csv_flag(flag(entry)) for _, flag in _FLAGS),
             ]
@@ -319,20 +314,17 @@ def render_csv(report: AnalysisReport) -> str:
 def render_plotdata(report: AnalysisReport) -> tuple[str, str]:
     """Two CSV tables: rationality-index bars (ascending) and threshold
     segments per subject, in bar order."""
-    import csv as _csv
-
     ok = report.ok_subjects()
     ordered = sorted(ok, key=lambda s: (s.index, s.subject))
-    digits = report.config.digits
 
     bars = io.StringIO()
-    writer = _csv.writer(bars, lineterminator="\n")
+    writer = csv.writer(bars, lineterminator="\n")
     writer.writerow(["subject", "rationality_index"])
     for entry in ordered:
-        writer.writerow([entry.subject, format_decimal(entry.index, digits)])
+        writer.writerow([entry.subject, format_decimal(entry.index)])
 
     segments = io.StringIO()
-    writer = _csv.writer(segments, lineterminator="\n")
+    writer = csv.writer(segments, lineterminator="\n")
     writer.writerow(["subject", "lo", "hi", "lo_decimal", "hi_decimal"])
     for entry in ordered:
         for lo, hi in entry.sets.union:
@@ -341,8 +333,8 @@ def render_plotdata(report: AnalysisReport) -> tuple[str, str]:
                     entry.subject,
                     format_rational(lo),
                     format_rational(hi),
-                    format_decimal(lo, digits),
-                    format_decimal(hi, digits),
+                    format_decimal(lo),
+                    format_decimal(hi),
                 ]
             )
     return bars.getvalue(), segments.getvalue()

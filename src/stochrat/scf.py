@@ -33,6 +33,7 @@ from .choice import (
     as_menu,
     check_axioms,
     menu_str,
+    menu_table,
     sort_menus,
 )
 from .core import SubjectCore
@@ -121,21 +122,14 @@ class StochasticChoiceFunction:
         max_universe: Optional[int] = None,
     ) -> None:
         domain_kind = DomainKind(domain_kind)
+        table, labels = menu_table(probabilities, universe)
         rows: dict[Menu, tuple[dict[str, int], int]] = {}
-        checked: set[str] = set()  # labels that passed as_menu
-        for raw_menu, dist in probabilities.items():
-            if type(raw_menu) is frozenset and raw_menu <= checked and len(raw_menu) > 1:
-                menu = raw_menu
-            else:
-                menu = as_menu(raw_menu)
-                checked |= menu
+        for menu, dist in table.items():
             if len(menu) < 2:
                 raise ValueError(
                     f"menu {menu_str(menu)} has a single member; singleton menus "
                     "are implicit and must not be supplied"
                 )
-            if menu in rows:
-                raise ValueError(f"duplicate menu {menu_str(menu)}")
             values: dict[str, Fraction] = {}
             for alt, value in dist.items():
                 if alt not in menu:
@@ -160,22 +154,14 @@ class StochasticChoiceFunction:
                 )
             rows[menu] = (nums, scale)
 
-        members = checked
-        if universe is None:
-            universe_set = members
-        else:
-            universe_set = {str(x) for x in universe}
-            if not members <= universe_set:
-                raise ValueError("universe does not cover all menu members")
-        labels = tuple(sorted(universe_set))
         n = len(labels)
-
         if domain_kind is DomainKind.FULL:
             cap = max_universe if max_universe is not None else FULL_UNIVERSE_CAP
-            minimum = 3
+            minimum, size, extra = 3, 2**n - n - 1, []
         else:
             cap = max_universe if max_universe is not None else PAIRWISE_UNIVERSE_CAP
-            minimum = 2
+            minimum, size = 2, n * (n - 1) // 2
+            extra = [m for m in rows if len(m) > 2]
         if n < minimum:
             raise ValueError(
                 f"{domain_kind.value} domain needs at least {minimum} alternatives; "
@@ -186,14 +172,9 @@ class StochasticChoiceFunction:
                 f"universe of {n} alternatives exceeds the "
                 f"{domain_kind.value}-domain cap of {cap}"
             )
-
         # Every menu is a distinct subset of the universe with at least two
         # members, so the domain is complete exactly when the menus of the
         # domain's sizes are as many as the domain has.
-        if domain_kind is DomainKind.FULL:
-            size, extra = 2**n - n - 1, []
-        else:
-            size, extra = n * (n - 1) // 2, [m for m in rows if len(m) > 2]
         if len(rows) - len(extra) < size:
             raise ValueError(
                 f"incomplete {domain_kind.value} domain: "
@@ -207,7 +188,6 @@ class StochasticChoiceFunction:
 
         self._kind = domain_kind
         self._universe = labels
-        self._menus = sort_menus(rows)
         self._rows = rows
 
     # -- basic accessors ----------------------------------------------
@@ -221,12 +201,12 @@ class StochasticChoiceFunction:
         return self._kind
 
     def menus(self) -> list[Menu]:
-        return list(self._menus)
+        return sort_menus(self._rows)
 
     @functools.cached_property
     def core(self) -> SubjectCore:
         """Rank-coded integer tables of this subject, built on first use."""
-        return SubjectCore(self._universe, self._menus, self._rows)
+        return SubjectCore(self._universe, self._rows)
 
     def _row(
         self, menu: Iterable[str], x: Optional[str] = None
@@ -290,7 +270,7 @@ class StochasticChoiceFunction:
     def __repr__(self) -> str:
         return (
             f"StochasticChoiceFunction(|X|={len(self._universe)}, "
-            f"kind={self._kind.value}, menus={len(self._menus)})"
+            f"kind={self._kind.value}, menus={len(self._rows)})"
         )
 
 

@@ -423,7 +423,6 @@ def core_tables(probs: dict) -> dict:
     labels = tuple(sorted(set().union(*probs)))
     bit = {x: 1 << i for i, x in enumerate(labels)}
     mask_of = {menu: sum(bit[x] for x in menu) for menu in probs}
-    canonical = sorted(probs, key=lambda m: (len(m), sorted(m)))
     lik = likelihoods(probs)
     cuts = (Fraction(0),) + tuple(
         sorted({v for row in lik.values() for v in row.values() if v > 0})
@@ -451,7 +450,6 @@ def core_tables(probs: dict) -> dict:
     by_key = sorted(probs, key=lambda m: sorted(m))
     return {
         "labels": labels,
-        "menus": tuple(mask_of[m] for m in canonical),
         "by_key": tuple(mask_of[m] for m in by_key),
         "key_pos": {mask_of[m]: pos for pos, m in enumerate(by_key)},
         "menu_set": {mask_of[m]: m for m in probs},
@@ -475,11 +473,11 @@ def report_json(report) -> str:
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "settings": {
-            "digits": config.digits,
+            "digits": 6,
             "oracle": config.oracle,
             "max_universe": config.max_universe,
         },
-        "subjects": [_subject_json(entry, config.digits) for entry in report.subjects],
+        "subjects": [_subject_json(entry) for entry in report.subjects],
     }
     comparison = report.comparison
     if comparison is not None:

@@ -59,6 +59,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+
+@pytest.mark.parametrize("name", ["pairwise5_panel26.csv", "pairwise5_panel26.json"])
+def test_byte_order_mark_is_skipped(capsys, tmp_path, name):
+    # spreadsheet programs save "CSV UTF-8" with a BOM in front
+    plain = FIXTURES / name
+    marked = tmp_path / name
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want, got = parse_dataset(plain), parse_dataset(marked)
+    assert got.subject_ids() == want.subject_ids()
+    assert all(got.scf(s) == want.scf(s) for s in want.subject_ids())
+    outputs = [run_cli(capsys, "analyze", str(path)) for path in (plain, marked)]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
 def test_analyze_json_stdout(capsys):
     code, out, err = run_cli(capsys, "analyze", DEMO)
     assert code == 0

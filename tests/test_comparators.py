@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from stochrat import (
     DomainKind,
     IntervalUnion,
     StochasticChoiceFunction,
+    SwapResult,
     Verdict,
     compare,
     fishburn_correspondence,
@@ -90,13 +92,34 @@ def test_swap_matches_naive_enumeration():
 
 
 def test_swap_minimizer_is_lex_least_and_counted():
-    for seed in range(8):
-        scf = random_scf(seed, ["a", "b", "c"])
+    # with bound 2 the weights are 0, 1 or 2, so orders often tie
+    cases = [("abc", DomainKind.FULL, 20, seed) for seed in range(8)]
+    for labels, kind in [
+        ("abcd", DomainKind.FULL),
+        ("abcde", DomainKind.FULL),
+        ("ab", DomainKind.PAIRWISE),
+        ("abcd", DomainKind.PAIRWISE),
+        ("abcdef", DomainKind.PAIRWISE),
+    ]:
+        cases += [(labels, kind, bound, seed) for bound in (2, 20) for seed in range(3)]
+    for labels, kind, bound, seed in cases:
+        scf = random_scf(seed, labels, denominator_bound=bound, domain_kind=kind)
         result = swap_index(scf)
         value, winners = naive_swap_minimizers(scf)
         assert result.value == value
         assert result.optimal_orders == len(winners)
         assert result.order == min(winners)
+
+
+def test_swap_of_all_coin_pairwise_subject():
+    # every order passes over one alternative in each of the 10 pairs
+    # with probability 1/2, so all 5! orders tie at 5
+    coins = {
+        frozenset(pair): dict.fromkeys(pair, F(1, 2))
+        for pair in itertools.combinations("abcde", 2)
+    }
+    result = swap_index(StochasticChoiceFunction(coins, DomainKind.PAIRWISE))
+    assert result == SwapResult(F(5), ("a", "b", "c", "d", "e"), 120)
 
 
 def test_swap_is_label_invariant():

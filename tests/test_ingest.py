@@ -129,7 +129,7 @@ def test_ingest_matches_fraction_formulas(tmp_path, seed, suffix):
         want = core_tables(table)
         assert threshold_cuts(scf) == want["cuts"][1:]
         core = scf.core
-        for field in ("labels", "menus", "by_key", "key_pos", "menu_set", "members",
+        for field in ("labels", "by_key", "key_pos", "menu_set", "members",
                       "cuts", "rank", "scaled", "pair_rank"):
             assert getattr(core, field) == want[field], field
         assert core.pair_den % 2 == 0
@@ -316,5 +316,5 @@ def test_unknown_subject_and_format_messages(tmp_path):
         parse_dataset(path).scf("nobody")
     assert str(info.value) == "unknown subject 'nobody'"
     with pytest.raises(ValueError) as info:
-        parse_dataset(path, fmt="xml")
+        parse_dataset(tmp_path / "data.xml")
     assert str(info.value) == "unsupported dataset format 'xml'"

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -227,6 +228,37 @@ def test_consistent_over_tuples_three_utilities():
 def test_lead_consistency_needs_every_follower_to_reverse():
     assert not lead_consistent_over_triplets([U321, REV, {"z": 9, "y": 6, "x": 3}])
     assert lead_consistent_over_triplets([U321, REV, U321])
+
+
+def _no_reversed_triple(u, v):
+    return not any(
+        u[x] > u[y] > u[z] and v[z] > v[y] > v[x]
+        for x, y, z in itertools.permutations(u, 3)
+    )
+
+
+def _utility(gen, labels, tied):
+    """Values in {0, 1, 2} (ties likely), or a shuffled injective ranking."""
+    if tied:
+        return {x: gen.below(3) for x in labels}
+    values = list(range(len(labels)))
+    gen.shuffle(values)
+    return dict(zip(labels, values))
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_two_ranking_predicates_agree(tied):
+    gen = SplitMix64(17 + tied)
+    outcomes = set()
+    for _ in range(500):
+        labels = "abcdef"[: 1 + gen.below(6)]
+        u, v = (_utility(gen, labels, tied) for _ in range(2))
+        expected = _no_reversed_triple(u, v)
+        assert consistent_over_triplets(u, v) is expected
+        assert consistent_over_tuples([u, v]) is expected
+        assert lead_consistent_over_triplets([u, v]) is expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_lead_chain_consistency():

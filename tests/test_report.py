@@ -169,14 +169,6 @@ def test_rendering_is_byte_stable():
     assert render_plotdata(first) == render_plotdata(second)
 
 
-def test_digits_setting_controls_decimals(demo_report):
-    ds = parse_dataset(FIXTURES / "demo_full3.csv")
-    short = run_analyze(ds, AnalysisConfig(digits=3))
-    doc = json.loads(render_json(short))
-    assert doc["settings"]["digits"] == 3
-    assert doc["subjects"][0]["rationality_index"]["decimal"] == "0.417"
-
-
 def test_capacity_error_isolated_per_subject(tmp_path):
     path = tmp_path / "mixed.csv"
     path.write_text(

@@ -4,14 +4,23 @@ import pytest
 
 from stochrat import (
     CapacityError,
+    ChoiceDataset,
     DomainKind,
+    SplitMix64,
     StochasticChoiceFunction,
+    classify_transitivity,
     critical_lambdas,
     fishburn_correspondence,
+    irrationality_sets,
     is_lambda_rational,
+    is_selective_in_contractions,
+    is_selective_in_expansions,
     lambda_floor,
     random_scf,
+    render_json,
+    run_analyze,
     threshold_cuts,
+    triangular_condition,
 )
 
 F = Fraction
@@ -315,3 +324,39 @@ def test_random_scf_seeds_differ():
 def test_random_scf_rejects_degenerate_bound():
     with pytest.raises(ValueError):
         random_scf(1, ["a", "b", "c"], denominator_bound=1)
+
+
+@pytest.mark.parametrize(
+    "seed, labels, kind",
+    [
+        (3, "abcd", DomainKind.FULL),
+        (8, "abcde", DomainKind.FULL),
+        (5, "abcdef", DomainKind.PAIRWISE),
+    ],
+)
+def test_menu_order_of_the_table_changes_nothing(seed, labels, kind):
+    reference = random_scf(seed, labels, domain_kind=kind)
+    canonical = {menu: reference.menu_probs(menu) for menu in reference.menus()}
+    menus = list(canonical)
+    SplitMix64(seed).shuffle(menus)
+    assert menus != list(canonical)
+    shuffled = {menu: canonical[menu] for menu in menus}
+    built = [StochasticChoiceFunction(table, kind) for table in (canonical, shuffled)]
+    left, right = built
+    assert left.menus() == right.menus() == list(canonical)
+    assert left.core.by_key == right.core.by_key
+    assert left.core.rank == right.core.rank
+    for analysis in (
+        irrationality_sets,
+        classify_transitivity,
+        triangular_condition,
+        is_selective_in_contractions,
+        is_selective_in_expansions,
+    ):
+        assert analysis(left) == analysis(right)
+    assert irrationality_sets(left).witnesses
+    reports = [
+        render_json(run_analyze(ChoiceDataset({"s": table})))
+        for table in (canonical, shuffled)
+    ]
+    assert reports[0] == reports[1]
