@@ -195,12 +195,22 @@ class AxiomReport:
         return self.all_hold
 
 
-# The generators read the correspondence's table, which is validated and
-# kept in menu_key order, so they yield violations in key order.
+# The scans read the correspondence's table, which is validated and kept
+# in menu_key order, so they yield violations in key order.  ``beats`` maps
+# each label to the labels it beats alone on a pair of the domain.
+_Beats = dict[str, set[str]]
 
 
-def _chernoff_violations(c: ChoiceCorrespondence) -> Iterator[tuple]:
-    table = c._table
+def _beats(c: ChoiceCorrespondence) -> _Beats:
+    beats: _Beats = {x: set() for x in c.universe}
+    for menu, chosen in c._table.items():
+        if len(menu) == 2 and len(chosen) == 1:
+            (x,) = chosen
+            beats[x] |= menu - chosen
+    return beats
+
+
+def _chernoff_violations(table: dict[Menu, Menu], beats: _Beats) -> Iterator[tuple]:
     top = max(map(len, table), default=0)
     for small, chosen_small in table.items():
         # skip a menu that loses nothing or that no menu contains
@@ -212,35 +222,32 @@ def _chernoff_violations(c: ChoiceCorrespondence) -> Iterator[tuple]:
                     yield (small, large, x)
 
 
-def _condorcet_violations(c: ChoiceCorrespondence) -> Iterator[tuple]:
-    table = c._table
+def _condorcet_violations(table: dict[Menu, Menu], beats: _Beats) -> Iterator[tuple]:
+    # x is dropped from the menu, yet no member beats x alone
     for menu, chosen in table.items():
         for x in sorted(menu - chosen):
-            heads = (table.get(frozenset((x, y))) for y in menu if y != x)
-            if all(pair is None or x in pair for pair in heads):
+            if not any(x in beats[y] for y in menu):
                 yield (menu, x)
 
 
-def _cycle_violations(c: ChoiceCorrespondence) -> Iterator[tuple]:
-    table = c._table
-    # beats[x]: the other member of each pair that chooses x alone
-    beats: dict[str, set[str]] = {x: set() for x in c.universe}
-    for menu, chosen in table.items():
-        if len(menu) == 2 and len(chosen) == 1:
-            (x,) = chosen
-            beats[x] |= menu - chosen
-    for a in c.universe:
-        for b in sorted(beats[a]):
-            for z in sorted(beats[b] - beats[a]):
+def _cycle_violations(table: dict[Menu, Menu], beats: _Beats) -> Iterator[tuple]:
+    for a, beaten in beats.items():
+        for b in sorted(beaten):
+            for z in sorted(beats[b] - beaten):
                 if frozenset((a, z)) in table:
                     yield (a, b, z)
 
 
+# contraction, pairwise winner, cycle composition: the order of the report
+_SCANS = (_chernoff_violations, _condorcet_violations, _cycle_violations)
+
+
 def check_axioms(c: ChoiceCorrespondence) -> AxiomReport:
     """Run all three axiom checks, collecting the least witness of each."""
-    chernoff_w = next(_chernoff_violations(c), None)
-    condorcet_w = next(_condorcet_violations(c), None)
-    cycle_w = next(_cycle_violations(c), None)
+    beats = _beats(c)
+    chernoff_w, condorcet_w, cycle_w = (
+        next(scan(c._table, beats), None) for scan in _SCANS
+    )
     return AxiomReport(
         chernoff=chernoff_w is None,
         chernoff_witness=chernoff_w,
@@ -253,11 +260,8 @@ def check_axioms(c: ChoiceCorrespondence) -> AxiomReport:
 
 def is_rational(c: ChoiceCorrespondence) -> bool:
     """True when some preorder generates the correspondence (axioms hold)."""
-    if next(_chernoff_violations(c), None) is not None:
-        return False
-    if next(_condorcet_violations(c), None) is not None:
-        return False
-    return next(_cycle_violations(c), None) is None
+    beats = _beats(c)
+    return all(next(scan(c._table, beats), None) is None for scan in _SCANS)
 
 
 # -- preorders ----------------------------------------------------------

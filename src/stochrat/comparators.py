@@ -17,12 +17,14 @@ evaluating one point per region is exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .choice import ChoiceCorrespondence, houtman_maks, is_totally_rational
+from .core import bits
 from .errors import CapacityError
 from .intervals import IntervalUnion
 from .measure import ComparisonResult
@@ -56,29 +58,24 @@ def swap_index(scf: StochasticChoiceFunction) -> SwapResult:
     over all n! orders is found exactly with a subset dynamic program
     (identical values, far fewer steps than direct enumeration).
     """
-    labels = tuple(sorted(scf.universe))
-    n = len(labels)
+    n = len(scf.universe)
     if n > SWAP_CAP:
         raise CapacityError(
             f"swap index enumeration is exact only up to {SWAP_CAP} alternatives; "
             f"got {n}"
         )
 
-    # pair_cost[a][b]: cost incurred by ranking a above b, i.e. the total
-    # probability of b being chosen from menus containing both.
-    pair_cost = [[_ZERO] * n for _ in range(n)]
-    index = {label: i for i, label in enumerate(labels)}
-    for menu in scf.menus():
-        probs = scf.menu_probs(menu)
-        members = sorted(menu)
-        for a in members:
-            for b in members:
-                if a != b:
-                    pair_cost[index[a]][index[b]] += probs[b]
-
-    # Scale to integers on a common denominator for fast exact DP.
-    denom = math.lcm(*(value.denominator for row in pair_cost for value in row))
-    cost_int = [[int(v * denom) for v in row] for row in pair_cost]
+    # cost[a][b]: cost incurred by ranking a above b, i.e. the total
+    # probability of b being chosen from menus containing both, on the
+    # common scale of every menu's integer row (a row sums to its scale).
+    core = scf.core
+    scale = math.lcm(*(sum(core.scaled[mask]) for mask in core.by_key))
+    cost = [[0] * n for _ in range(n)]
+    for mask in core.by_key:
+        row = core.scaled[mask]
+        up = scale // sum(row)
+        for a, b in itertools.permutations(core.members[mask], 2):
+            cost[a][b] += row[b] * up
 
     full = (1 << n) - 1
     # completion[mask]: minimal remaining cost when `mask` is already
@@ -92,14 +89,8 @@ def swap_index(scf: StochasticChoiceFunction) -> SwapResult:
         for x in range(n):
             if mask & (1 << x):
                 continue
-            add = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                add += cost_int[low.bit_length() - 1][x]
-                rest ^= low
             below = mask | (1 << x)
-            total = add + completion[below]
+            total = sum(cost[a][x] for a in bits(mask)) + completion[below]
             if best is None or total < best:
                 best, count, first[mask] = total, ties[below], x
             elif total == best:
@@ -112,11 +103,11 @@ def swap_index(scf: StochasticChoiceFunction) -> SwapResult:
     order: list[str] = []
     mask = 0
     while mask != full:
-        order.append(labels[first[mask]])
+        order.append(core.labels[first[mask]])
         mask |= 1 << first[mask]
 
     return SwapResult(
-        value=Fraction(completion[0], denom),
+        value=Fraction(completion[0], scale),
         order=tuple(order),
         optimal_orders=ties[0],
     )
@@ -147,8 +138,7 @@ def _region_compare(
     cuts = _merged_cuts(left, right)
     left_worse = []
     right_worse = []
-    lower = _ZERO
-    for cut in cuts:
+    for lower, cut in zip((_ZERO, *cuts), cuts):
         sign = left_worse_at(
             fishburn_correspondence(left, cut), fishburn_correspondence(right, cut)
         )
@@ -156,7 +146,6 @@ def _region_compare(
             left_worse.append((lower, cut))
         elif sign > 0:
             right_worse.append((lower, cut))
-        lower = cut
     return ComparisonResult.from_differences(
         IntervalUnion.from_pairs(left_worse), IntervalUnion.from_pairs(right_worse)
     )
@@ -200,10 +189,9 @@ def total_compare(
 def totally_rational_regions(scf: StochasticChoiceFunction) -> IntervalUnion:
     """Thresholds at which the correspondence has a complete-preorder
     generator, as an interval union over (0, 1]."""
-    regions = []
-    lower = _ZERO
-    for cut in threshold_cuts(scf):
-        if is_totally_rational(fishburn_correspondence(scf, cut)):
-            regions.append((lower, cut))
-        lower = cut
-    return IntervalUnion.from_pairs(regions)
+    cuts = threshold_cuts(scf)
+    return IntervalUnion.from_pairs(
+        (lower, cut)
+        for lower, cut in zip((_ZERO, *cuts), cuts)
+        if is_totally_rational(fishburn_correspondence(scf, cut))
+    )

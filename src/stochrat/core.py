@@ -22,14 +22,22 @@ from .intervals import IntervalUnion
 _ZERO = Fraction(0)
 
 
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class SubjectCore:
     """Integer tables of one subject.
 
     * ``labels``: the universe in sorted order; alternative i is
       ``labels[i]`` (``index`` maps back) and bit i of a menu mask.
-    * ``by_key``: the menu masks in ``menu_key`` order, and ``key_pos``
-      maps a mask to its position there.  ``menu_set`` maps a mask back to
-      the subject's frozenset and ``members`` to its ascending indices.
+    * ``by_key``: the menu masks in ``menu_key`` order, which is the order
+      of their ``members`` tuples.  ``menu_set`` maps a mask back to the
+      subject's frozenset and ``members`` to its ascending indices.
     * ``cuts``: 0 followed by the sorted distinct positive normalized
       likelihoods (the last is 1).
       Cell c >= 1 stands for the thresholds (cuts[c-1], cuts[c]].
@@ -76,7 +84,6 @@ class SubjectCore:
             self.scaled[mask] = row_scaled
             keyed[mask] = row_keys
         self.by_key = tuple(sorted(self.members, key=self.members.__getitem__))
-        self.key_pos = {mask: pos for pos, mask in enumerate(self.by_key)}
 
         # sort the distinct values by their float, which is correctly
         # rounded and so never inverts two values; equal floats fall back

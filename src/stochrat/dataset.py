@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
 
-from .choice import Menu, as_menu, menu_str, sort_menus
+from .choice import Menu, as_menu, menu_str
 from .rationals import (
     RATIONAL_TEXT_CAP,
     common_scale,
@@ -212,9 +212,6 @@ class ChoiceDataset:
     def subject_ids(self) -> list[str]:
         return list(self._table)
 
-    def menus(self, subject: str) -> list[Menu]:
-        return sort_menus(self._subject(subject))
-
     def _subject(self, subject: str) -> Mapping[Menu, Mapping[str, Fraction]]:
         try:
             return self._table[subject]
@@ -233,12 +230,9 @@ class ChoiceDataset:
         """
         menus = self._subject(subject)
         labels = set().union(*menus)
-        n = len(labels)
-        if all(len(menu) == 2 for menu in menus):
-            kind, size = DomainKind.PAIRWISE, n * (n - 1) // 2
-        else:
-            kind, size = DomainKind.FULL, 2**n - n - 1
-        if len(menus) < size:
+        pairwise = all(len(menu) == 2 for menu in menus)
+        kind = DomainKind.PAIRWISE if pairwise else DomainKind.FULL
+        if len(menus) < kind.menu_count(len(labels)):
             raise ValueError(
                 f"subject {subject!r} covers an incomplete domain: "
                 + missing_menus(labels, kind, menus)

@@ -42,7 +42,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .core import SubjectCore
+from .core import SubjectCore, bits
 from .intervals import IntervalUnion
 from .scf import DomainKind, StochasticChoiceFunction
 
@@ -98,14 +98,6 @@ def condorcet_set(scf: StochasticChoiceFunction) -> IntervalUnion:
     return core.union_of(spans)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def transitivity_set(scf: StochasticChoiceFunction) -> IntervalUnion:
     """Thresholds at which strict pairwise preference fails to compose.
 
@@ -143,13 +135,13 @@ def _cycle_spans(core: SubjectCore) -> Iterator[tuple[int, int]]:
         fresh = over[b] & ~row_done[a]
         if fresh:
             row_done[a] |= fresh
-            for z in _bits(fresh):
+            for z in bits(fresh):
                 col_done[z] |= 1 << a
                 yield t, r[z][a]
         fresh = under[a] & ~col_done[b]
         if fresh:
             col_done[b] |= fresh
-            for x in _bits(fresh):
+            for x in bits(fresh):
                 row_done[x] |= 1 << b
                 yield t, r[b][x]
         over[a] |= 1 << b
@@ -197,15 +189,15 @@ def _chernoff_witness(core: SubjectCore, h: int) -> Optional[tuple]:
     """Least (S, T, x) by (menu_key(S), menu_key(T), x) with
     rank(x, S) < h <= rank(x, T): the first S in key order with a hit
     decides, and among its supersets the one earliest in key order."""
-    rank = core.rank
+    rank, members = core.rank, core.members
     for small in core.by_key:
         row_small = rank[small]
-        below = [x for x in core.members[small] if row_small[x] < h]
+        below = [x for x in members[small] if row_small[x] < h]
         if not below:
             continue
         best = None
         for large in core.supersets(small):
-            if best is None or core.key_pos[large] < core.key_pos[best]:
+            if best is None or members[large] < members[best]:
                 row_large = rank[large]
                 if any(row_large[x] >= h for x in below):
                     best = large
@@ -282,13 +274,6 @@ class Verdict(str, Enum):
     RIGHT_MORE_RATIONAL = "RightMoreRational"
     EQUIVALENT = "Equivalent"
     INCOMPARABLE = "Incomparable"
-
-    def mirror(self) -> "Verdict":
-        if self is Verdict.LEFT_MORE_RATIONAL:
-            return Verdict.RIGHT_MORE_RATIONAL
-        if self is Verdict.RIGHT_MORE_RATIONAL:
-            return Verdict.LEFT_MORE_RATIONAL
-        return self
 
     @classmethod
     def from_inclusion(cls, left_inside: bool, right_inside: bool) -> "Verdict":
@@ -483,7 +468,7 @@ def classify_transitivity(scf: StochasticChoiceFunction) -> TransitivityFlags:
     for x in range(n):
         p_x = p[x]
         kept = at_least[x] | 1 << x
-        for y in _bits(at_least[x]):
+        for y in bits(at_least[x]):
             p_xy = p_x[y]
             strict = p_xy > half
             if at_least[y] & ~kept:
@@ -493,7 +478,7 @@ def classify_transitivity(scf: StochasticChoiceFunction) -> TransitivityFlags:
             if not (moderate or almost_moderate or strong):
                 continue
             p_y = p[y]
-            for z in _bits(at_least[y] & ~(1 << x)):
+            for z in bits(at_least[y] & ~(1 << x)):
                 p_xz, p_yz = p_x[z], p_y[z]
                 if p_xz < p_xy or p_xz < p_yz:
                     strong = False

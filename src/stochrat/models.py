@@ -19,11 +19,11 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .choice import Menu, as_menu, menu_str
+from .choice import Menu, Preorder, as_menu, menu_str
 from .intervals import IntervalUnion
 from .prng import SplitMix64
 from .rationals import RationalLike, to_fraction, to_probability
-from .scf import DomainKind, StochasticChoiceFunction, required_menus
+from .scf import DomainKind, StochasticChoiceFunction, check_universe, required_menus
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -100,6 +100,7 @@ def general_luce(
                 f"consideration set for {menu_str(menu)} must be a nonempty subset"
             )
         chosen_sets[menu] = subset
+    check_universe(len(labels), DomainKind.FULL, max_universe)
     table = {}
     for menu in required_menus(labels, DomainKind.FULL):
         focus = chosen_sets.get(menu, menu)
@@ -131,23 +132,18 @@ def two_stage_luce(
     for a, b in strict:
         if a not in members or b not in members:
             raise ValueError(f"dominance pair ({a},{b}) outside the universe")
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(list(strict), repeat=2):
-            if b == c and (a, d) not in strict:
-                strict.add((a, d))
-                changed = True
-    for a, b in strict:
-        if a == b:
-            raise ValueError("dominance relation has a cycle")
+    # the closure is reflexive, so a self-pair is checked apart
+    order = Preorder.closure(labels, strict)
+    if any(a == b or order.geq(b, a) for a, b in strict):
+        raise ValueError("dominance relation has a cycle")
+    check_universe(len(labels), DomainKind.FULL, max_universe)
 
+    # utility increases along the closure exactly when along every pair
     proper = all(u[a] > u[b] for a, b in strict)
 
     # the undominated members of each menu (nonempty: the relation is acyclic)
     focus = {
-        menu: [x for x in menu if not any((y, x) in strict for y in menu)]
-        for menu in required_menus(labels, DomainKind.FULL)
+        menu: order.maximal(menu) for menu in required_menus(labels, DomainKind.FULL)
     }
     return general_luce(u, focus, max_universe=max_universe), proper
 
@@ -163,6 +159,7 @@ def uniform_drum(
 ) -> StochasticChoiceFunction:
     """Two-ranking mixture with a menu-independent weight on the first."""
     theta = to_probability(weight, "mixture weight")
+    check_universe(len(as_utility(first)), DomainKind.FULL, max_universe)
     weights = {menu: theta for menu in required_menus(first, DomainKind.FULL)}
     return drum(first, second, weights, max_universe=max_universe)
 
@@ -187,6 +184,7 @@ def drum(
     for raw_menu, value in weights.items():
         menu = as_menu(raw_menu)
         theta_map[menu] = to_probability(value, "weight", f" for {menu_str(menu)}")
+    check_universe(len(labels), DomainKind.FULL, max_universe)
     table = {}
     for menu in required_menus(labels, DomainKind.FULL):
         if menu not in theta_map:
@@ -227,6 +225,7 @@ def rum(
         raise ValueError(f"component weights sum to {total}, not 1")
     order = sorted(range(len(parsed)), key=lambda i: (-parsed[i][1], i))
     parsed = [parsed[i] for i in order]
+    check_universe(len(labels), DomainKind.FULL, max_universe)
     table = {}
     for menu in required_menus(labels, DomainKind.FULL):
         row = {x: _ZERO for x in menu}
@@ -344,6 +343,7 @@ def tremble(
     _require_injective(u)
     labels = tuple(sorted(u))
     a = to_probability(alpha, "tremble weight")
+    check_universe(len(labels), DomainKind.FULL, max_universe)
     table = {}
     for menu in required_menus(labels, DomainKind.FULL):
         noise = (_ONE - a) / len(menu)
@@ -424,6 +424,7 @@ def mum_pairwise(
     for x, y in itertools.combinations(labels, 2):
         if frozenset((x, y)) not in distances:
             raise ValueError(f"metric is missing the pair {menu_str(frozenset((x, y)))}")
+    check_universe(len(labels), DomainKind.PAIRWISE, max_universe)
     for x, y, z in itertools.permutations(labels, 3):
         if (
             distances[frozenset((x, z))]
@@ -483,9 +484,11 @@ def random_scf(
     if denominator_bound < 2:
         raise ValueError("denominator_bound below 2 is degenerate")
     labels = tuple(sorted({str(x) for x in universe}))
+    domain_kind = DomainKind(domain_kind)
+    check_universe(len(labels), domain_kind, max_universe)
     gen = SplitMix64(seed)
     table = {}
-    for menu in required_menus(labels, DomainKind(domain_kind)):
+    for menu in required_menus(labels, domain_kind):
         members = sorted(menu)
         weights = [gen.below(denominator_bound + 1) for _ in members]
         if not any(weights):
@@ -493,7 +496,7 @@ def random_scf(
         total = sum(weights)
         table[menu] = {x: Fraction(w, total) for x, w in zip(members, weights)}
     return StochasticChoiceFunction(
-        table, DomainKind(domain_kind), universe=labels, max_universe=max_universe
+        table, domain_kind, universe=labels, max_universe=max_universe
     )
 
 

@@ -18,11 +18,7 @@ Update rule (all arithmetic modulo 2**64):
 
 from __future__ import annotations
 
-from typing import Sequence, TypeVar
-
 _MASK = (1 << 64) - 1
-
-T = TypeVar("T")
 
 
 class SplitMix64:
@@ -51,8 +47,3 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def choice(self, items: Sequence[T]) -> T:
-        if not items:
-            raise ValueError("choice() from an empty sequence")
-        return items[self.below(len(items))]

@@ -16,6 +16,8 @@ from typing import Iterable, Union
 # comparison carries; "1e-1000000" alone would be a 3.3M-bit denominator.
 RATIONAL_TEXT_CAP = 1000
 DECIMAL_EXPONENT_CAP = 1000
+# Places after the point in every decimal that reports write.
+DECIMAL_PLACES = 6
 
 RationalLike = Union[Fraction, int, str]
 
@@ -90,24 +92,20 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def format_decimal(value: Fraction, digits: int = 6) -> str:
-    """Fixed-point decimal rendering with ``digits`` places.
+def format_decimal(value: Fraction) -> str:
+    """Fixed-point decimal rendering with :data:`DECIMAL_PLACES` places.
 
     Rounding is half away from zero, done in integer arithmetic so the
     output is identical on every platform.
     """
-    if digits < 0:
-        raise ValueError("digits must be nonnegative")
     value = Fraction(value)
     negative = value < 0
     num = abs(value.numerator)
     den = value.denominator
-    scale = 10**digits
+    scale = 10**DECIMAL_PLACES
     quo, rem = divmod(num * scale, den)
     if 2 * rem >= den:
         quo += 1
     whole, frac = divmod(quo, scale)
     sign = "-" if negative and quo else ""
-    if digits == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{whole}.{frac:0{DECIMAL_PLACES}d}"

@@ -41,7 +41,7 @@ from .measure import (
     is_selective_in_expansions,
     triangular_condition,
 )
-from .rationals import format_decimal, format_rational
+from .rationals import DECIMAL_PLACES, format_decimal, format_rational
 from .scf import (
     DomainKind,
     StochasticChoiceFunction,
@@ -262,7 +262,7 @@ def render_json(report: AnalysisReport) -> str:
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "settings": {
-            "digits": 6,  # the places format_decimal writes by default
+            "digits": DECIMAL_PLACES,
             "oracle": report.config.oracle,
             "max_universe": report.config.max_universe,
         },

@@ -50,20 +50,46 @@ class DomainKind(str, Enum):
     FULL = "full"
     PAIRWISE = "pairwise"
 
+    def sizes(self, n: int) -> range:
+        """The menu sizes of the domain over n alternatives."""
+        return range(2, 3 if self is DomainKind.PAIRWISE else n + 1)
+
+    def menu_count(self, n: int) -> int:
+        """The number of menus of the domain over n alternatives."""
+        return n * (n - 1) // 2 if self is DomainKind.PAIRWISE else 2**n - n - 1
+
+
+def check_universe(
+    n: int, kind: DomainKind, max_universe: Optional[int] = None
+) -> None:
+    """Raise unless a domain of the kind over n alternatives has at least
+    its minimum of alternatives (ValueError) and at most its cap, or
+    ``max_universe`` when given (CapacityError)."""
+    if kind is DomainKind.FULL:
+        minimum, cap = 3, FULL_UNIVERSE_CAP
+    else:
+        minimum, cap = 2, PAIRWISE_UNIVERSE_CAP
+    if max_universe is not None:
+        cap = max_universe
+    if n < minimum:
+        raise ValueError(
+            f"{kind.value} domain needs at least {minimum} alternatives; got {n}"
+        )
+    if n > cap:
+        raise CapacityError(
+            f"universe of {n} alternatives exceeds the "
+            f"{kind.value}-domain cap of {cap}"
+        )
+
 
 def required_menus(universe: Iterable[str], kind: DomainKind) -> list[Menu]:
     """All menus the given domain kind must cover, in canonical order."""
     labels = sorted({str(x) for x in universe})
-    if kind is DomainKind.PAIRWISE:
-        sizes: Iterable[int] = (2,)
-    else:
-        sizes = range(2, len(labels) + 1)
-    menus = [
+    return [
         frozenset(combo)
-        for size in sizes
+        for size in kind.sizes(len(labels))
         for combo in itertools.combinations(labels, size)
     ]
-    return sort_menus(menus)
 
 
 def missing_menus(
@@ -79,12 +105,10 @@ def missing_menus(
     """
     labels = sorted({str(x) for x in universe})
     n = len(labels)
-    top = 2 if kind is DomainKind.PAIRWISE else n
+    sizes = kind.sizes(n)
     present = set(present)
-    have = collections.Counter(
-        len(menu) for menu in present if 2 <= len(menu) <= top
-    )
-    for size in range(2, top + 1):
+    have = collections.Counter(len(menu) for menu in present if len(menu) in sizes)
+    for size in sizes:
         if have[size] < math.comb(n, size):
             break
     else:
@@ -94,8 +118,7 @@ def missing_menus(
         for menu in map(frozenset, itertools.combinations(labels, size))
         if menu not in present
     )
-    total = n * (n - 1) // 2 if kind is DomainKind.PAIRWISE else 2**n - n - 1
-    missing = total - sum(have.values())
+    missing = kind.menu_count(n) - sum(have.values())
     more = f" and {missing - 1} more" if missing > 1 else ""
     return f"missing menu {menu_str(first)}{more}"
 
@@ -155,27 +178,13 @@ class StochasticChoiceFunction:
             rows[menu] = (nums, scale)
 
         n = len(labels)
-        if domain_kind is DomainKind.FULL:
-            cap = max_universe if max_universe is not None else FULL_UNIVERSE_CAP
-            minimum, size, extra = 3, 2**n - n - 1, []
-        else:
-            cap = max_universe if max_universe is not None else PAIRWISE_UNIVERSE_CAP
-            minimum, size = 2, n * (n - 1) // 2
-            extra = [m for m in rows if len(m) > 2]
-        if n < minimum:
-            raise ValueError(
-                f"{domain_kind.value} domain needs at least {minimum} alternatives; "
-                f"got {n}"
-            )
-        if n > cap:
-            raise CapacityError(
-                f"universe of {n} alternatives exceeds the "
-                f"{domain_kind.value}-domain cap of {cap}"
-            )
+        check_universe(n, domain_kind, max_universe)
+        pairwise = domain_kind is DomainKind.PAIRWISE
+        extra = [m for m in rows if len(m) > 2] if pairwise else []
         # Every menu is a distinct subset of the universe with at least two
         # members, so the domain is complete exactly when the menus of the
         # domain's sizes are as many as the domain has.
-        if len(rows) - len(extra) < size:
+        if len(rows) - len(extra) < domain_kind.menu_count(n):
             raise ValueError(
                 f"incomplete {domain_kind.value} domain: "
                 + missing_menus(labels, domain_kind, rows)

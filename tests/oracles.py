@@ -137,6 +137,72 @@ def naive_swap_minimizers(
     return best, winners
 
 
+# -- the direct axiom scans and the dominance closure, written out -----------
+
+
+def axiom_violations(corr: ChoiceCorrespondence) -> tuple[list, list, list]:
+    """Every contraction, pairwise-winner and cycle violation, each list in
+    the order of the library's scans (menus in menu_key order, labels
+    sorted).  A dropped x violates the pairwise-winner axiom when each
+    head-to-head pair with another member is absent or chooses x."""
+    table = {menu: corr.choice(menu) for menu in sorted(corr.domain, key=sorted)}
+    chernoff = [
+        (small, large, x)
+        for small in table
+        for large in table
+        if small < large
+        for x in sorted((table[large] & small) - table[small])
+    ]
+    condorcet = []
+    for menu, chosen in table.items():
+        for x in sorted(menu - chosen):
+            heads = (table.get(frozenset((x, y))) for y in menu if y != x)
+            if all(pair is None or x in pair for pair in heads):
+                condorcet.append((menu, x))
+
+    def alone(x, y):
+        return table.get(frozenset((x, y))) == {x}
+
+    cycle = [
+        (a, b, z)
+        for a, b, z in itertools.product(corr.universe, repeat=3)
+        if len({a, b, z}) == 3
+        and alone(a, b)
+        and alone(b, z)
+        and not alone(a, z)
+        and frozenset((a, z)) in table
+    ]
+    return chernoff, condorcet, cycle
+
+
+def two_stage_focus(
+    utility: dict[str, Fraction], dominance: list[tuple[str, str]]
+) -> tuple[dict, bool]:
+    """The undominated members of every menu and the "proper" flag of a
+    two-stage Luce model, by a fixpoint closure of the strict pairs; the
+    errors read as the library's."""
+    labels = tuple(sorted(utility))
+    strict = {(str(a), str(b)) for a, b in dominance}
+    for a, b in strict:
+        if a not in labels or b not in labels:
+            raise ValueError(f"dominance pair ({a},{b}) outside the universe")
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), (c, d) in itertools.product(list(strict), repeat=2):
+            if b == c and (a, d) not in strict:
+                strict.add((a, d))
+                changed = True
+    if any(a == b for a, b in strict):
+        raise ValueError("dominance relation has a cycle")
+    focus = {
+        frozenset(menu): [x for x in menu if not any((y, x) in strict for y in menu)]
+        for size in range(2, len(labels) + 1)
+        for menu in itertools.combinations(labels, size)
+    }
+    return focus, all(utility[a] > utility[b] for a, b in strict)
+
+
 # -- threshold sets by the interval formulas, over Fractions ------------------
 #
 # These are the formulas and the exhaustive witness scans that the rank-coded
@@ -451,7 +517,6 @@ def core_tables(probs: dict) -> dict:
     return {
         "labels": labels,
         "by_key": tuple(mask_of[m] for m in by_key),
-        "key_pos": {mask_of[m]: pos for pos, m in enumerate(by_key)},
         "menu_set": {mask_of[m]: m for m in probs},
         "members": {
             mask_of[m]: tuple(i for i, x in enumerate(labels) if x in m) for m in probs

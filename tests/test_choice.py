@@ -13,10 +13,12 @@ from stochrat import (
     max_correspondence,
     SplitMix64,
 )
+from stochrat import choice
 from stochrat.choice import weak_order_levels
 
 from oracles import (
     all_preorders,
+    axiom_violations,
     random_preorder,
     rationalizable_bruteforce,
     rationalized_by,
@@ -226,6 +228,41 @@ def test_axioms_match_bruteforce_rationalizability():
         assert is_rational(c) == rationalizable_bruteforce(c)
         agree += 1
     assert agree == 3 * 3 * 3 * 7
+
+
+def _random_correspondence(gen):
+    """Three to five labels, sometimes a universe wider than the menus;
+    every menu of size two or more (full) or a random part of them
+    (restricted), some singletons, and random nonempty choice sets."""
+    labels = "abcde"[: 3 + gen.below(3)]
+    universe = labels + "vw"[: gen.below(3)]
+    full = gen.below(2) == 0
+    table = {}
+    for k in range(1, len(labels) + 1):
+        for menu in itertools.combinations(labels, k):
+            if (full and k > 1) or gen.below(3) == 0:
+                chosen = [x for x in menu if gen.below(2)] or [menu[gen.below(k)]]
+                table[frozenset(menu)] = frozenset(chosen)
+    return ChoiceCorrespondence(table, universe=universe)
+
+
+def test_scans_yield_every_violation_of_the_written_out_reference():
+    gen = SplitMix64(31)
+    found = [0, 0, 0]
+    for _ in range(600):
+        c = _random_correspondence(gen)
+        beats = choice._beats(c)
+        got = tuple(list(scan(c._table, beats)) for scan in choice._SCANS)
+        assert got == axiom_violations(c)
+        report = check_axioms(c)
+        assert (
+            report.chernoff_witness,
+            report.condorcet_witness,
+            report.no_cycle_witness,
+        ) == tuple(part[0] if part else None for part in got)
+        assert is_rational(c) == (not any(got))
+        found = [have + bool(part) for have, part in zip(found, got)]
+    assert 50 <= min(found) and max(found) < 600
 
 
 # -- total rationality -----------------------------------------------------------

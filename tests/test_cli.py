@@ -400,6 +400,37 @@ def test_capacity_exits_3(capsys):
     assert err.startswith("capacity error:")
 
 
+@pytest.mark.parametrize(
+    "kind", ["luce", "two_stage_luce", "drum", "tremble", "random"]
+)
+def test_model_spec_above_the_cap_exits_3_before_building_menus(tmp_path, kind):
+    labels = [f"a{i:02d}" for i in range(40)]
+    utility = {x: str(i + 1) for i, x in enumerate(labels)}
+    spec = {
+        "luce": {"utility": utility},
+        "two_stage_luce": {"utility": utility, "dominance": [["a01", "a00"]]},
+        "drum": {"first": utility, "second": utility, "weights": []},
+        "tremble": {"utility": utility, "alpha": "1/2"},
+        "random": {"universe": labels, "seed": 1},
+    }[kind]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": kind, **spec}), encoding="utf-8")
+    # the full domain over 40 labels has 2**40 menus: only a check made
+    # before the first menu is built can answer within the timeout
+    result = subprocess.run(
+        [sys.executable, "-m", "stochrat.cli", "model", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env=checkout_env(),
+    )
+    assert result.returncode == 3
+    assert result.stderr == (
+        "capacity error: universe of 40 alternatives exceeds the "
+        "full-domain cap of 12\n"
+    )
+
+
 def test_analyze_isolates_capacity_per_subject(capsys, tmp_path):
     data = tmp_path / "mixed.csv"
     data.write_text(

@@ -12,14 +12,17 @@ from stochrat import (
     Verdict,
     compare,
     fishburn_correspondence,
+    general_luce,
     houtman_maks,
     hybrid_compare,
     luce,
     random_scf,
+    rum,
     swap_index,
     threshold_cuts,
     total_compare,
     totally_rational_regions,
+    tremble,
     uniform_drum,
 )
 
@@ -102,8 +105,25 @@ def test_swap_minimizer_is_lex_least_and_counted():
         ("abcdef", DomainKind.PAIRWISE),
     ]:
         cases += [(labels, kind, bound, seed) for bound in (2, 20) for seed in range(3)]
-    for labels, kind, bound, seed in cases:
-        scf = random_scf(seed, labels, denominator_bound=bound, domain_kind=kind)
+    subjects = [
+        random_scf(seed, labels, denominator_bound=bound, domain_kind=kind)
+        for labels, kind, bound, seed in cases
+    ]
+    # models that give members probability zero by construction
+    models = [
+        general_luce(
+            {"a": 2, "b": 3, "c": 1, "d": 3},
+            {"abc": "ab", "bd": "d", "abcd": "cd", "acd": "a"},
+        ),
+        tremble({"a": 1, "b": 4, "c": 2, "d": 3}, 1),
+        rum([({"a": 1, "b": 2, "c": 3}, F(1, 2)), ({"a": 3, "b": 1, "c": 2}, F(1, 2))]),
+        uniform_drum(
+            {"a": 1, "b": 2, "c": 3, "d": 4}, {"a": 4, "b": 3, "c": 1, "d": 2}, F(3, 5)
+        ),
+    ]
+    for scf in models:
+        assert any(0 in scf.menu_probs(menu).values() for menu in scf.menus())
+    for scf in subjects + models:
         result = swap_index(scf)
         value, winners = naive_swap_minimizers(scf)
         assert result.value == value

@@ -129,7 +129,7 @@ def test_ingest_matches_fraction_formulas(tmp_path, seed, suffix):
         want = core_tables(table)
         assert threshold_cuts(scf) == want["cuts"][1:]
         core = scf.core
-        for field in ("labels", "by_key", "key_pos", "menu_set", "members",
+        for field in ("labels", "by_key", "menu_set", "members",
                       "cuts", "rank", "scaled", "pair_rank"):
             assert getattr(core, field) == want[field], field
         assert core.pair_den % 2 == 0

@@ -219,13 +219,6 @@ def test_compare_reports_set_differences(demo_scf):
     assert result.right_minus_left.is_empty
 
 
-def test_verdict_mirror():
-    assert Verdict.LEFT_MORE_RATIONAL.mirror() is Verdict.RIGHT_MORE_RATIONAL
-    assert Verdict.RIGHT_MORE_RATIONAL.mirror() is Verdict.LEFT_MORE_RATIONAL
-    assert Verdict.EQUIVALENT.mirror() is Verdict.EQUIVALENT
-    assert Verdict.INCOMPARABLE.mirror() is Verdict.INCOMPARABLE
-
-
 def test_compare_many_chain():
     u = {"x": 3, "y": 2, "z": 1}
     v = {"z": 3, "y": 2, "x": 1}

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,8 @@ from stochrat import (
     uniform_drum,
     uniform_drum_irrationality,
 )
+
+from oracles import two_stage_focus
 
 F = Fraction
 XYZ = frozenset(("x", "y", "z"))
@@ -116,6 +119,56 @@ def test_two_stage_luce_improper_when_utility_disagrees():
 def test_two_stage_luce_rejects_cycles():
     with pytest.raises(ValueError, match="cycle"):
         two_stage_luce(U321, [("x", "y"), ("y", "x")])
+
+
+def _random_dominance(gen, labels):
+    """Pairs along a shuffled order (acyclic), then one fault or none: a
+    reversed pair, a three-cycle, a self-pair or a label outside (with a
+    self-pair, so that the first error is the one that counts)."""
+    order = list(labels)
+    gen.shuffle(order)
+    pairs = [p for p in itertools.combinations(order, 2) if gen.below(3) == 0]
+    fault = ("reversed", "three-cycle", "self-pair", "outside", "none", "none")[
+        gen.below(6)
+    ]
+    if fault == "reversed" and pairs:
+        a, b = pairs[gen.below(len(pairs))]
+        pairs.append((b, a))
+    elif fault == "three-cycle":
+        a, b, c = order[:3]
+        pairs += [(b, c), (c, a), (a, b)]
+    elif fault == "self-pair":
+        pairs.append((order[0], order[0]))
+    elif fault == "outside":
+        pairs += [(order[0], "q"), (order[1], order[1])]
+    gen.shuffle(pairs)
+    return fault, pairs
+
+
+def test_two_stage_luce_matches_the_fixpoint_closure():
+    gen = SplitMix64(77)
+    seen = Counter()
+    for _ in range(400):
+        labels = "abcdef"[: 3 + gen.below(4)]
+        utility = random_positive_utility(gen, labels, bound=5)
+        fault, dominance = _random_dominance(gen, labels)
+        try:
+            focus, proper = two_stage_focus(utility, dominance)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                two_stage_luce(utility, dominance)
+            assert str(raised.value) == str(exc)
+            seen[fault, str(exc)] += 1
+            continue
+        scf, got_proper = two_stage_luce(utility, dominance)
+        assert scf == general_luce(utility, focus)
+        assert got_proper == proper
+        seen[fault, proper] += 1
+    cycle = "dominance relation has a cycle"
+    for key in [("self-pair", cycle), ("three-cycle", cycle), ("none", True)]:
+        assert seen[key] >= 20, key
+    assert seen["none", False] >= 20
+    assert sum(n for (fault, _), n in seen.items() if fault == "outside") >= 20
 
 
 # -- dRUM -----------------------------------------------------------------------------

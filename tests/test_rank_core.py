@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import FIXTURES
 from stochrat import (
     DomainKind,
     IntervalUnion,
@@ -28,11 +29,14 @@ from stochrat import (
     is_selective_in_contractions,
     is_selective_in_expansions,
     luce,
+    random_ranking_utility,
     random_scf,
+    rum,
     transitivity_set,
     triangular_condition,
     tremble,
 )
+from stochrat.dataset import parse_dataset
 
 LABELS = "abcdefghij"
 
@@ -263,3 +267,84 @@ def pair_tables(draw):
 @given(pair_tables())
 def test_sweeps_match_brute_force_on_drawn_tables(scf):
     assert _pairwise_outputs(scf) == oracles.core_pairwise_reference(scf)
+
+
+# -- relabelling invariance ----------------------------------------------
+#
+# Renaming the alternatives must leave every threshold set where it is.  A
+# witness is the least violation in label order, so a bijection that
+# changes the sorted order may move it, but only to the least violation of
+# the same axiom, at the same threshold, in the new order.
+
+
+def _relabel_subjects():
+    gen = SplitMix64(4242)
+    for n in range(4, 8):
+        for k in range(3):
+            alpha = Fraction(1 + gen.below(9), 10)
+            utility = random_ranking_utility(gen, LABELS[:n])
+            yield f"tremble-n{n}-{k}", tremble(utility, alpha)
+    for n in (4, 5, 6):
+        for k in range(3):
+            for weights in ((3, 2), (1, 1, 1)):
+                parts = [
+                    (random_ranking_utility(gen, LABELS[:n]), Fraction(w, sum(weights)))
+                    for w in weights
+                ]
+                yield f"mixture{len(weights)}-n{n}-{k}", rum(parts)
+    yield "demo", parse_dataset(FIXTURES / "demo_full3.csv").scf("s1")
+    for n in (3, 4):
+        for seed in range(10):
+            yield f"full-n{n}-s{seed}", random_scf(700 + 10 * n + seed, LABELS[:n])
+    for n in range(4, 11):
+        for seed in range(3):
+            yield f"pairwise-n{n}-s{seed}", random_scf(
+                800 + 10 * n + seed, LABELS[:n], domain_kind=DomainKind.PAIRWISE
+            )
+    for n in (8, 12, 16):
+        for seed in range(8):
+            yield f"noisy-n{n}-s{seed}", noisy_ranking(900 + 10 * n + seed, n)
+    for name, scf in WIDE.items():
+        if scf.core.n <= 24:
+            yield name, scf
+
+
+RELABEL = dict(_relabel_subjects())
+
+
+def _relabelled(scf: StochasticChoiceFunction, seed: int):
+    """The subject under a seeded renaming that changes the label order."""
+    gen = SplitMix64(seed)
+    labels = scf.universe
+    order = list(range(len(labels)))
+    while order == sorted(order):
+        gen.shuffle(order)
+    rename = {x: f"r{k:02d}" for x, k in zip(labels, order)}
+    table = {
+        frozenset(map(rename.get, menu)): {
+            rename[x]: p for x, p in scf.menu_probs(menu).items()
+        }
+        for menu in scf.menus()
+    }
+    return StochasticChoiceFunction(table, scf.domain_kind)
+
+
+@pytest.mark.parametrize("name", sorted(RELABEL))
+def test_relabelling_keeps_sets_and_moves_witnesses_to_the_least(name):
+    scf = RELABEL[name]
+    renamed = _relabelled(scf, sum(map(ord, name)))
+    assert renamed.universe != scf.universe
+    before, after = irrationality_sets(scf), irrationality_sets(renamed)
+    for part in ("chernoff", "condorcet", "transitivity", "union"):
+        assert getattr(after, part) == getattr(before, part), part
+    assert [(w.interval, w.axiom) for w in after.witnesses] == [
+        (w.interval, w.axiom) for w in before.witnesses
+    ]
+    for witness in after.witnesses:
+        failures = dict(is_lambda_rational(renamed, witness.interval[1]).failures)
+        assert witness.detail == failures[witness.axiom]
+
+
+def test_relabelling_checks_many_witnesses():
+    count = sum(len(irrationality_sets(scf).witnesses) for scf in RELABEL.values())
+    assert count >= 100

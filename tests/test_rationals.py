@@ -48,14 +48,11 @@ def test_format_decimal_fixed_width():
 
 
 def test_format_decimal_rounds_half_away_from_zero():
-    assert format_decimal(Fraction(1, 2), digits=0) == "1"
-    assert format_decimal(Fraction(25, 1000), digits=2) == "0.03"
-    assert format_decimal(Fraction(-1, 2), digits=0) == "-1"
-
-
-def test_format_decimal_digits_parameter():
-    assert format_decimal(Fraction(2, 3), digits=3) == "0.667"
-    assert format_decimal(Fraction(1, 3), digits=2) == "0.33"
+    assert format_decimal(Fraction(1, 2_000_000)) == "0.000001"
+    assert format_decimal(Fraction(25, 10**7)) == "0.000003"
+    assert format_decimal(Fraction(-1, 2_000_000)) == "-0.000001"
+    assert format_decimal(Fraction(1, 2_000_001)) == "0.000000"
+    assert format_decimal(Fraction(-1, 3_000_000)) == "0.000000"
 
 
 def test_round_trip_exactness():

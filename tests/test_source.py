@@ -25,6 +25,48 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names the module reads, counting those inside string annotations."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = [
+        node.annotation
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation
+    ] + [
+        node.returns
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns
+    ]
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+def test_library_modules_use_every_name_they_import():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = _used_names(tree)
+        found += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+    assert found == []
+
+
 def test_cli_import_loads_only_what_analyze_runs():
     code = (
         "import sys, stochrat.cli; "
