@@ -29,7 +29,7 @@ _EXPORTS = {
         "totally_rational_regions",
     ),
     "dataset": ("ChoiceDataset", "parse_dataset", "scf_to_rows", "write_dataset_csv"),
-    "errors": ("CapacityError",),
+    "errors": ("CapacityError", "OracleMismatch"),
     "intervals": ("IntervalUnion",),
     "measure": (
         "ComparisonResult",

@@ -18,6 +18,10 @@ equivalence is what :func:`is_rational` relies on:
 
 On restricted domains every quantifier runs over the menus that are
 actually present.
+
+The stronger demand that one *complete* preorder generates the
+correspondence is decided by Richter's congruence axiom on the transitive
+closure of revealed weak preference (:func:`is_totally_rational`).
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .errors import CapacityError
 Menu = frozenset[str]
 V = TypeVar("V")
 
-TOTAL_RATIONALITY_CAP = 6
 HOUTMAN_MAKS_CAP = 20
 
 
@@ -336,48 +339,28 @@ def max_correspondence(
     return ChoiceCorrespondence(table, universe=order.universe)
 
 
-def weak_order_levels(universe: Iterable[str]) -> Iterator[dict[str, int]]:
-    """Every complete preorder on the universe, as label -> level maps.
-
-    Level 0 is the best indifference class; each map is onto a contiguous
-    level range.  Emitted in a deterministic order; the count for n labels
-    is the n-th Fubini number.
-    """
-    labels = tuple(sorted({str(x) for x in universe}))
-    n = len(labels)
-    if n == 0:
-        yield {}
-        return
-    for depth in range(1, n + 1):
-        for assignment in itertools.product(range(depth), repeat=n):
-            if len(set(assignment)) == depth:
-                yield dict(zip(labels, assignment))
-
-
 def is_totally_rational(c: ChoiceCorrespondence) -> bool:
     """True when some *complete* preorder generates the correspondence.
 
-    Brute force over all weak orders on the universe; |universe| must not
-    exceed ``TOTAL_RATIONALITY_CAP``.
+    Decided by Richter's congruence axiom (Econometrica 1966), exact on
+    any domain: x is revealed at least as good as every member of a menu
+    it is chosen from, and no menu may drop an alternative that the
+    transitive closure of that relation ranks at least as good as one of
+    the menu's chosen members.
     """
-    labels = c.universe
-    if len(labels) > TOTAL_RATIONALITY_CAP:
-        raise CapacityError(
-            f"total-rationality check is exact only up to {TOTAL_RATIONALITY_CAP} "
-            f"alternatives; got {len(labels)}"
-        )
-    menus = c.menus()
-    targets = [(menu, c.choice(menu)) for menu in menus]
-    for levels in weak_order_levels(labels):
-        ok = True
-        for menu, chosen in targets:
-            best = min(levels[x] for x in menu)
-            if frozenset(x for x in menu if levels[x] == best) != chosen:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    above: dict[str, set[str]] = {x: set() for x in c.universe}
+    for menu, chosen in c._table.items():
+        for x in chosen:
+            above[x] |= menu
+    revealed = Preorder.closure(
+        c.universe, ((x, y) for x, ys in above.items() for y in ys)
+    )
+    return not any(
+        revealed.geq(x, y)
+        for menu, chosen in c._table.items()
+        for x in menu - chosen
+        for y in chosen
+    )
 
 
 def houtman_maks(c: ChoiceCorrespondence) -> int:

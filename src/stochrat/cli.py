@@ -9,7 +9,9 @@ Subcommands:
 * ``check <data>``     head-to-head transitivity and triangular condition
 * ``swap <data>``      exact swap index per subject
 
-Exit codes: 0 success, 2 usage or data error, 3 capacity cap hit.
+Exit codes: 0 success, 2 usage or data error, 3 capacity cap hit,
+4 ``--oracle`` found a threshold set that disagrees with direct axiom
+checking (a bug; one stderr line names the subject, set and threshold).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 from .choice import check_axioms, menu_str, sort_menus
 from .dataset import parse_dataset, scf_to_rows, write_dataset_csv
-from .errors import CapacityError
+from .errors import CapacityError, OracleMismatch
 from .measure import (
     TransitivityFlags,
     TriangularResult,
@@ -262,6 +264,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
+    except OracleMismatch as exc:
+        print(f"oracle mismatch: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,11 +8,14 @@ Three ways of ranking subjects besides inclusion of irrationality sets:
   threshold correspondences region by region;
 * a *complete-preorder* comparator: compare the threshold regions on
   which each subject's correspondence can be generated by a complete
-  preorder.
+  preorder, decided by Richter's congruence axiom.
 
 The threshold comparators exploit that the correspondence family is
 piecewise constant between consecutive normalized-likelihood values, so
-evaluating one point per region is exact.
+evaluating one point per region is exact.  The swap index runs up to
+the full-domain universe cap on either domain and the complete-preorder
+regions up to the domain caps; the menu-removal count is NP-hard and
+stays capped at 20 menus.
 """
 
 from __future__ import annotations
@@ -21,16 +24,18 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from .choice import ChoiceCorrespondence, houtman_maks, is_totally_rational
+from .choice import houtman_maks, is_totally_rational
 from .core import bits
 from .errors import CapacityError
 from .intervals import IntervalUnion
 from .measure import ComparisonResult
-from .scf import StochasticChoiceFunction, fishburn_correspondence, threshold_cuts
-
-SWAP_CAP = 9
+from .scf import (
+    FULL_UNIVERSE_CAP,
+    StochasticChoiceFunction,
+    fishburn_correspondence,
+    threshold_cuts,
+)
 
 _ZERO = Fraction(0)
 
@@ -56,12 +61,12 @@ def swap_index(scf: StochasticChoiceFunction) -> SwapResult:
     P(x, S) times the number of members ranked above x.  The cost of
     placing x below a prefix set decomposes over pairs, so the minimum
     over all n! orders is found exactly with a subset dynamic program
-    (identical values, far fewer steps than direct enumeration).
+    in 2^n * n^2 steps, up to the full-domain universe cap.
     """
     n = len(scf.universe)
-    if n > SWAP_CAP:
+    if n > FULL_UNIVERSE_CAP:
         raise CapacityError(
-            f"swap index enumeration is exact only up to {SWAP_CAP} alternatives; "
+            f"swap index is exact only up to {FULL_UNIVERSE_CAP} alternatives; "
             f"got {n}"
         )
 
@@ -116,41 +121,6 @@ def swap_index(scf: StochasticChoiceFunction) -> SwapResult:
 # -- threshold-region comparators ---------------------------------------------
 
 
-def _merged_cuts(
-    left: StochasticChoiceFunction, right: StochasticChoiceFunction
-) -> tuple[Fraction, ...]:
-    cuts = sorted(set(threshold_cuts(left)) | set(threshold_cuts(right)))
-    if not cuts or cuts[-1] != 1:
-        raise RuntimeError("the top likelihood is always 1")
-    return tuple(cuts)
-
-
-def _region_compare(
-    left: StochasticChoiceFunction,
-    right: StochasticChoiceFunction,
-    left_worse_at: Callable[[ChoiceCorrespondence, ChoiceCorrespondence], int],
-) -> ComparisonResult:
-    """Shared driver: walk the merged threshold regions, score each side.
-
-    ``left_worse_at`` returns negative/zero/positive as the left
-    correspondence is worse/tied/better on that region.
-    """
-    cuts = _merged_cuts(left, right)
-    left_worse = []
-    right_worse = []
-    for lower, cut in zip((_ZERO, *cuts), cuts):
-        sign = left_worse_at(
-            fishburn_correspondence(left, cut), fishburn_correspondence(right, cut)
-        )
-        if sign < 0:
-            left_worse.append((lower, cut))
-        elif sign > 0:
-            right_worse.append((lower, cut))
-    return ComparisonResult.from_differences(
-        IntervalUnion.from_pairs(left_worse), IntervalUnion.from_pairs(right_worse)
-    )
-
-
 def hybrid_compare(
     left: StochasticChoiceFunction, right: StochasticChoiceFunction
 ) -> ComparisonResult:
@@ -160,13 +130,19 @@ def hybrid_compare(
     threshold region; the reported interval sets collect the regions
     where each side is strictly worse.
     """
-
-    def score(c_left: ChoiceCorrespondence, c_right: ChoiceCorrespondence) -> int:
-        hl = houtman_maks(c_left)
-        hr = houtman_maks(c_right)
-        return hr - hl
-
-    return _region_compare(left, right, score)
+    cuts = sorted(set(threshold_cuts(left)) | set(threshold_cuts(right)))
+    left_worse = []
+    right_worse = []
+    for lower, cut in zip((_ZERO, *cuts), cuts):
+        hl = houtman_maks(fishburn_correspondence(left, cut))
+        hr = houtman_maks(fishburn_correspondence(right, cut))
+        if hl > hr:
+            left_worse.append((lower, cut))
+        elif hl < hr:
+            right_worse.append((lower, cut))
+    return ComparisonResult.from_differences(
+        IntervalUnion.from_pairs(left_worse), IntervalUnion.from_pairs(right_worse)
+    )
 
 
 def total_compare(
@@ -175,15 +151,11 @@ def total_compare(
     """Compare the regions where each threshold correspondence can be
     generated by a complete preorder.  The left subject dominates when it
     is complete-preorder-consistent wherever the right one is."""
-
-    def score(c_left: ChoiceCorrespondence, c_right: ChoiceCorrespondence) -> int:
-        tl = is_totally_rational(c_left)
-        tr = is_totally_rational(c_right)
-        if tl == tr:
-            return 0
-        return 1 if tl else -1
-
-    return _region_compare(left, right, score)
+    left_tr = totally_rational_regions(left)
+    right_tr = totally_rational_regions(right)
+    return ComparisonResult.from_differences(
+        right_tr.difference(left_tr), left_tr.difference(right_tr)
+    )
 
 
 def totally_rational_regions(scf: StochasticChoiceFunction) -> IntervalUnion:

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from .choice import menu_key
-from .errors import CapacityError
+from .errors import CapacityError, OracleMismatch
 from .dataset import ChoiceDataset
 from .measure import (
     IrrationalitySets,
@@ -100,7 +100,7 @@ def analyze_scf(
     With ``config.oracle`` every printed set is cross-checked against
     direct axiom checking on the critical threshold grid: each axiom's
     part against that axiom's outcome, and the union against all three.
-    A mismatch is a bug, reported loudly.
+    A mismatch is a bug, raised as :class:`OracleMismatch`.
     """
     sets = irrationality_sets(scf)
     if config.oracle:
@@ -113,8 +113,9 @@ def analyze_scf(
                 ("irrationality", sets.union, axioms.all_hold),
             ):
                 if part.contains(lam) == holds:
-                    raise AssertionError(
-                        f"{name} set and axiom checking disagree at {lam}"
+                    raise OracleMismatch(
+                        f"subject {subject}, {name} set and axiom checking "
+                        f"disagree at {lam}"
                     )
     if scf.domain_kind is DomainKind.FULL:
         contractions: Optional[bool] = is_selective_in_contractions(scf)

@@ -8,6 +8,7 @@ so a bug cannot cancel itself out.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -73,6 +74,39 @@ def rationalizable_bruteforce(corr: ChoiceCorrespondence) -> bool:
     """Ground truth for rationalizability on universes of up to 4 labels."""
     labels = tuple(sorted(corr.universe))
     return any(rationalized_by(corr, rel) for rel in all_preorders(labels))
+
+
+@functools.lru_cache(maxsize=None)
+def weak_order_levels(universe: tuple[str, ...]) -> tuple[dict[str, int], ...]:
+    """Every complete preorder on the universe, as label -> level maps.
+
+    Level 0 is the best indifference class; each map is onto a contiguous
+    level range, so the count for n labels is the n-th Fubini number.
+    Kept per universe, since the differential tests reuse a few universes.
+    """
+    n = len(universe)
+    return tuple(
+        dict(zip(universe, assignment))
+        for depth in range(n + 1)
+        for assignment in itertools.product(range(depth), repeat=n)
+        if len(set(assignment)) == depth
+    )
+
+
+def totally_rational_bruteforce(corr: ChoiceCorrespondence) -> bool:
+    """Ground truth for total rationality: some weak order on the universe
+    chooses its best level from every menu (4,683 weak orders at six
+    labels, 47,293 at seven)."""
+    # the largest menus first: they rule out the most weak orders
+    targets = [(menu, corr.choice(menu)) for menu in corr.menus()[::-1]]
+    for levels in weak_order_levels(corr.universe):
+        for menu, chosen in targets:
+            best = min(levels[x] for x in menu)
+            if frozenset(x for x in menu if levels[x] == best) != chosen:
+                break
+        else:
+            return True
+    return False
 
 
 def random_preorder(gen: SplitMix64, labels: tuple[str, ...]) -> Relation:

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochrat import (
     CapacityError,
@@ -14,7 +16,6 @@ from stochrat import (
     SplitMix64,
 )
 from stochrat import choice
-from stochrat.choice import weak_order_levels
 
 from oracles import (
     all_preorders,
@@ -22,6 +23,8 @@ from oracles import (
     random_preorder,
     rationalizable_bruteforce,
     rationalized_by,
+    totally_rational_bruteforce,
+    weak_order_levels,
 )
 
 
@@ -270,8 +273,8 @@ def test_scans_yield_every_violation_of_the_written_out_reference():
 
 def test_weak_order_levels_counts():
     # 3 alternatives admit 13 weak orders
-    assert sum(1 for _ in weak_order_levels(("a", "b", "c"))) == 13
-    assert sum(1 for _ in weak_order_levels(("a", "b"))) == 3
+    assert len(weak_order_levels(("a", "b", "c"))) == 13
+    assert len(weak_order_levels(("a", "b"))) == 3
 
 
 def test_totally_rational_implies_rational():
@@ -294,11 +297,64 @@ def test_totally_rational_implies_rational():
     assert seen_gap  # rationality is strictly weaker
 
 
+def _weak_order_correspondence(gen):
+    """Two to six labels, all of them in menus or some left outside; every
+    menu of size two or more (full) or a random part of all menus
+    (restricted); each choice set the best level of a random weak order,
+    and in about half the cases one or two of them replaced by a random
+    nonempty subset of the menu."""
+    labels = "abcdef"[: 2 + gen.below(5)]
+    universe = labels + "vw"[: gen.below(7 - len(labels))]
+    levels = {x: gen.below(len(labels)) for x in labels}
+    full = gen.below(2) == 0
+    table = {}
+    for k in range(1, len(labels) + 1):
+        for menu in itertools.combinations(labels, k):
+            if (full and k > 1) or gen.below(3) == 0:
+                best = min(levels[x] for x in menu)
+                table[menu] = frozenset(x for x in menu if levels[x] == best)
+    menus = list(table)
+    for _ in range(gen.below(3) if menus else 0):
+        menu = menus[gen.below(len(menus))]
+        table[menu] = frozenset(
+            [x for x in menu if gen.below(2)] or [menu[gen.below(len(menu))]]
+        )
+    return ChoiceCorrespondence(table, universe=universe)
+
+
+def test_congruence_matches_weak_order_enumeration():
+    gen = SplitMix64(11)
+    outcomes = [0, 0]
+    for _ in range(700):
+        c = _weak_order_correspondence(gen)
+        holds = is_totally_rational(c)
+        assert holds == totally_rational_bruteforce(c), c
+        outcomes[holds] += 1
+    assert min(outcomes) >= 200
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**64 - 1))
+def test_congruence_matches_weak_order_enumeration_on_drawn_seeds(seed):
+    c = _weak_order_correspondence(SplitMix64(seed))
+    assert is_totally_rational(c) == totally_rational_bruteforce(c)
+
+
 def test_total_rationality_capacity():
+    # seven alternatives were above the old enumeration's cap
     labels = [f"a{i}" for i in range(7)]
-    c = ChoiceCorrespondence({frozenset(labels): frozenset(labels)})
-    with pytest.raises(CapacityError):
-        is_totally_rational(c)
+    everything = ChoiceCorrespondence({frozenset(labels): frozenset(labels)})
+    level = {x: i // 2 for i, x in enumerate(labels)}
+    pairs = {
+        pair: frozenset(x for x in pair if level[x] == min(map(level.get, pair)))
+        for pair in itertools.combinations(labels, 2)
+    }
+    ranked = ChoiceCorrespondence(pairs)
+    pairs[("a0", "a6")] = frozenset(("a6",))
+    reversed_pair = ChoiceCorrespondence(pairs)
+    for c, holds in ((everything, True), (ranked, True), (reversed_pair, False)):
+        assert is_totally_rational(c) is holds
+        assert totally_rational_bruteforce(c) is holds
 
 
 # -- Houtman-Maks ----------------------------------------------------------------

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import stochrat
+from stochrat import measure
 from stochrat.cli import main
 from stochrat.dataset import parse_dataset
+from stochrat.intervals import IntervalUnion
 from stochrat.rationals import RATIONAL_TEXT_CAP
 
 from conftest import FIXTURES
@@ -398,6 +400,32 @@ def test_capacity_exits_3(capsys):
     code, _, err = run_cli(capsys, "--max-universe", "2", "compare", DEMO)
     assert code == 3
     assert err.startswith("capacity error:")
+
+
+def test_oracle_mismatch_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(measure, "transitivity_set", lambda scf: IntervalUnion.empty())
+    code, out, err = run_cli(capsys, "--oracle", "analyze", CYCLES)
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "oracle mismatch: subject cyc07, cycle set and axiom checking "
+        "disagree at 5/7\n"
+    )
+
+
+def test_analyze_json_does_not_depend_on_the_hash_seed():
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "stochrat.cli", "analyze", PANEL, "--format", "json"],
+            capture_output=True,
+            check=True,
+            timeout=60,
+            env=dict(checkout_env(), PYTHONHASHSEED=seed),
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert len(json.loads(outputs[0])["subjects"]) == 26
 
 
 @pytest.mark.parametrize(

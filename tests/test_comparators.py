@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,10 +24,11 @@ from stochrat import (
     total_compare,
     totally_rational_regions,
     tremble,
+    tremble_irrationality,
     uniform_drum,
 )
 
-from oracles import naive_swap_minimizers, naive_swap_value
+from oracles import naive_swap_minimizers, naive_swap_value, totally_rational_bruteforce
 
 F = Fraction
 
@@ -131,14 +133,20 @@ def test_swap_minimizer_is_lex_least_and_counted():
         assert result.order == min(winners)
 
 
+def coin_pairs(labels):
+    return StochasticChoiceFunction(
+        {
+            frozenset(pair): dict.fromkeys(pair, F(1, 2))
+            for pair in itertools.combinations(labels, 2)
+        },
+        DomainKind.PAIRWISE,
+    )
+
+
 def test_swap_of_all_coin_pairwise_subject():
     # every order passes over one alternative in each of the 10 pairs
     # with probability 1/2, so all 5! orders tie at 5
-    coins = {
-        frozenset(pair): dict.fromkeys(pair, F(1, 2))
-        for pair in itertools.combinations("abcde", 2)
-    }
-    result = swap_index(StochasticChoiceFunction(coins, DomainKind.PAIRWISE))
+    result = swap_index(coin_pairs("abcde"))
     assert result == SwapResult(F(5), ("a", "b", "c", "d", "e"), 120)
 
 
@@ -157,25 +165,63 @@ def test_swap_is_label_invariant():
 
 
 def test_swap_capacity():
-    labels = [f"a{i}" for i in range(10)]
-    menus = {}
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            menus[frozenset((a, b))] = {a: F(1, 2), b: F(1, 2)}
-    scf = StochasticChoiceFunction(menus, DomainKind.PAIRWISE)
-    with pytest.raises(CapacityError):
-        swap_index(scf)
+    labels = [f"a{i:02d}" for i in range(13)]
+    with pytest.raises(CapacityError, match="up to 12 alternatives; got 13"):
+        swap_index(coin_pairs(labels))
+    # as in the five-coin case: all 12! orders tie at 66 * 1/2
+    result = swap_index(coin_pairs(labels[:12]))
+    assert result == SwapResult(F(33), tuple(labels[:12]), math.factorial(12))
+
+
+def ranked_pairs(reversed_pair=()):
+    """Pairwise subject on seven alternatives from the weak order with
+    levels {a0,a1} > {a2,a3} > {a4,a5} > {a6}: 1/2 within a level, 2/3 for
+    the better one across levels, except that the pair ``reversed_pair``
+    gives its worse member 2/3."""
+    labels = [f"a{i}" for i in range(7)]
+    table = {}
+    for x, y in itertools.combinations(labels, 2):
+        if int(x[1:]) // 2 == int(y[1:]) // 2:
+            table[frozenset((x, y))] = {x: F(1, 2), y: F(1, 2)}
+        else:
+            better, worse = (y, x) if (x, y) == reversed_pair else (x, y)
+            table[frozenset((x, y))] = {better: F(2, 3), worse: F(1, 3)}
+    return StochasticChoiceFunction(table, DomainKind.PAIRWISE)
+
+
+def oracle_total_regions(scf):
+    cuts = threshold_cuts(scf)
+    return IntervalUnion.from_pairs(
+        (lo, hi)
+        for lo, hi in zip((F(0),) + cuts, cuts)
+        if totally_rational_bruteforce(fishburn_correspondence(scf, hi))
+    )
 
 
 def test_region_comparator_capacity():
-    seven = random_scf(1, [f"a{i}" for i in range(7)], domain_kind=DomainKind.PAIRWISE)
-    with pytest.raises(CapacityError, match="up to 6 alternatives; got 7"):
-        total_compare(seven, seven)
-    with pytest.raises(CapacityError, match="up to 6 alternatives; got 7"):
-        totally_rational_regions(seven)
+    # seven alternatives were above the old weak-order enumeration's cap
+    ranked = ranked_pairs()
+    cycled = ranked_pairs(("a0", "a6"))  # a0 > a2 > a6 > a0 above 1/2
+    assert str(totally_rational_regions(ranked)) == "(0,1]"
+    assert str(totally_rational_regions(cycled)) == "(0,1/2]"
+    for scf in (ranked, cycled):
+        assert totally_rational_regions(scf) == oracle_total_regions(scf)
+    result = total_compare(ranked, cycled)
+    assert result.verdict is Verdict.LEFT_MORE_RATIONAL
+    assert result.left_minus_right.is_empty
+    assert result.right_minus_left == oracle_total_regions(ranked).difference(
+        oracle_total_regions(cycled)
+    )
     five = random_scf(1, "abcde")  # 26 menus
     with pytest.raises(CapacityError, match="up to 20 menus; got 26"):
         hybrid_compare(five, five)
+
+
+@pytest.mark.parametrize("alpha", [F(1, 3), F(3, 5)])
+@pytest.mark.parametrize("n", range(3, 13))
+def test_tremble_is_totally_rational_off_its_irrationality_set(n, alpha):
+    scf = tremble({f"a{i:02d}": i + 1 for i in range(n)}, alpha)
+    assert totally_rational_regions(scf) == tremble_irrationality(n, alpha).complement()
 
 
 def test_coin_has_maximal_swap_value_among_two_alternative_scfs():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from stochrat import measure
 from stochrat.dataset import ChoiceDataset, parse_dataset
+from stochrat.errors import OracleMismatch
 from stochrat.intervals import IntervalUnion
 from stochrat.measure import compare_many
 from stochrat.models import random_scf
@@ -65,7 +66,10 @@ def test_oracle_checks_each_part_not_only_the_union(monkeypatch):
     config = AnalysisConfig(oracle=True)
     assert str(analyze_scf(scf, config=config).sets.transitivity) == "(1/2,8/9]"
     monkeypatch.setattr(measure, "transitivity_set", lambda scf: IntervalUnion.empty())
-    with pytest.raises(AssertionError, match="^cycle set and axiom checking disagree at 25/36$"):
+    with pytest.raises(
+        OracleMismatch,
+        match="^subject model, cycle set and axiom checking disagree at 25/36$",
+    ):
         analyze_scf(scf, config=config)
 
 
