@@ -270,58 +270,68 @@ def is_rational(c: ChoiceCorrespondence) -> bool:
 # -- preorders ----------------------------------------------------------
 
 
+def _successors(
+    universe: Iterable[str], pairs: Iterable[tuple[str, str]]
+) -> tuple[tuple[str, ...], dict[str, set[str]]]:
+    """The sorted universe, and per label the labels it is at least as good
+    as: itself and those the pairs name.  The least pair outside the
+    universe is an error."""
+    labels = tuple(sorted({str(x) for x in universe}))
+    succ = {x: {x} for x in labels}
+    pairs = {(str(a), str(b)) for a, b in pairs}
+    outside = [(a, b) for a, b in pairs if a not in succ or b not in succ]
+    if outside:
+        a, b = min(outside)
+        raise ValueError(f"pair ({a},{b}) outside the universe")
+    for a, b in pairs:
+        succ[a].add(b)
+    return labels, succ
+
+
 class Preorder:
     """A reflexive transitive binary relation on a finite label set.
 
     ``pairs`` lists the related ordered pairs (a, b) meaning "a is at
     least as good as b".  The diagonal is added automatically;
-    transitivity is validated, not repaired (see :meth:`closure`).
+    transitivity is validated, not repaired (see :meth:`closure`): the
+    error names the least violating (a, b, c) in label order.
     """
 
     def __init__(self, universe: Iterable[str], pairs: Iterable[tuple[str, str]]):
-        self._universe = tuple(sorted({str(x) for x in universe}))
-        base = {(str(a), str(b)) for a, b in pairs}
-        members = set(self._universe)
-        for a, b in base:
-            if a not in members or b not in members:
-                raise ValueError(f"pair ({a},{b}) outside the universe")
-        base |= {(x, x) for x in self._universe}
-        for a, b in base:
-            for c_ in self._universe:
-                if (b, c_) in base and (a, c_) not in base:
+        self._universe, self._succ = _successors(universe, pairs)
+        for a, above in self._succ.items():
+            for b in sorted(above):
+                missing = self._succ[b] - above
+                if missing:
+                    c_ = min(missing)
                     raise ValueError(
                         f"relation is not transitive: ({a},{b}) and ({b},{c_}) "
                         f"present but ({a},{c_}) missing"
                     )
-        self._pairs = frozenset(base)
 
     @classmethod
     def closure(
         cls, universe: Iterable[str], pairs: Iterable[tuple[str, str]]
     ) -> "Preorder":
-        """Build the smallest preorder containing ``pairs``."""
-        labels = sorted({str(x) for x in universe})
-        rel = {(str(a), str(b)) for a, b in pairs}
-        rel |= {(x, x) for x in labels}
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for c_ in labels:
-                    if (b, c_) in rel and (a, c_) not in rel:
-                        rel.add((a, c_))
-                        changed = True
-        return cls(labels, rel)
+        """Build the smallest preorder containing ``pairs``, by one Warshall
+        pass over the successor sets."""
+        order = cls.__new__(cls)
+        order._universe, order._succ = _successors(universe, pairs)
+        for k, through in order._succ.items():
+            for above in order._succ.values():
+                if k in above:
+                    above |= through
+        return order
 
     @property
     def universe(self) -> tuple[str, ...]:
         return self._universe
 
     def geq(self, a: str, b: str) -> bool:
-        return (a, b) in self._pairs
+        return b in self._succ.get(a, ())
 
     def strictly_better(self, a: str, b: str) -> bool:
-        return (a, b) in self._pairs and (b, a) not in self._pairs
+        return self.geq(a, b) and not self.geq(b, a)
 
     def maximal(self, menu: Iterable[str]) -> frozenset[str]:
         """Members of the menu not strictly dominated within it."""

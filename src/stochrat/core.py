@@ -7,8 +7,9 @@ bitmasks over the sorted universe, and probabilities by integers, so the
 analysis runs on small ints and converts back to ``Fraction`` only where an
 :class:`~stochrat.intervals.IntervalUnion` comes out.
 
-A core is built from a validated subject and never changes; the subject
-builds it on first use (``StochasticChoiceFunction.core``).
+A core is built from a validated subject's integer rows, which it keeps as
+``scaled`` without copying, and never changes; the subject builds it on
+first use (``StochasticChoiceFunction.core``).
 """
 
 from __future__ import annotations
@@ -44,16 +45,15 @@ class SubjectCore:
     * ``rank[mask][i]``: rank of alternative i's likelihood on the menu
       (0 for non-members and for zero probability).
     * ``pair_rank[i][j]``: rank of i's likelihood on {i, j}.
-    * ``scaled[mask][i]``: the menu's probabilities times the least common
-      multiple of their denominators, an integer row (the subject's own).
+    * ``scaled[mask][i]``: the subject's integer row of the menu, taken as
+      it is: numerators in lowest terms over the row's sum, one per
+      alternative.
     * ``pair_num[i][j] / pair_den``: P(i over j) over one common even
       denominator, so one half is ``pair_den // 2``.
     """
 
     def __init__(
-        self,
-        labels: Sequence[str],
-        rows: Mapping[frozenset[str], tuple[Mapping[str, int], int]],
+        self, labels: Sequence[str], rows: Mapping[frozenset[str], Sequence[int]]
     ) -> None:
         n = len(labels)
         index = {label: i for i, label in enumerate(labels)}
@@ -64,24 +64,23 @@ class SubjectCore:
 
         self.menu_set: dict[int, frozenset[str]] = {}
         self.members: dict[int, tuple[int, ...]] = {}
-        # x's likelihood on a menu is nums[x] / max(nums) over the row's
-        # integer numerators; key each by its reduced (num, den) pair
-        self.scaled: dict[int, list[int]] = {}
+        self.scaled: dict[int, Sequence[int]] = {}
+        # x's likelihood on a menu is row[x] / max(row); key each positive
+        # one by its reduced (num, den) pair
         keyed: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-        for menu, (nums, _) in rows.items():
+        for menu, row in rows.items():
             members = tuple(sorted(index[x] for x in menu))
             mask = sum(1 << i for i in members)
             self.menu_set[mask] = menu
             self.members[mask] = members
-            top = max(nums.values())
-            row_scaled = [0] * n
+            self.scaled[mask] = row
+            top = max(row)
             row_keys = []
-            for x, num in nums.items():
-                i = index[x]
-                row_scaled[i] = num
-                g = math.gcd(num, top)
-                row_keys.append((i, (num // g, top // g)))
-            self.scaled[mask] = row_scaled
+            for i in members:
+                num = row[i]
+                if num:
+                    g = math.gcd(num, top)
+                    row_keys.append((i, (num // g, top // g)))
             keyed[mask] = row_keys
         self.by_key = tuple(sorted(self.members, key=self.members.__getitem__))
 
@@ -100,7 +99,7 @@ class SubjectCore:
             self.rank[mask] = row_rank
 
         pairs = [m for m in self.by_key if len(self.members[m]) == 2]
-        # a scaled row sums to its own scale, since probabilities sum to 1
+        # a row's sum is its scale
         self.pair_den = 2 * math.lcm(*(sum(self.scaled[m]) for m in pairs))
         self.pair_rank = [[0] * n for _ in range(n)]
         self.pair_num = [[0] * n for _ in range(n)]

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .choice import Menu, as_menu, menu_str
 from .rationals import (
@@ -64,8 +65,10 @@ class _Ingest:
 
     Each distinct menu and each distinct probability cell of a file is
     parsed once.  Rows are summed (counts) or collected (probabilities) per
-    (subject, menu) as they are read; :meth:`table` then checks each row's
-    total in integers and hands out exact probabilities.
+    (subject, menu) as they are read; :meth:`table` then turns each into
+    the one integer row that the dataset and the subject keep: counts never
+    become ``Fraction``s, and probability cells meet over their common
+    denominator once, where their sum is checked.
     """
 
     def __init__(self) -> None:
@@ -133,12 +136,10 @@ class _Ingest:
                     f"{where}: count {count_text[:20] + '…'!r} of {len(count_text)} "
                     f"characters exceeds the cap of {RATIONAL_TEXT_CAP}"
                 )
-            try:
-                value: Union[int, Fraction] = int(count_text)
-            except ValueError:
-                raise ValueError(
-                    f"{where}: count {count_text!r} is not an integer"
-                ) from None
+            digits = count_text[1:] if count_text[0] in "+-" else count_text
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"{where}: count {count_text!r} is not an integer")
+            value: Union[int, Fraction] = int(count_text)
             if value < 0:
                 raise ValueError(f"{where}: count {value} is negative")
         else:
@@ -164,40 +165,56 @@ class _Ingest:
         else:
             row[alternative] = value
 
-    def table(self) -> dict[str, dict[Menu, dict[str, Fraction]]]:
-        table: dict[str, dict[Menu, dict[str, Fraction]]] = {}
-        for (subject, menu), (kind, row) in self.slots.items():
+    def table(self) -> dict[str, dict[Menu, tuple[int, ...]]]:
+        """Each subject's menus and their integer rows, aligned to the
+        subject's sorted labels: counts over their gcd, probabilities over
+        the lcm of their denominators."""
+        labels: dict[str, set[str]] = {}
+        for subject, menu in self.slots:
+            labels.setdefault(subject, set()).update(menu)
+        index = {
+            subject: {x: i for i, x in enumerate(sorted(members))}
+            for subject, members in labels.items()
+        }
+        table: dict[str, dict[Menu, tuple[int, ...]]] = {}
+        for (subject, menu), (kind, cells) in self.slots.items():
             if kind == "count":
-                total = sum(row.values())
-                if total == 0:
+                divisor = math.gcd(*cells.values())
+                if not divisor:
                     raise ValueError(
                         f"subject {subject!r}, menu {menu_str(menu)}: all counts zero"
                     )
-                dist = {x: Fraction(c, total) for x, c in row.items()}
+                nums = [count // divisor for count in cells.values()]
             else:
-                nums, scale = common_scale(row.values())
+                nums, scale = common_scale(cells.values())
                 total = sum(nums)
                 if total != scale:
                     raise ValueError(
                         f"subject {subject!r}, menu {menu_str(menu)}: probabilities "
                         f"sum to {Fraction(total, scale)}, not 1"
                     )
-                dist = row
-            table.setdefault(subject, {})[menu] = dist
+            at = index[subject]
+            row = [0] * len(at)
+            for x, num in zip(cells, nums):
+                row[at[x]] = num
+            table.setdefault(subject, {})[menu] = tuple(row)
         return table
 
 
 class ChoiceDataset:
-    """Per-subject choice probabilities, as read by :func:`parse_dataset`.
+    """Per-subject choice data, as read by :func:`parse_dataset`.
 
-    ``table`` maps each subject to its menus and their member -> probability
-    rows; every menu is a frozenset of at least two alternatives.
-    :meth:`scf` infers the subject's domain kind and builds a
-    :class:`~stochrat.scf.StochasticChoiceFunction`, which validates the
-    rows and the domain.
+    ``table`` maps each subject to its menus and their integer rows: one
+    nonnegative integer per label of the subject (the union of its menus)
+    in sorted order, in lowest terms, so that a label's probability on the
+    menu is its entry over the row's sum.  Every menu is a frozenset of at
+    least two alternatives.  :meth:`scf` infers the subject's domain kind
+    and builds a :class:`~stochrat.scf.StochasticChoiceFunction` on these
+    rows (:meth:`~stochrat.scf.StochasticChoiceFunction.from_rows`), which
+    validates them and the domain.
     """
 
-    def __init__(self, table: Mapping[str, Mapping[Menu, Mapping[str, Fraction]]]) -> None:
+    def __init__(self, table: Mapping[str, Mapping[Menu, Sequence[int]]]) -> None:
         if not table:
             raise ValueError("dataset contains no observations")
         for subject, menus in table.items():
@@ -212,7 +229,7 @@ class ChoiceDataset:
     def subject_ids(self) -> list[str]:
         return list(self._table)
 
-    def _subject(self, subject: str) -> Mapping[Menu, Mapping[str, Fraction]]:
+    def _subject(self, subject: str) -> Mapping[Menu, Sequence[int]]:
         try:
             return self._table[subject]
         except KeyError:
@@ -244,9 +261,7 @@ class ChoiceDataset:
     ) -> StochasticChoiceFunction:
         menus = self._subject(subject)
         kind = self.domain_kind(subject)
-        return StochasticChoiceFunction(
-            menus, kind, max_universe=max_universe
-        )
+        return StochasticChoiceFunction.from_rows(menus, kind, max_universe)
 
 
 # -- file front ends ---------------------------------------------------------
@@ -356,8 +371,7 @@ def scf_to_rows(
     rows = []
     for menu in scf.menus():
         field = "|".join(sorted(menu))
-        for alternative in sorted(menu):
-            prob = scf.prob(alternative, menu)
+        for alternative, prob in scf.menu_probs(menu).items():
             if prob == 0:
                 continue
             rows.append(

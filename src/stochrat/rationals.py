@@ -26,9 +26,9 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"``, ``"n"`` or a decimal literal into an exact Fraction.
 
     Decimal strings convert exactly: ``"0.8"`` becomes 4/5, not the binary
-    float nearest to 0.8.  Text longer than :data:`RATIONAL_TEXT_CAP`
-    characters and decimal exponents beyond :data:`DECIMAL_EXPONENT_CAP` in
-    magnitude are rejected.
+    float nearest to 0.8.  Text that is not ASCII or holds ``_``, text
+    longer than :data:`RATIONAL_TEXT_CAP` characters and decimal exponents
+    beyond :data:`DECIMAL_EXPONENT_CAP` in magnitude are rejected.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {text!r}")
@@ -40,6 +40,10 @@ def parse_rational(text: str) -> Fraction:
             f"rational text of {len(stripped)} characters exceeds the cap of "
             f"{RATIONAL_TEXT_CAP}"
         )
+    if "_" in stripped or not stripped.isascii():
+        # digit separators and non-ASCII digits are Python literal syntax,
+        # not data
+        raise ValueError(f"not a rational number: {text!r}")
     _, marker, exponent = stripped.lower().partition("e")
     try:
         too_large = bool(marker) and abs(int(exponent)) > DECIMAL_EXPONENT_CAP

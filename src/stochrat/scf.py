@@ -24,7 +24,7 @@ import itertools
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .choice import (
     AxiomReport,
@@ -123,6 +123,14 @@ def missing_menus(
     return f"missing menu {menu_str(first)}{more}"
 
 
+def _check_size(menu: Menu) -> None:
+    if len(menu) < 2:
+        raise ValueError(
+            f"menu {menu_str(menu)} has a single member; singleton menus "
+            "are implicit and must not be supplied"
+        )
+
+
 class StochasticChoiceFunction:
     """Validated menu-by-menu choice probabilities on a complete domain.
 
@@ -132,9 +140,10 @@ class StochasticChoiceFunction:
     Validation is eager: the domain must be complete for its kind, every
     menu must sum to one, and the universe size must respect the cap.
 
-    Each menu is kept as an integer row: the numerators of its positive
-    probabilities over the least common multiple of their denominators
-    (the row's scale).  Ranges and sums are checked on those integers.
+    Each menu is kept as one integer row, the form :meth:`from_rows`
+    takes: the numerators of its probabilities in lowest terms, one per
+    alternative of the sorted universe (zero for non-members), so that the
+    row's sum is its scale.  The core reads these rows as they are.
     """
 
     def __init__(
@@ -146,13 +155,9 @@ class StochasticChoiceFunction:
     ) -> None:
         domain_kind = DomainKind(domain_kind)
         table, labels = menu_table(probabilities, universe)
-        rows: dict[Menu, tuple[dict[str, int], int]] = {}
+        index = {x: i for i, x in enumerate(labels)}
         for menu, dist in table.items():
-            if len(menu) < 2:
-                raise ValueError(
-                    f"menu {menu_str(menu)} has a single member; singleton menus "
-                    "are implicit and must not be supplied"
-                )
+            _check_size(menu)
             values: dict[str, Fraction] = {}
             for alt, value in dist.items():
                 if alt not in menu:
@@ -167,27 +172,71 @@ class StochasticChoiceFunction:
                     )
                 if value:
                     values[alt] = value
-            scaled, scale = common_scale(values.values())
-            nums = dict(zip(values, scaled))
-            total = sum(scaled)
+            nums, scale = common_scale(values.values())
+            total = sum(nums)
             if total != scale:
                 raise ValueError(
                     f"probabilities on menu {menu_str(menu)} sum to "
                     f"{Fraction(total, scale)}, not 1"
                 )
-            rows[menu] = (nums, scale)
+            row = table[menu] = [0] * len(labels)
+            for alt, num in zip(values, nums):
+                row[index[alt]] = num
+        self._build(table, labels, domain_kind, max_universe)
 
+    @classmethod
+    def from_rows(
+        cls,
+        rows: Mapping[Iterable[str], Sequence[int]],
+        domain_kind: DomainKind = DomainKind.FULL,
+        max_universe: Optional[int] = None,
+    ) -> "StochasticChoiceFunction":
+        """The subject whose menus have the given integer rows: one
+        nonnegative entry per label of the menus in sorted order, zero off
+        the menu, in lowest terms; an entry over its row's sum is that
+        label's probability.  Validated as by the constructor."""
+        domain_kind = DomainKind(domain_kind)
+        scf = cls.__new__(cls)
+        scf._build(*menu_table(rows), domain_kind, max_universe)
+        return scf
+
+    def _build(
+        self,
+        table: dict[Menu, Sequence[int]],
+        labels: tuple[str, ...],
+        domain_kind: DomainKind,
+        max_universe: Optional[int],
+    ) -> None:
+        """Validate the integer rows and the domain, and keep the rows."""
         n = len(labels)
+        index = {x: i for i, x in enumerate(labels)}
+        for menu, row in table.items():
+            _check_size(menu)
+            row = table[menu] = tuple(row)
+            # nonnegative entries sum to the members' entries exactly when
+            # every non-member's entry is zero
+            if (
+                len(row) != n
+                or set(map(type, row)) != {int}
+                or min(row) < 0
+                or sum(row[index[x]] for x in menu) != sum(row)
+                or math.gcd(*row) != 1
+            ):
+                raise ValueError(
+                    f"row of menu {menu_str(menu)} is not {n} nonnegative "
+                    "integers in lowest terms, zero off the menu"
+                )
+
         check_universe(n, domain_kind, max_universe)
         pairwise = domain_kind is DomainKind.PAIRWISE
-        extra = [m for m in rows if len(m) > 2] if pairwise else []
+        extra = [m for m in table if len(m) > 2] if pairwise else []
         # Every menu is a distinct subset of the universe with at least two
         # members, so the domain is complete exactly when the menus of the
         # domain's sizes are as many as the domain has.
-        if len(rows) - len(extra) < domain_kind.menu_count(n):
+        if len(table) - len(extra) < domain_kind.menu_count(n):
             raise ValueError(
                 f"incomplete {domain_kind.value} domain: "
-                + missing_menus(labels, domain_kind, rows)
+                + missing_menus(labels, domain_kind, table)
             )
         if extra:
             raise ValueError(
@@ -197,7 +246,7 @@ class StochasticChoiceFunction:
 
         self._kind = domain_kind
         self._universe = labels
-        self._rows = rows
+        self._rows: dict[Menu, tuple[int, ...]] = table
 
     # -- basic accessors ----------------------------------------------
 
@@ -217,55 +266,53 @@ class StochasticChoiceFunction:
         """Rank-coded integer tables of this subject, built on first use."""
         return SubjectCore(self._universe, self._rows)
 
-    def _row(
-        self, menu: Iterable[str], x: Optional[str] = None
-    ) -> tuple[Menu, Mapping[str, int], int]:
-        """The menu, its integer row and scale (a singleton's only member
-        gets 1); ``x``, when given, must be a member."""
+    def _row(self, menu: Iterable[str], x: Optional[str] = None) -> dict[str, int]:
+        """The menu's members and their integer numerators, which sum to the
+        row's scale (a singleton's only member gets 1); ``x``, when given,
+        must be a member."""
         key = as_menu(menu)
         if x is not None and x not in key:
             raise ValueError(f"alternative {x!r} not in menu {menu_str(key)}")
         if len(key) == 1:
-            return key, dict.fromkeys(key, 1), 1
+            return dict.fromkeys(key, 1)
         if key not in self._rows:
             raise ValueError(f"menu {menu_str(key)} not in domain")
-        nums, scale = self._rows[key]
-        return key, nums, scale
+        return {y: v for y, v in zip(self._universe, self._rows[key]) if y in key}
 
-    def _likelihood(self, x: str, key: Menu) -> Fraction:
-        if len(key) == 1:
+    def _likelihood(self, x: str, nums: dict[str, int]) -> Fraction:
+        if len(nums) == 1:
             return _ONE
         core = self.core
-        mask = sum(1 << core.index[y] for y in key)
+        mask = sum(1 << core.index[y] for y in nums)
         return core.cuts[core.rank[mask][core.index[x]]]
 
     def prob(self, x: str, menu: Iterable[str]) -> Fraction:
         """Choice probability of x from the menu (1 on singletons)."""
-        _, nums, scale = self._row(menu, x)
-        return Fraction(nums.get(x, 0), scale)
+        nums = self._row(menu, x)
+        return Fraction(nums[x], sum(nums.values()))
 
     def menu_probs(self, menu: Iterable[str]) -> dict[str, Fraction]:
-        key, nums, scale = self._row(menu)
-        return {x: Fraction(nums.get(x, 0), scale) for x in sorted(key)}
+        nums = self._row(menu)
+        scale = sum(nums.values())
+        return {x: Fraction(nums[x], scale) for x in sorted(nums)}
 
     def pair_prob(self, x: str, y: str) -> Fraction:
         """P(x beats y) on the two-element menu {x, y}."""
         return self.prob(x, (x, y))
 
     def max_prob(self, menu: Iterable[str]) -> Fraction:
-        _, nums, scale = self._row(menu)
-        return Fraction(max(nums.values()), scale)
+        return max(self.menu_probs(menu).values())
 
     def normalized_likelihood(self, x: str, menu: Iterable[str]) -> Fraction:
         """Choice probability of x divided by the menu's best probability."""
-        return self._likelihood(x, self._row(menu, x)[0])
+        return self._likelihood(x, self._row(menu, x))
 
     def likelihood_row(self, menu: Menu) -> dict[str, Fraction]:
-        key = self._row(menu)[0]
-        return {x: self._likelihood(x, key) for x in sorted(key)}
+        nums = self._row(menu)
+        return {x: self._likelihood(x, nums) for x in sorted(nums)}
 
     def support(self, menu: Iterable[str]) -> frozenset[str]:
-        return frozenset(self._row(menu)[1])
+        return frozenset(x for x, num in self._row(menu).items() if num)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StochasticChoiceFunction):

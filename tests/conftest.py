@@ -1,3 +1,4 @@
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +18,19 @@ def fraction_table(rows):
         frozenset(menu): {label: Fraction(v) for label, v in probs.items()}
         for menu, probs in rows
     }
+
+
+def integer_rows(probs):
+    """A probability table (menu -> member -> value, omitted members at
+    zero) as the integer rows a dataset holds: each menu's numerators over
+    the lcm of its denominators, one per label of the table, sorted."""
+    labels = sorted(set().union(*probs))
+    rows = {}
+    for menu, row in probs.items():
+        values = {x: Fraction(p) for x, p in row.items()}
+        scale = math.lcm(*(p.denominator for p in values.values()))
+        rows[menu] = tuple(int(values.get(x, 0) * scale) for x in labels)
+    return rows
 
 
 @pytest.fixture

@@ -111,11 +111,15 @@ def totally_rational_bruteforce(corr: ChoiceCorrespondence) -> bool:
 
 def random_preorder(gen: SplitMix64, labels: tuple[str, ...]) -> Relation:
     """Transitive-reflexive closure of a random sprinkling of pairs."""
-    relation = {(a, a) for a in labels}
-    for a in labels:
-        for b in labels:
-            if a != b and gen.below(3) == 0:
-                relation.add((a, b))
+    return fixpoint_closure(
+        labels, [(a, b) for a in labels for b in labels if a != b and gen.below(3) == 0]
+    )
+
+
+def fixpoint_closure(labels: tuple[str, ...], pairs) -> Relation:
+    """The smallest reflexive transitive relation on the labels that holds
+    ``pairs``, by a fixpoint over pairs x labels."""
+    relation = {(a, a) for a in labels} | set(pairs)
     changed = True
     while changed:
         changed = False
@@ -125,6 +129,20 @@ def random_preorder(gen: SplitMix64, labels: tuple[str, ...]) -> Relation:
                     relation.add((a, c))
                     changed = True
     return frozenset(relation)
+
+
+def transitivity_error(labels: tuple[str, ...], pairs):
+    """The message for the least (a, b, c) in label order with (a, b) and
+    (b, c) in the pairs or the diagonal but (a, c) in neither; None when
+    there is none."""
+    relation = {(a, a) for a in labels} | set(pairs)
+    for a, b, c in itertools.product(sorted(labels), repeat=3):
+        if (a, b) in relation and (b, c) in relation and (a, c) not in relation:
+            return (
+                f"relation is not transitive: ({a},{b}) and ({b},{c}) "
+                f"present but ({a},{c}) missing"
+            )
+    return None
 
 
 def naive_swap_value(scf: StochasticChoiceFunction) -> Fraction:
@@ -536,9 +554,9 @@ def core_tables(probs: dict) -> dict:
         rank[mask_of[menu]] = [
             cuts.index(lik[menu][x]) if x in menu else 0 for x in labels
         ]
-        scaled[mask_of[menu]] = [
+        scaled[mask_of[menu]] = tuple(
             int(Fraction(row.get(x, 0)) * scale) for x in labels
-        ]
+        )
     n = len(labels)
     pair_prob = [[None] * n for _ in range(n)]
     pair_rank = [[0] * n for _ in range(n)]

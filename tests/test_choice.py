@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +23,12 @@ from stochrat import choice
 from oracles import (
     all_preorders,
     axiom_violations,
+    fixpoint_closure,
     random_preorder,
     rationalizable_bruteforce,
     rationalized_by,
     totally_rational_bruteforce,
+    transitivity_error,
     weak_order_levels,
 )
 
@@ -181,6 +186,71 @@ def test_twin_correspondence_rational_but_not_totally():
 def test_preorder_requires_transitivity():
     with pytest.raises(ValueError):
         Preorder(XYZ, {("x", "y"), ("y", "z")})
+
+
+def test_preorder_error_is_the_least_violation_under_every_hash_seed():
+    # the pairs are a set, so a scan in set order would name a different
+    # violation under different hash seeds
+    code = (
+        "from stochrat import Preorder\n"
+        "try:\n"
+        "    Preorder('abcde', {('a','b'), ('b','c'), ('c','d'), ('d','e')})\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    messages = set()
+    for seed in range(1, 7):
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONHASHSEED=str(seed)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        messages.add(done.stdout.strip())
+    assert messages == {
+        "relation is not transitive: (a,b) and (b,c) present but (a,c) missing"
+    }
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_preorder_matches_the_fixpoint_closure(seed):
+    # seeded relations on 1-12 labels, sparse to dense (27 of the 72 are
+    # transitive): the closure and, on the raw pairs, the least violation's
+    # message
+    gen = SplitMix64(seed)
+    for n in range(1, 13):
+        names = [f"l{i:02d}" for i in range(n)]
+        gen.shuffle(names)
+        labels = tuple(names)
+        density = 1 + gen.below(6)
+        pairs = [
+            (a, b)
+            for a in labels
+            for b in labels
+            if a != b and gen.below(2 + density * n // 4) == 0
+        ]
+        closed = fixpoint_closure(labels, pairs)
+
+        def relation(order):
+            return {(a, b) for a in labels for b in labels if order.geq(a, b)}
+
+        assert relation(Preorder.closure(labels, pairs)) == closed
+        assert relation(Preorder(labels, closed)) == closed
+        message = transitivity_error(labels, pairs)
+        if message is None:
+            assert relation(Preorder(labels, pairs)) == closed
+        else:
+            with pytest.raises(ValueError) as info:
+                Preorder(labels, pairs)
+            assert str(info.value) == message
+
+
+def test_preorder_names_the_least_pair_outside_the_universe():
+    for build in (Preorder, Preorder.closure):
+        with pytest.raises(ValueError) as info:
+            build(XYZ, {("x", "y"), ("y", "w"), ("v", "x")})
+        assert str(info.value) == "pair (v,x) outside the universe"
 
 
 def test_preorder_closure():

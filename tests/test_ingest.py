@@ -1,10 +1,11 @@
 """Dataset ingest against plain Fraction formulas.
 
 Seeded datasets mix every row shape a file may use: count rows split into
-duplicates that must be summed, ``p/q`` cells not in lowest terms, decimal
-cells, and menus whose zero-probability members are omitted or written
-out.  Each is read as CSV and as JSON, and the subjects built from it must
-hold exactly the probabilities, likelihoods, cuts and core tables that
+duplicates that must be summed, with zero counts and with a common factor
+the ingest divides out, ``p/q`` cells not in lowest terms, decimal cells,
+and menus whose zero-probability members are omitted or written out.
+Each is read as CSV and as JSON, and the subjects built from it must hold
+exactly the probabilities, likelihoods, cuts and core tables that
 ``oracles.core_tables`` computes from the generating table.  A second part
 pins the message of every dataset error.
 """
@@ -64,11 +65,12 @@ def random_dataset(seed):
                 else:
                     total = 1 + gen.below(15)
                 weights = dict(zip(members, _split(gen, total, len(members))))
+                factor = 1 + gen.below(4)  # counts with a common factor
                 for x, w in weights.items():
                     if shape == 0:  # counts, split into duplicate rows
                         if w == 0 and gen.below(2):
-                            continue
-                        for part in _split(gen, w, 1 + gen.below(3)):
+                            continue  # an omitted zero count, else written
+                        for part in _split(gen, w * factor, 1 + gen.below(3)):
                             rows.append((subject, members, x, part, None))
                     elif w == 0 and gen.below(3):
                         continue  # an omitted zero-probability member
@@ -138,6 +140,73 @@ def test_ingest_matches_fraction_formulas(tmp_path, seed, suffix):
                 assert Fraction(core.pair_num[i][j], core.pair_den) == want["pair_prob"][i][j]
 
 
+def _fractions_in(value, seen=None):
+    """Every Fraction reachable from ``value`` through containers and
+    object attributes."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, Fraction):
+        return [value]
+    if isinstance(value, dict):
+        items = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        items = list(value)
+    elif hasattr(value, "__dict__") and not isinstance(value, type):
+        items = list(vars(value).values())
+    else:
+        return []
+    return [f for item in items for f in _fractions_in(item, seen)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_parsed_dataset_and_its_subjects_hold_integer_rows_only(tmp_path, seed):
+    rows, expected = random_dataset(seed)
+    path = tmp_path / "data.csv"
+    write(rows, path)
+    dataset = parse_dataset(path)
+    assert _fractions_in(dataset) == []
+    for subject in expected:
+        scf = dataset.scf(subject)
+        assert _fractions_in(scf) == []
+        assert all(type(v) is int for row in scf.core.scaled.values() for v in row)
+
+
+def test_the_core_keeps_the_datasets_rows_without_copying():
+    table = {
+        frozenset("ab"): (2, 1, 0),
+        frozenset("ac"): (1, 0, 0),
+        frozenset("bc"): (0, 1, 1),
+        frozenset("abc"): (1, 1, 1),
+    }
+    core = ChoiceDataset({"s1": table}).scf("s1").core
+    for mask, menu in core.menu_set.items():
+        assert core.scaled[mask] is table[menu]
+
+
+def test_a_parse_time_sum_error_comes_before_an_incomplete_subject(tmp_path):
+    # subject a lacks menu {x,z}; subject b's probabilities sum to 6/5.  The
+    # sum is checked as the file is read, the domain only when a subject
+    # is built.
+    path = tmp_path / "data.csv"
+    path.write_text(
+        HEADER
+        + "a,x|y,x,3,\na,y|z,y,1,\n"
+        + "b,x|y,x,,0.6\nb,x|y,y,,0.6\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError) as info:
+        parse_dataset(path)
+    assert str(info.value) == "subject 'b', menu {x,y}: probabilities sum to 6/5, not 1"
+    path.write_text(HEADER + "a,x|y,x,3,\na,y|z,y,1,\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        parse_dataset(path).scf("a")
+    assert str(info.value) == (
+        "subject 'a' covers an incomplete domain: missing menu {x,z}"
+    )
+
+
 def test_each_distinct_cell_is_parsed_once(tmp_path, monkeypatch):
     rows, _ = random_dataset(3)
     path = tmp_path / "data.csv"
@@ -198,6 +267,12 @@ CSV_ERRORS = [
     (HEADER + "s1,a|b,a,0,\ns1,a|b,b,0,\n", "subject 's1', menu {a,b}: all counts zero"),
     (HEADER + "s1,a|b,a,,0.6\ns1,a|b,b,,0.6\n",
      "subject 's1', menu {a,b}: probabilities sum to 6/5, not 1"),
+    # Python literal syntax is not data: digit separators, non-ASCII digits
+    (HEADER + "s1,a|b,a,1_0,\n", "data.csv:2: count '1_0' is not an integer"),
+    (HEADER + "s1,a|b,a,\uff15,\n", "data.csv:2: count '\uff15' is not an integer"),
+    (HEADER + "s1,a|b,a,,1_0/2_0\n", "data.csv:2: not a rational number: '1_0/2_0'"),
+    (HEADER + "s1,a|b,a,,\uff11/\uff12\n",
+     "data.csv:2: not a rational number: '\uff11/\uff12'"),
 ]
 
 
@@ -248,6 +323,13 @@ JSON_ERRORS = [
      "data.json: subjects[0].observations[0]: empty alternative"),
     (_json_doc({"menu": ["a", None], "alternative": "a", "count": 1}),
      "data.json: subjects[0].observations[0]: empty label in menu field 'a|'"),
+    # Python literal syntax is not data: digit separators, non-ASCII digits
+    (_json_doc({"menu": AB, "alternative": "a", "count": "1_0"}),
+     "data.json: subjects[0].observations[0]: count '1_0' is not an integer"),
+    (_json_doc({"menu": AB, "alternative": "a", "count": "\u0665"}),
+     "data.json: subjects[0].observations[0]: count '\u0665' is not an integer"),
+    (_json_doc({"menu": AB, "alternative": "a", "prob": "1_0/2_0"}),
+     "data.json: subjects[0].observations[0]: not a rational number: '1_0/2_0'"),
 ]
 
 
@@ -300,7 +382,7 @@ def test_incomplete_domain_messages(tmp_path, body, message):
 def test_dataset_table_menus_must_be_frozensets_of_two_or_more(menu):
     # {a,b}, {a,c}, {b,c} and {a} count as many menus as the full domain over
     # {a,b,c}; the table is refused rather than read as one.
-    one = {"a": Fraction(1)}
+    one = (1, 0, 0)
     table = {frozenset("ab"): one, frozenset("ac"): one, frozenset("bc"): one, menu: one}
     with pytest.raises(ValueError) as info:
         ChoiceDataset({"s1": table})

@@ -34,6 +34,16 @@ def test_parse_rejects_garbage(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize(
+    "quirk", ["1_0/2_0", "1_000", "0.2_5", "1e1_0", "\uff15", "\u0663/\u0664", "1/2\u00b2"]
+)
+def test_parse_rejects_python_literal_quirks(quirk):
+    # Fraction reads digit separators and any Unicode digit; data may not
+    with pytest.raises(ValueError) as info:
+        parse_rational(quirk)
+    assert str(info.value) == f"not a rational number: {quirk!r}"
+
+
 def test_format_rational():
     assert format_rational(Fraction(2, 3)) == "2/3"
     assert format_rational(Fraction(5)) == "5"

@@ -27,7 +27,7 @@ from stochrat.report import (
     run_analyze,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, integer_rows
 
 
 @pytest.fixture()
@@ -292,6 +292,7 @@ def _panels(draw):
     table = {name: _pairwise_rows("xyz", draw(draw_rows)) for name in names[:count]}
     if with_error:
         table[names[-1]] = _pairwise_rows("wxyz", [Fraction(1, 2)] * 6)
+    table = {name: integer_rows(rows) for name, rows in table.items()}
     return run_analyze(ChoiceDataset(table), AnalysisConfig(max_universe=3))
 
 

@@ -23,6 +23,8 @@ from stochrat import (
     triangular_condition,
 )
 
+from conftest import integer_rows
+
 F = Fraction
 XYZ = frozenset(("x", "y", "z"))
 
@@ -83,6 +85,54 @@ HALF = {"x": F(1, 2), "y": F(1, 2)}
 def test_constructor_error_messages(table, kind, message):
     with pytest.raises(ValueError) as info:
         StochasticChoiceFunction(table, kind)
+    assert str(info.value) == message
+
+
+def test_from_rows_builds_the_subject_the_constructor_builds():
+    rows = {XY: (1, 1, 0), YZ: (0, 1, 0), XZ: [1, 0, 2], XYZ: (6, 1, 6)}
+    table = {
+        XY: HALF,
+        YZ: {"y": 1},
+        XZ: {"x": F(1, 3), "z": F(2, 3)},
+        XYZ: {"x": F(6, 13), "y": F(1, 13), "z": F(6, 13)},
+    }
+    scf = StochasticChoiceFunction.from_rows(rows, "full")
+    assert scf == StochasticChoiceFunction(table, "full")
+    assert scf.menu_probs(XYZ) == {"x": F(6, 13), "y": F(1, 13), "z": F(6, 13)}
+    assert scf.support(YZ) == {"y"}
+    # a row follows the sorted labels, however its menu is written
+    given = StochasticChoiceFunction.from_rows(
+        {("y", "x"): (0, 1, 1), ("x", "w"): (3, 1, 0), ("y", "w"): (0, 0, 1)}, "pairwise"
+    )
+    assert given == StochasticChoiceFunction(
+        {XY: HALF, frozenset("wx"): {"w": F(3, 4), "x": F(1, 4)}, frozenset("wy"): {"y": 1}},
+        "pairwise",
+    )
+
+
+BAD_ROW = "row of menu {x,y} is not %d nonnegative integers in lowest terms, zero off the menu"
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ({XY: (1, 1, 0)}, BAD_ROW % 2),
+        ({XY: (1, -1)}, BAD_ROW % 2),
+        ({XY: (1, True)}, BAD_ROW % 2),
+        ({XY: (F(1, 2), F(1, 2))}, BAD_ROW % 2),
+        ({XY: (2, 2)}, BAD_ROW % 2),
+        ({XY: (0, 0)}, BAD_ROW % 2),
+        ({XY: (1, 1, 1), YZ: (0, 1, 1), XZ: (1, 0, 1)}, BAD_ROW % 3),
+        ({frozenset("x"): (1,)},
+         "menu {x} has a single member; singleton menus are implicit and must "
+         "not be supplied"),
+        ({("x", "y"): (1, 1), ("y", "x"): (1, 1)}, "duplicate menu {x,y}"),
+        ({XY: (1, 1, 0), YZ: (0, 1, 1)}, "incomplete pairwise domain: missing menu {x,z}"),
+    ],
+)
+def test_from_rows_error_messages(rows, message):
+    with pytest.raises(ValueError) as info:
+        StochasticChoiceFunction.from_rows(rows, "pairwise")
     assert str(info.value) == message
 
 
@@ -356,7 +406,7 @@ def test_menu_order_of_the_table_changes_nothing(seed, labels, kind):
         assert analysis(left) == analysis(right)
     assert irrationality_sets(left).witnesses
     reports = [
-        render_json(run_analyze(ChoiceDataset({"s": table})))
+        render_json(run_analyze(ChoiceDataset({"s": integer_rows(table)})))
         for table in (canonical, shuffled)
     ]
     assert reports[0] == reports[1]

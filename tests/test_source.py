@@ -67,6 +67,32 @@ def test_library_modules_use_every_name_they_import():
     assert found == []
 
 
+def test_library_modules_read_only_their_own_private_attributes():
+    # ``obj._name`` may be read only in the module that assigns or defines
+    # ``_name``: no module reaches into another's private fields
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+        found += [
+            f"{path.name}:{node.lineno} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+            and node.attr not in defined
+        ]
+    assert found == []
+
+
 def test_cli_import_loads_only_what_analyze_runs():
     code = (
         "import sys, stochrat.cli; "
