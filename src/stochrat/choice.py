@@ -27,10 +27,10 @@ closure of revealed weak preference (:func:`is_totally_rational`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .errors import CapacityError
+from .record import Record
 
 Menu = frozenset[str]
 V = TypeVar("V")
@@ -161,8 +161,7 @@ class ChoiceCorrespondence:
 # -- axioms ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     """Outcome of the three axiom checks, with minimal witnesses.
 
     Witness shapes: contraction (sub_menu, menu, alternative); pairwise

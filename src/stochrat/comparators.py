@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .choice import houtman_maks, is_totally_rational
@@ -30,6 +29,7 @@ from .core import bits
 from .errors import CapacityError
 from .intervals import IntervalUnion
 from .measure import ComparisonResult
+from .record import Record
 from .scf import (
     FULL_UNIVERSE_CAP,
     StochasticChoiceFunction,
@@ -40,8 +40,7 @@ from .scf import (
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class SwapResult:
+class SwapResult(Record):
     """Exact swap index together with its minimizers.
 
     ``order`` is the lexicographically least optimal linear order, best

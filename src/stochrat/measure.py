@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .core import SubjectCore, bits
 from .intervals import IntervalUnion
+from .record import Record
 from .scf import DomainKind, StochasticChoiceFunction
 
 _ONE = Fraction(1)
@@ -151,8 +151,7 @@ def _cycle_spans(core: SubjectCore) -> Iterator[tuple[int, int]]:
 # -- decomposition and index ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A concrete violation pinned to one maximal irrationality interval.
 
     ``axiom`` is "chernoff", "condorcet" or "transitivity"; ``detail`` is
@@ -166,8 +165,7 @@ class Witness:
     detail: tuple
 
 
-@dataclass(frozen=True)
-class IrrationalitySets:
+class IrrationalitySets(Record):
     """Per-axiom threshold sets, their union, and one witness per part."""
 
     chernoff: IntervalUnion
@@ -283,8 +281,7 @@ class Verdict(str, Enum):
         return cls.RIGHT_MORE_RATIONAL if right_inside else cls.INCOMPARABLE
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(Record):
     """Outcome of an inclusion comparison between two threshold sets.
 
     ``left_minus_right`` collects the thresholds where the left subject is
@@ -321,8 +318,7 @@ def compare(
     )
 
 
-@dataclass(frozen=True)
-class MultiComparison:
+class MultiComparison(Record):
     """All pairwise verdicts for a batch of named subjects.
 
     ``classes`` groups names whose irrationality sets are equal, ordered
@@ -350,18 +346,20 @@ class MultiComparison:
     def verdict(self, left: str, right: str) -> Verdict:
         return self._judge(self.class_of[left], self.class_of[right])
 
+    def verdict_rows(self) -> list[list[Verdict]]:
+        """``rows[i][j]``: the verdict of class i against class j."""
+        count = len(self.classes)
+        return [[self._judge(i, j) for j in range(count)] for i in range(count)]
+
     def pairs(self) -> Iterator[tuple[str, str, Verdict]]:
         """(left, right, verdict) for every pair of names, left before
         right in ``names``, in ``itertools.combinations(names, 2)`` order.
         Each pair of classes is judged once."""
         names = self.names
         index = [self.class_of[name] for name in names]
-        rows: dict[int, list[Verdict]] = {}
+        rows = self.verdict_rows()
         for a, left in enumerate(names):
-            i = index[a]
-            row = rows.get(i)
-            if row is None:
-                row = rows[i] = [self._judge(i, j) for j in range(len(self.classes))]
+            row = rows[index[a]]
             for right, j in zip(names[a + 1 :], index[a + 1 :]):
                 yield left, right, row[j]
 
@@ -425,8 +423,7 @@ def compare_many(
 # -- pairwise structure diagnostics ---------------------------------------
 
 
-@dataclass(frozen=True)
-class TransitivityFlags:
+class TransitivityFlags(Record):
     """Which head-to-head transitivity notions the subject satisfies.
 
     Premises quantify over ordered triples (x, y, z) with P(x over y) and
@@ -491,8 +488,7 @@ def classify_transitivity(scf: StochasticChoiceFunction) -> TransitivityFlags:
     return TransitivityFlags(weak, almost_weak, moderate, almost_moderate, strong)
 
 
-@dataclass(frozen=True)
-class TriangularResult:
+class TriangularResult(Record):
     holds: bool
     witness: Optional[tuple[str, str, str]]
 
@@ -552,7 +548,7 @@ def _ratios_kept(scf: StochasticChoiceFunction, contractions: bool) -> bool:
 
 def is_selective_in_contractions(scf: StochasticChoiceFunction) -> bool:
     """Relative likelihood of a worse against a better alternative never
-    drops when the menu shrinks.  Ratios are compared by cross
+    rises when the menu shrinks.  Ratios are compared by cross
     multiplication, so zero probabilities need no special casing.
     Vacuously true on the pairwise domain."""
     return _ratios_kept(scf, contractions=True)

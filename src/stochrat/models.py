@@ -129,7 +129,8 @@ def two_stage_luce(
     labels = tuple(sorted(u))
     members = set(labels)
     strict = {(str(a), str(b)) for a, b in dominance}
-    for a, b in strict:
+    # in sorted order, so that the least pair outside is named
+    for a, b in sorted(strict):
         if a not in members or b not in members:
             raise ValueError(f"dominance pair ({a},{b}) outside the universe")
     # the closure is reflexive, so a self-pair is checked apart

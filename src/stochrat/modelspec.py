@@ -20,17 +20,16 @@ through floats.  Supported kinds:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from . import models
 from .rationals import parse_rational
+from .record import Record
 from .scf import DomainKind, StochasticChoiceFunction
 
 
-@dataclass(frozen=True)
-class LoadedModel:
+class LoadedModel(Record):
     kind: str
     scf: StochasticChoiceFunction
     notes: tuple[str, ...] = ()

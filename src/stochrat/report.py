@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -42,6 +41,7 @@ from .measure import (
     triangular_condition,
 )
 from .rationals import DECIMAL_PLACES, format_decimal, format_rational
+from .record import Record
 from .scf import (
     DomainKind,
     StochasticChoiceFunction,
@@ -54,14 +54,12 @@ SCHEMA_VERSION = 1
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(Record):
     max_universe: Optional[int] = None
     oracle: bool = False
 
 
-@dataclass(frozen=True)
-class SubjectAnalysis:
+class SubjectAnalysis(Record):
     subject: str
     domain: DomainKind
     universe: tuple[str, ...]
@@ -73,15 +71,13 @@ class SubjectAnalysis:
     selective_expansions: Optional[bool]
 
 
-@dataclass(frozen=True)
-class SubjectError:
+class SubjectError(Record):
     subject: str
     kind: str
     message: str
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     config: AnalysisConfig
     subjects: tuple[Union[SubjectAnalysis, SubjectError], ...]
     comparison: Optional[MultiComparison]
@@ -221,10 +217,38 @@ def _subject_json(entry: Union[SubjectAnalysis, SubjectError]) -> dict:
     }
 
 
-# One item of the "comparisons.verdicts" list, at its depth in the document.
-_VERDICT_ITEM = (
-    '      {\n        "left": %s,\n        "right": %s,\n        "verdict": %s\n      }'
-)
+# One item of the "comparisons.verdicts" list, at its depth in the document,
+# split where the right name starts.
+_VERDICT_HEAD = '      {\n        "left": %s,\n        "right": '
+_VERDICT_TAIL = '%s,\n        "verdict": %s\n      }'
+
+
+def _verdict_items(comparison: MultiComparison) -> str:
+    """The items of the verdicts list, in ``comparison.pairs()`` order.
+
+    Each right name has one finished tail per verdict, and each class one
+    row of its verdicts against every class, so the items of one left name
+    are one ``join`` of looked-up tails."""
+    names = comparison.names
+    index = [comparison.class_of[name] for name in names]
+    quoted = [encode_basestring(name) for name in names]
+    tails = {
+        v: [_VERDICT_TAIL % (right, encode_basestring(v.value)) for right in quoted]
+        for v in Verdict
+    }
+    # rows[i][j]: the tails of the verdict of class i against class j
+    rows = [[tails[v] for v in row] for row in comparison.verdict_rows()]
+    groups = []
+    for a in range(len(names) - 1):
+        head = _VERDICT_HEAD % quoted[a]
+        row = rows[index[a]]
+        groups.append(
+            head
+            + f",\n{head}".join(
+                [row[j][b] for b, j in enumerate(index[a + 1 :], a + 1)]
+            )
+        )
+    return ",\n".join(groups)
 
 
 def _comparisons_json(comparison: MultiComparison) -> str:
@@ -237,12 +261,7 @@ def _comparisons_json(comparison: MultiComparison) -> str:
     go through ``json.dumps``; no JSON string holds a raw newline, so
     indenting its output line by line is exact.
     """
-    quoted = {name: encode_basestring(name) for name in comparison.names}
-    verdicts = {v: encode_basestring(v.value) for v in Verdict}
-    items = ",\n".join(
-        _VERDICT_ITEM % (quoted[left], quoted[right], verdicts[verdict])
-        for left, right, verdict in comparison.pairs()
-    )
+    items = _verdict_items(comparison)
     rest = json.dumps(
         {
             "equivalence_classes": [list(group) for group in comparison.classes],

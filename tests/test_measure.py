@@ -187,6 +187,41 @@ def test_demo_not_selective(demo_scf):
     assert not is_selective_in_contractions(demo_scf)
 
 
+def test_contraction_selectivity_with_zeros_needs_more_than_one_element_steps():
+    # x is ahead of y on {a,b,x,y}, yet P(y,S)/P(x,S) = 3 on S = {x,y}
+    # against 1/2 there.  Each one-element step up from {x,y} reaches a
+    # menu where a or b takes all, so x and y tie at zero there and the
+    # chain of steps breaks: no single step fails.
+    scf = StochasticChoiceFunction(
+        {
+            "abxy": {"a": F(7, 20), "b": F(7, 20), "x": F(1, 5), "y": F(1, 10)},
+            "axy": {"a": 1},
+            "bxy": {"b": 1},
+            "abx": {"a": F(7, 18), "b": F(7, 18), "x": F(2, 9)},
+            "aby": {"a": F(7, 16), "b": F(7, 16), "y": F(1, 8)},
+            "xy": {"x": F(1, 4), "y": F(3, 4)},
+            "ax": {"a": 1},
+            "ay": {"a": 1},
+            "bx": {"b": 1},
+            "by": {"b": 1},
+            "ab": {"a": F(1, 2), "b": F(1, 2)},
+        }
+    )
+    assert is_selective_in_contractions(scf) is False
+    steps = 0
+    for large in scf.menus():
+        for z in large:
+            small = large - {z}
+            if len(small) < 2:
+                continue
+            for x, y in itertools.permutations(small, 2):
+                p_xt, p_yt = scf.prob(x, large), scf.prob(y, large)
+                if p_xt > p_yt:
+                    steps += 1
+                    assert p_yt * scf.prob(x, small) >= scf.prob(y, small) * p_xt
+    assert steps > 0
+
+
 # -- comparisons -------------------------------------------------------------------
 
 

@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import stochrat
 from stochrat import (
     DomainKind,
     SplitMix64,
@@ -119,6 +124,32 @@ def test_two_stage_luce_improper_when_utility_disagrees():
 def test_two_stage_luce_rejects_cycles():
     with pytest.raises(ValueError, match="cycle"):
         two_stage_luce(U321, [("x", "y"), ("y", "x")])
+
+
+def test_two_stage_luce_names_the_least_pair_outside_under_every_hash_seed():
+    # the pairs form a set: checked in its iteration order, the named pair
+    # changed with PYTHONHASHSEED
+    code = (
+        "from stochrat import two_stage_luce\n"
+        "try:\n"
+        "    two_stage_luce({'a': 1, 'b': 2, 'c': 3},"
+        " [('a', 'q'), ('r', 'b'), ('s', 'c'), ('b', 't')])\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(stochrat.__file__).resolve().parent.parent)
+    for seed in range(1, 7):
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.stdout == "dominance pair (a,q) outside the universe\n", (
+            seed,
+            done.stderr,
+        )
 
 
 def _random_dominance(gen, labels):

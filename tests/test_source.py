@@ -93,23 +93,42 @@ def test_library_modules_read_only_their_own_private_attributes():
     assert found == []
 
 
-def test_cli_import_loads_only_what_analyze_runs():
-    code = (
-        "import sys, stochrat.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('stochrat')))"
-    )
+def _modules_after(statement: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``statement``."""
     done = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", f"{statement}\nimport sys\nprint(sorted(sys.modules))"],
         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    loaded = set(ast.literal_eval(done.stdout))
+    return set(ast.literal_eval(done.stdout))
+
+
+def test_cli_import_loads_only_what_analyze_runs():
+    loaded = _modules_after("import stochrat.cli")
     assert "stochrat.cli" in loaded
     for unused in ("models", "comparators", "modelspec", "prng"):
         assert f"stochrat.{unused}" not in loaded
+    # dataclasses imports inspect, and its decorator compiles code for each
+    # class: both would cost every run before it reads its input
+    setup = _modules_after("from stochrat.dataset import parse_dataset")
+    for modules in (loaded, setup):
+        assert not modules & {"dataclasses", "inspect"}
+
+
+def test_library_modules_do_not_import_dataclasses():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert found == []
 
 
 def test_every_exported_name_is_its_home_modules_object():
