@@ -89,7 +89,6 @@ _EXPORTS = {
     "scf": (
         "DomainKind",
         "StochasticChoiceFunction",
-        "critical_lambdas",
         "fishburn_correspondence",
         "is_lambda_rational",
         "lambda_floor",

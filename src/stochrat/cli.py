@@ -10,8 +10,8 @@ Subcommands:
 * ``swap <data>``      exact swap index per subject
 
 Exit codes: 0 success, 2 usage or data error, 3 capacity cap hit,
-4 ``--oracle`` found a threshold set that disagrees with direct axiom
-checking (a bug; one stderr line names the subject, set and threshold).
+4 ``--oracle`` found a wrong threshold set (a bug; one stderr line names
+the subject, the set and the threshold or endpoint).
 """
 
 from __future__ import annotations

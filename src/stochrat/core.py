@@ -87,7 +87,8 @@ class SubjectCore:
         # sort the distinct values by their float, which is correctly
         # rounded and so never inverts two values; equal floats fall back
         # to the exact Fraction
-        value = {key: Fraction(*key) for row in keyed.values() for _, key in row}
+        distinct = {key for row in keyed.values() for _, key in row}
+        value = {key: Fraction(*key) for key in distinct}
         order = sorted(value, key=lambda key: (key[0] / key[1], value[key]))
         self.cuts: tuple[Fraction, ...] = (_ZERO, *(value[key] for key in order))
         rank_of = {key: r for r, key in enumerate(order, 1)}

@@ -295,6 +295,7 @@ def _read_csv_rows(path: Path, reader, ingest: _Ingest) -> None:
         column[name] for name in ("subject", "menu", "alternative")
     )
     count_at, prob_at = column.get("count"), column.get("prob")
+    file_name = path.name
     for row in reader:
         if not row:
             continue
@@ -306,7 +307,7 @@ def _read_csv_rows(path: Path, reader, ingest: _Ingest) -> None:
             row[alternative_at].strip(),
             None if count_at is None else row[count_at],
             None if prob_at is None else row[prob_at],
-            f"{path.name}:{reader.line_num}",
+            f"{file_name}:{reader.line_num}",
         )
 
 

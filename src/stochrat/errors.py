@@ -14,5 +14,5 @@ class OracleMismatch(Exception):
     """A printed threshold set disagrees with direct axiom checking.
 
     Raised by the ``--oracle`` self-check.  It means a bug in the library;
-    the message names the subject, the set and the threshold.
+    the message names the subject, the set and the threshold or endpoint.
     """

@@ -276,9 +276,16 @@ class Verdict(str, Enum):
     @classmethod
     def from_inclusion(cls, left_inside: bool, right_inside: bool) -> "Verdict":
         """Verdict from whether each set lies inside the other."""
-        if left_inside:
-            return cls.EQUIVALENT if right_inside else cls.LEFT_MORE_RATIONAL
-        return cls.RIGHT_MORE_RATIONAL if right_inside else cls.INCOMPARABLE
+        return _VERDICTS[2 * bool(left_inside) + bool(right_inside)]
+
+
+# The verdict at 2 * (left inside right) + (right inside left).
+_VERDICTS = (
+    Verdict.INCOMPARABLE,
+    Verdict.RIGHT_MORE_RATIONAL,
+    Verdict.LEFT_MORE_RATIONAL,
+    Verdict.EQUIVALENT,
+)
 
 
 class ComparisonResult(Record):
@@ -336,20 +343,20 @@ class MultiComparison(Record):
     class_of: Mapping[str, int]
     inside: tuple[int, ...]
 
-    def _judge(self, i: int, j: int) -> Verdict:
-        """Verdict of class i against class j."""
-        inside = self.inside
-        return Verdict.from_inclusion(
-            i == j or inside[i] >> j & 1, i == j or inside[j] >> i & 1
-        )
-
     def verdict(self, left: str, right: str) -> Verdict:
-        return self._judge(self.class_of[left], self.class_of[right])
+        i, j = self.class_of[left], self.class_of[right]
+        return Verdict.from_inclusion(
+            i == j or self.inside[i] >> j & 1, i == j or self.inside[j] >> i & 1
+        )
 
     def verdict_rows(self) -> list[list[Verdict]]:
         """``rows[i][j]``: the verdict of class i against class j."""
-        count = len(self.classes)
-        return [[self._judge(i, j) for j in range(count)] for i in range(count)]
+        # bit j of within[i]: class i's set lies inside class j's, or i == j
+        within = [bits | 1 << i for i, bits in enumerate(self.inside)]
+        return [
+            [_VERDICTS[2 * (a >> j & 1) + (b >> i & 1)] for j, b in enumerate(within)]
+            for i, a in enumerate(within)
+        ]
 
     def pairs(self) -> Iterator[tuple[str, str, Verdict]]:
         """(left, right, verdict) for every pair of names, left before

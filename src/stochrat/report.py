@@ -45,8 +45,8 @@ from .record import Record
 from .scf import (
     DomainKind,
     StochasticChoiceFunction,
-    critical_lambdas,
     is_lambda_rational,
+    threshold_cuts,
 )
 
 SCHEMA_VERSION = 1
@@ -93,22 +93,31 @@ def analyze_scf(
 ) -> SubjectAnalysis:
     """Full single-subject analysis bundle.
 
-    With ``config.oracle`` every printed set is cross-checked against
-    direct axiom checking on the critical threshold grid: each axiom's
-    part against that axiom's outcome, and the union against all three.
-    A mismatch is a bug, raised as :class:`OracleMismatch`.
+    With ``config.oracle`` each printed set must end only at 0 and cuts,
+    so it is fixed on each region (cuts[c-1], cuts[c]], as the
+    correspondence is, and is checked against direct axiom checking at
+    each cut.  A mismatch is a bug, raised as :class:`OracleMismatch`.
     """
     sets = irrationality_sets(scf)
     if config.oracle:
-        for lam in critical_lambdas(scf):
+        parts = (
+            ("contraction", sets.chernoff, "chernoff"),
+            ("pairwise-winner", sets.condorcet, "condorcet"),
+            ("cycle", sets.transitivity, "no_cycle"),
+            ("irrationality", sets.union, "all_hold"),
+        )
+        cuts = threshold_cuts(scf)
+        for name, part, _ in parts:
+            stray = {end for pair in part.intervals for end in pair} - {0, *cuts}
+            if stray:
+                raise OracleMismatch(
+                    f"subject {subject}, {name} set has endpoint {min(stray)}, "
+                    "which is neither 0 nor a cut"
+                )
+        for lam in cuts:
             axioms = is_lambda_rational(scf, lam)
-            for name, part, holds in (
-                ("contraction", sets.chernoff, axioms.chernoff),
-                ("pairwise-winner", sets.condorcet, axioms.condorcet),
-                ("cycle", sets.transitivity, axioms.no_cycle),
-                ("irrationality", sets.union, axioms.all_hold),
-            ):
-                if part.contains(lam) == holds:
+            for name, part, axiom in parts:
+                if part.contains(lam) == getattr(axioms, axiom):
                     raise OracleMismatch(
                         f"subject {subject}, {name} set and axiom checking "
                         f"disagree at {lam}"

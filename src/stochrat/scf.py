@@ -43,8 +43,6 @@ from .rationals import RationalLike, common_scale, to_probability
 FULL_UNIVERSE_CAP = 12
 PAIRWISE_UNIVERSE_CAP = 64
 
-_ONE = Fraction(1)
-
 
 class DomainKind(str, Enum):
     FULL = "full"
@@ -279,13 +277,6 @@ class StochasticChoiceFunction:
             raise ValueError(f"menu {menu_str(key)} not in domain")
         return {y: v for y, v in zip(self._universe, self._rows[key]) if y in key}
 
-    def _likelihood(self, x: str, nums: dict[str, int]) -> Fraction:
-        if len(nums) == 1:
-            return _ONE
-        core = self.core
-        mask = sum(1 << core.index[y] for y in nums)
-        return core.cuts[core.rank[mask][core.index[x]]]
-
     def prob(self, x: str, menu: Iterable[str]) -> Fraction:
         """Choice probability of x from the menu (1 on singletons)."""
         nums = self._row(menu, x)
@@ -305,11 +296,13 @@ class StochasticChoiceFunction:
 
     def normalized_likelihood(self, x: str, menu: Iterable[str]) -> Fraction:
         """Choice probability of x divided by the menu's best probability."""
-        return self._likelihood(x, self._row(menu, x))
+        nums = self._row(menu, x)
+        return Fraction(nums[x], max(nums.values()))
 
     def likelihood_row(self, menu: Menu) -> dict[str, Fraction]:
         nums = self._row(menu)
-        return {x: self._likelihood(x, nums) for x in sorted(nums)}
+        top = max(nums.values())
+        return {x: Fraction(nums[x], top) for x in sorted(nums)}
 
     def support(self, menu: Iterable[str]) -> frozenset[str]:
         return frozenset(x for x, num in self._row(menu).items() if num)
@@ -363,19 +356,8 @@ def lambda_floor(scf: StochasticChoiceFunction) -> Fraction:
     return scf.core.cuts[1]
 
 
-def critical_lambdas(scf: StochasticChoiceFunction) -> tuple[Fraction, ...]:
-    """Sorted distinct positive normalized likelihoods plus the midpoints
-    between consecutive ones.  The threshold correspondence is constant
-    between consecutive critical values, so this grid is exhaustive."""
-    ordered = threshold_cuts(scf)
-    grid = list(ordered[:1])
-    for a, b in zip(ordered, ordered[1:]):
-        grid += [(a + b) / 2, b]
-    return tuple(grid)
-
-
 def threshold_cuts(scf: StochasticChoiceFunction) -> tuple[Fraction, ...]:
-    """Sorted distinct positive normalized likelihoods (no midpoints).
+    """Sorted distinct positive normalized likelihoods.
 
     These are the right endpoints of the maximal threshold regions on
     which the correspondence family is constant; the last cut is always 1.

@@ -359,6 +359,22 @@ def least_transitivity_violation(scf: StochasticChoiceFunction, lam: Fraction):
     return None
 
 
+def lambda_grid(scf: StochasticChoiceFunction) -> list[Fraction]:
+    """The distinct positive normalized likelihoods (the cuts), read menu by
+    menu, with the midpoints between consecutive ones and half the first:
+    a point inside and the right end of every threshold region."""
+    cuts = sorted(
+        {
+            value
+            for menu in scf.menus()
+            for value in scf.likelihood_row(menu).values()
+            if value
+        }
+    )
+    midpoints = [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
+    return sorted([cuts[0] / 2, *cuts, *midpoints])
+
+
 def reference_sets(scf: StochasticChoiceFunction) -> dict:
     """Per-axiom sets, their union and one (interval, axiom, detail)
     witness per maximal interval, tried in the order contraction,

@@ -23,7 +23,6 @@ from stochrat import (
     classify_transitivity,
     compare,
     compare_many,
-    critical_lambdas,
     general_luce,
     irrationality_sets,
     is_lambda_rational,
@@ -58,18 +57,9 @@ def _passed(number, label):
     print(f"ACCEPTANCE {number:2d} PASS: {label}")
 
 
-def _lambda_grid(scf):
-    """Critical thresholds plus midpoints between them and below the first."""
-    criticals = list(critical_lambdas(scf))
-    points = [criticals[0] / 2]
-    for left, right in zip(criticals, criticals[1:]):
-        points.append((left + right) / 2)
-    return sorted(points + criticals)
-
-
 def _dual_route_agrees(scf):
     sets = irrationality_sets(scf)
-    for lam in _lambda_grid(scf):
+    for lam in oracles.lambda_grid(scf):
         if sets.union.contains(lam) == bool(is_lambda_rational(scf, lam)):
             return False
     return True

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -198,15 +199,17 @@ def test_preorder_error_is_the_least_violation_under_every_hash_seed():
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
+    src = str(Path(choice.__file__).resolve().parent.parent)
     messages = set()
     for seed in range(1, 7):
         done = subprocess.run(
             [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONHASHSEED=str(seed)),
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)),
             capture_output=True,
             text=True,
             timeout=60,
         )
+        assert done.returncode == 0, (seed, done.stderr)
         messages.add(done.stdout.strip())
     assert messages == {
         "relation is not transitive: (a,b) and (b,c) present but (a,c) missing"

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -409,7 +410,22 @@ def test_oracle_mismatch_exits_4(capsys, monkeypatch):
     assert out == ""
     assert err == (
         "oracle mismatch: subject cyc07, cycle set and axiom checking "
-        "disagree at 5/7\n"
+        "disagree at 1\n"
+    )
+
+
+def test_oracle_rejects_an_endpoint_between_cuts(capsys, monkeypatch):
+    # cyc07's cycle part is (3/7,1] and its cuts are 3/7 and 1.  The part
+    # (1/2,1] agrees with axiom checking at both cuts and at the midpoint
+    # 5/7, yet claims no cycle on (3/7,1/2].
+    half = IntervalUnion.single(Fraction(1, 2), Fraction(1))
+    monkeypatch.setattr(measure, "transitivity_set", lambda scf: half)
+    code, out, err = run_cli(capsys, "--oracle", "analyze", CYCLES)
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "oracle mismatch: subject cyc07, cycle set has endpoint 1/2, "
+        "which is neither 0 nor a cut\n"
     )
 
 

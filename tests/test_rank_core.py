@@ -23,7 +23,6 @@ from stochrat import (
     chernoff_set,
     classify_transitivity,
     condorcet_set,
-    critical_lambdas,
     irrationality_sets,
     is_lambda_rational,
     is_selective_in_contractions,
@@ -94,7 +93,7 @@ def test_rank_core_matches_fraction_reference(name):
 def test_union_agrees_with_axiom_checks_on_critical_grid(name):
     scf = SUBJECTS[name]
     union = irrationality_sets(scf).union
-    for lam in critical_lambdas(scf):
+    for lam in oracles.lambda_grid(scf):
         assert union.contains(lam) != bool(is_lambda_rational(scf, lam))
 
 

@@ -68,7 +68,7 @@ def test_oracle_checks_each_part_not_only_the_union(monkeypatch):
     monkeypatch.setattr(measure, "transitivity_set", lambda scf: IntervalUnion.empty())
     with pytest.raises(
         OracleMismatch,
-        match="^subject model, cycle set and axiom checking disagree at 25/36$",
+        match="^subject model, cycle set and axiom checking disagree at 8/9$",
     ):
         analyze_scf(scf, config=config)
 

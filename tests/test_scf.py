@@ -9,7 +9,6 @@ from stochrat import (
     SplitMix64,
     StochasticChoiceFunction,
     classify_transitivity,
-    critical_lambdas,
     fishburn_correspondence,
     irrationality_sets,
     is_lambda_rational,
@@ -23,6 +22,7 @@ from stochrat import (
     triangular_condition,
 )
 
+import oracles
 from conftest import integer_rows
 
 F = Fraction
@@ -289,7 +289,7 @@ def test_family_is_decreasing(demo_scf):
 
 
 def test_correspondence_never_empty(demo_scf):
-    for lam in critical_lambdas(demo_scf):
+    for lam in oracles.lambda_grid(demo_scf):
         c = fishburn_correspondence(demo_scf, lam)
         for menu in demo_scf.menus():
             assert c.choice(menu)
@@ -309,16 +309,16 @@ def test_lambda_floor(demo_scf):
         assert c.choice(menu) == demo_scf.support(menu)
 
 
-def test_critical_lambdas(demo_scf):
-    assert critical_lambdas(demo_scf) == (
-        F(1, 6),
-        F(5, 24),
-        F(1, 4),
-        F(3, 8),
-        F(1, 2),
-        F(3, 4),
-        F(1),
-    )
+def test_likelihood_accessors_read_the_row_not_the_core():
+    scf = random_scf(5, "abcde")
+    rows = {menu: scf.likelihood_row(menu) for menu in scf.menus()}
+    assert scf.normalized_likelihood("a", "ab") == rows[frozenset("ab")]["a"]
+    assert scf.normalized_likelihood("a", "a") == 1
+    assert "core" not in vars(scf)
+    core = scf.core
+    for menu, row in rows.items():
+        mask = sum(1 << core.index[x] for x in menu)
+        assert row == {x: core.cuts[core.rank[mask][core.index[x]]] for x in row}
 
 
 def test_threshold_cuts(demo_scf):
