@@ -318,9 +318,24 @@ def _json_int(text: str) -> Union[int, str]:
     return int(text) if len(text) <= RATIONAL_TEXT_CAP else text
 
 
-def _read_json(path: Path, ingest: _Ingest) -> None:
+def read_json(path: Path) -> object:
+    """The JSON document in ``path``, with a byte-order mark skipped.
+    Integers within the rational text cap are ``int``s; every other number,
+    ``NaN`` and ``Infinity`` included, stays as its source text, so that the
+    exact rational parser reads it and no binary float comes between."""
     with path.open(encoding="utf-8-sig") as handle:
-        data = json.load(handle, parse_int=_json_int)
+        try:
+            return json.load(
+                handle, parse_int=_json_int, parse_float=str, parse_constant=str
+            )
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_json(path: Path, ingest: _Ingest) -> None:
+    data = read_json(path)
     if not isinstance(data, dict) or not isinstance(data.get("subjects"), list):
         raise ValueError(f"{path}: expected a top-level object with 'subjects'")
     for s_idx, entry in enumerate(data["subjects"]):

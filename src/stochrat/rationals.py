@@ -68,7 +68,7 @@ def to_fraction(value: RationalLike, name: str, where: str = "") -> Fraction:
         return parse_rational(value)
     try:
         return Fraction(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad {name} {value!r}{where}") from exc
 
 

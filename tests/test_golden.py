@@ -6,9 +6,14 @@ or class shows up here even when every semantic test still passes.
 ``pairwise5_panel26.json`` is the CSV panel in the JSON dataset format, so
 both ingest routes are pinned to the same bytes.  Update a hash only for an
 intended change of the report, and say so in CHANGES.md.
+
+``MODEL_SPECS`` holds one model spec of each kind, at three or four
+alternatives, with rational strings and JSON integers only; their
+``stochrat model`` output is pinned the same way.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -42,6 +47,92 @@ GOLDEN_COMPARE = {
     "pairwise_cycles.csv": "05643b5eac6caa3fc863bc46a9eae15a514823c3ecd6518d0a50aed2edfa0464",
 }
 
+# kind -> a spec of that kind
+MODEL_SPECS = {
+    "luce": {"kind": "luce", "utility": {"a": 3, "b": "2", "c": "1", "d": "1/2"}},
+    "general_luce": {
+        "kind": "general_luce",
+        "utility": {"a": "3", "b": "2", "c": "1"},
+        "consideration": [
+            {"menu": ["a", "b", "c"], "allowed": ["a", "c"]},
+            {"menu": ["b", "c"], "allowed": ["c"]},
+        ],
+    },
+    "two_stage_luce": {
+        "kind": "two_stage_luce",
+        "utility": {"a": "1", "b": "2", "c": "3", "d": 4},
+        "dominance": [["a", "b"], ["c", "d"]],
+    },
+    "uniform_drum": {
+        "kind": "uniform_drum",
+        "first": {"a": "3", "b": "2", "c": "1", "d": "0"},
+        "second": {"a": "1", "b": "3", "c": "0", "d": "2"},
+        "weight": "2/3",
+    },
+    "drum": {
+        "kind": "drum",
+        "first": {"a": 3, "b": 2, "c": 1},
+        "second": {"a": 1, "b": 2, "c": 3},
+        "weights": [
+            {"menu": ["a", "b"], "weight": "1/2"},
+            {"menu": ["a", "c"], "weight": "3/4"},
+            {"menu": ["b", "c"], "weight": "0.4"},
+            {"menu": ["a", "b", "c"], "weight": "1/3"},
+        ],
+    },
+    "rum": {
+        "kind": "rum",
+        "components": [
+            {"utility": {"a": "4", "b": "3", "c": "2", "d": "1"}, "weight": "1/2"},
+            {"utility": {"a": "1", "b": "4", "c": "3", "d": "2"}, "weight": "1/3"},
+            {"utility": {"a": "2", "b": "1", "c": "4", "d": "3"}, "weight": "1/6"},
+        ],
+    },
+    "tremble": {
+        "kind": "tremble",
+        "utility": {"a": "4", "b": "3", "c": "2", "d": "1"},
+        "alpha": "2/5",
+    },
+    "mum": {
+        "kind": "mum",
+        "utility": {"a": "4", "b": "2", "c": "0"},
+        "metric": [
+            {"pair": ["a", "b"], "distance": 1},
+            {"pair": ["b", "c"], "distance": "4"},
+            {"pair": ["a", "c"], "distance": "5"},
+        ],
+        "response": [
+            {"arg": "0", "value": "1/2"},
+            {"arg": "1/2", "value": "3/5"},
+            {"arg": "4/5", "value": "2/3"},
+            {"arg": 2, "value": "9/10"},
+            {"arg": "-1/2", "value": "2/5"},
+            {"arg": "-4/5", "value": "1/3"},
+            {"arg": -2, "value": "1/10"},
+        ],
+    },
+    "random": {
+        "kind": "random",
+        "universe": ["a", "b", "c", "d"],
+        "seed": 5,
+        "denominator_bound": 9,
+        "domain": "pairwise",
+    },
+}
+
+# kind -> SHA-256 of ``stochrat model`` stdout on ``MODEL_SPECS[kind]``
+GOLDEN_MODELS = {
+    "drum": "57fe621ee6279794742151b7469152008655f52659b7829010e271728d9ee542",
+    "general_luce": "c310e8f6895c6bf1edcf76a8e2becf4c2a3d67b19c63fbe325b3069d1d96715e",
+    "luce": "0acd2069093f5b7c72c4322e5759930597de45f6bf5733bdfac766fd4de33617",
+    "mum": "d0744ad1f5f96df2c402f40278dd04c03b80d4ae917a99481821cfd22e7e3848",
+    "random": "4f5502cbfe37e344e6efb3daff10602a21925651a5995a15485df743e81fa471",
+    "rum": "5fd165832c9025c9560648950a59cfd561b4f635af471107f9900949e965a751",
+    "tremble": "c06dec0bfb2d9c26d16358d244b9fc92564f21b2286daaa6211d6776ce1bbb5b",
+    "two_stage_luce": "823fc7432c5436526d820e71f48837683db508e11a15934cc96a72f6fd8670a0",
+    "uniform_drum": "7f6521f4de6cfa8ef9c0b4e3f5a5db48a56425112554efee83de609015ccd029",
+}
+
 
 @pytest.mark.parametrize("fixture", sorted(GOLDEN))
 def test_analyze_json_report_is_byte_identical(fixture, tmp_path):
@@ -69,3 +160,12 @@ def test_compare_output_is_byte_identical(fixture, capsys):
     assert main(["compare", str(FIXTURES / fixture)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_COMPARE[fixture]
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_MODELS))
+def test_model_output_is_byte_identical(kind, tmp_path, capsys):
+    spec = tmp_path / f"{kind}.json"
+    spec.write_text(json.dumps(MODEL_SPECS[kind]), encoding="utf-8")
+    assert main(["model", str(spec)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_MODELS[kind]

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from stochrat import format_decimal, format_rational, parse_rational
+from stochrat import format_decimal, format_rational, models, parse_rational
+from stochrat.intervals import IntervalUnion
 from stochrat.rationals import (
     DECIMAL_EXPONENT_CAP,
     RATIONAL_TEXT_CAP,
@@ -104,6 +105,20 @@ def test_to_fraction_accepts_text_and_numbers():
     assert to_fraction(Fraction(1, 3), "weight") == Fraction(1, 3)
     with pytest.raises(ValueError, match=r"^bad weight \[1\] for \{x,y\}$"):
         to_fraction([1], "weight", " for {x,y}")
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: models.tremble({"x": "2", "y": "1"}, float("inf")), "tremble weight"),
+        (lambda: models.luce({"x": float("inf"), "y": "1"}), "utility"),
+        (lambda: IntervalUnion.single(0, float("inf")), "interval endpoint"),
+    ],
+    ids=["tremble", "luce", "interval"],
+)
+def test_an_infinite_float_is_a_value_error(build, message):
+    with pytest.raises(ValueError, match=rf"^bad {message} inf"):
+        build()
 
 
 def test_to_probability_checks_the_unit_interval():

@@ -93,6 +93,33 @@ def test_library_modules_read_only_their_own_private_attributes():
     assert found == []
 
 
+def test_json_is_parsed_only_by_dataset_read_json():
+    # one reader keeps every JSON number's text and turns nesting too deep
+    # to decode into a data error, for datasets and model specs alike
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.append(f"{path.name}:{node.lineno} imports from json")
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("load", "loads")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            ):
+                inside = [
+                    f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno
+                ]
+                found.append(f"{path.name} {'.'.join(inside)}")
+    assert found == ["dataset.py read_json"]
+
+
 def _modules_after(statement: str) -> set[str]:
     """The modules a fresh interpreter holds after running ``statement``."""
     done = subprocess.run(
