@@ -38,17 +38,22 @@ from .rationals import (
 from .scf import DomainKind, StochasticChoiceFunction, missing_menus
 
 
-def _menu_from_labels(labels: list[str], field: str, where: str) -> Menu:
+class _RowFault(ValueError):
+    """A fault of one data row.  The reader that walks the rows adds the
+    row's place to the message, so no place is written for a sound row."""
+
+
+def _menu_from_labels(labels: list[str], field: str) -> Menu:
     """A menu from its labels; ``field`` is the menu as written, for errors."""
     labels = [label.strip() for label in labels]
     if not labels or any(not label for label in labels):
-        raise ValueError(f"{where}: empty label in menu field {field!r}")
+        raise _RowFault(f"empty label in menu field {field!r}")
     if len(set(labels)) != len(labels):
-        raise ValueError(f"{where}: duplicate label in menu field {field!r}")
+        raise _RowFault(f"duplicate label in menu field {field!r}")
     menu = as_menu(labels)
     if len(menu) < 2:
-        raise ValueError(
-            f"{where}: menu {field!r} has a single member; singleton menus "
+        raise _RowFault(
+            f"menu {field!r} has a single member; singleton menus "
             "are implicit and must not appear in data"
         )
     return menu
@@ -68,7 +73,9 @@ class _Ingest:
     (subject, menu) as they are read; :meth:`table` then turns each into
     the one integer row that the dataset and the subject keep: counts never
     become ``Fraction``s, and probability cells meet over their common
-    denominator once, where their sum is checked.
+    denominator once, where their sum is checked.  A fault of the row itself
+    is a :class:`_RowFault`, which the reader turns into an error naming the
+    row's place.
     """
 
     def __init__(self) -> None:
@@ -77,7 +84,7 @@ class _Ingest:
         # (subject, menu) -> (kind, alternative -> count or probability)
         self.slots: dict[tuple[str, Menu], tuple[str, dict]] = {}
 
-    def menu(self, written: Union[str, list], where: str) -> Menu:
+    def menu(self, written: Union[str, list]) -> Menu:
         """A CSV menu field (``|``-separated) or a JSON label list."""
         key = written if isinstance(written, str) else tuple(map(_json_text, written))
         menu = self.menus.get(key)
@@ -88,21 +95,21 @@ class _Ingest:
         else:
             for label in key:
                 if "|" in label:
-                    raise ValueError(
-                        f"{where}: label {label!r} contains '|', which a CSV "
+                    raise _RowFault(
+                        f"label {label!r} contains '|', which a CSV "
                         "menu field cannot hold"
                     )
             labels, field = list(key), "|".join(key)
-        menu = self.menus[key] = _menu_from_labels(labels, field, where)
+        menu = self.menus[key] = _menu_from_labels(labels, field)
         return menu
 
-    def probability(self, text: str, where: str) -> Fraction:
+    def probability(self, text: str) -> Fraction:
         value = self.cells.get(text)
         if value is None:
             try:
                 value = to_probability(text, "probability")
             except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+                raise _RowFault(str(exc)) from None
             self.cells[text] = value
         return value
 
@@ -113,38 +120,35 @@ class _Ingest:
         alternative: str,
         count_field: Optional[str],
         prob_field: Optional[str],
-        where: str,
     ) -> None:
         """Validate one data row and fold it into its (subject, menu) row."""
         if not subject:
-            raise ValueError(f"{where}: empty subject id")
-        menu = self.menu(written_menu, where)
+            raise _RowFault("empty subject id")
+        menu = self.menu(written_menu)
         if not alternative:
-            raise ValueError(f"{where}: empty alternative")
+            raise _RowFault("empty alternative")
         if alternative not in menu:
-            raise ValueError(
-                f"{where}: alternative {alternative!r} not in menu {menu_str(menu)}"
-            )
+            raise _RowFault(f"alternative {alternative!r} not in menu {menu_str(menu)}")
         count_text = "" if count_field is None else count_field.strip()
         prob_text = "" if prob_field is None else prob_field.strip()
         if bool(count_text) == bool(prob_text):
-            raise ValueError(f"{where}: each row needs exactly one of count/prob")
+            raise _RowFault("each row needs exactly one of count/prob")
         if count_text:
             kind = "count"
             if len(count_text) > RATIONAL_TEXT_CAP:
-                raise ValueError(
-                    f"{where}: count {count_text[:20] + '…'!r} of {len(count_text)} "
+                raise _RowFault(
+                    f"count {count_text[:20] + '…'!r} of {len(count_text)} "
                     f"characters exceeds the cap of {RATIONAL_TEXT_CAP}"
                 )
             digits = count_text[1:] if count_text[0] in "+-" else count_text
             if not (digits.isascii() and digits.isdigit()):
-                raise ValueError(f"{where}: count {count_text!r} is not an integer")
+                raise _RowFault(f"count {count_text!r} is not an integer")
             value: Union[int, Fraction] = int(count_text)
             if value < 0:
-                raise ValueError(f"{where}: count {value} is negative")
+                raise _RowFault(f"count {value} is negative")
         else:
             kind = "prob"
-            value = self.probability(prob_text, where)
+            value = self.probability(prob_text)
         slot = (subject, menu)
         entry = self.slots.get(slot)
         if entry is None:
@@ -295,20 +299,21 @@ def _read_csv_rows(path: Path, reader, ingest: _Ingest) -> None:
         column[name] for name in ("subject", "menu", "alternative")
     )
     count_at, prob_at = column.get("count"), column.get("prob")
-    file_name = path.name
-    for row in reader:
-        if not row:
-            continue
-        if len(row) < width:  # a short row's missing cells read as empty
-            row += [""] * (width - len(row))
-        ingest.add(
-            row[subject_at].strip(),
-            row[menu_at].strip(),
-            row[alternative_at].strip(),
-            None if count_at is None else row[count_at],
-            None if prob_at is None else row[prob_at],
-            f"{file_name}:{reader.line_num}",
-        )
+    try:
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < width:  # a short row's missing cells read as empty
+                row += [""] * (width - len(row))
+            ingest.add(
+                row[subject_at].strip(),
+                row[menu_at].strip(),
+                row[alternative_at].strip(),
+                None if count_at is None else row[count_at],
+                None if prob_at is None else row[prob_at],
+            )
+    except _RowFault as exc:
+        raise ValueError(f"{path.name}:{reader.line_num}: {exc}") from None
 
 
 def _json_int(text: str) -> Union[int, str]:
@@ -346,22 +351,23 @@ def _read_json(path: Path, ingest: _Ingest) -> None:
             raise ValueError(f"{place}: expected an object with an 'observations' list")
         subject = _json_text(entry.get("subject")).strip()
         for o_idx, obs in enumerate(entry.get("observations", [])):
-            where = f"{place}.observations[{o_idx}]"
-            if not isinstance(obs, dict):
-                raise ValueError(f"{where}: expected an object")
-            menu = obs.get("menu")
-            if not isinstance(menu, list):
-                raise ValueError(f"{where}: menu must be a list of labels")
-            count = obs.get("count")
-            prob = obs.get("prob")
-            ingest.add(
-                subject,
-                menu,
-                _json_text(obs.get("alternative")).strip(),
-                None if count is None else str(count),
-                None if prob is None else str(prob),
-                where,
-            )
+            try:
+                if not isinstance(obs, dict):
+                    raise _RowFault("expected an object")
+                menu = obs.get("menu")
+                if not isinstance(menu, list):
+                    raise _RowFault("menu must be a list of labels")
+                count = obs.get("count")
+                prob = obs.get("prob")
+                ingest.add(
+                    subject,
+                    menu,
+                    _json_text(obs.get("alternative")).strip(),
+                    None if count is None else str(count),
+                    None if prob is None else str(prob),
+                )
+            except _RowFault as exc:
+                raise ValueError(f"{place}.observations[{o_idx}]: {exc}") from None
 
 
 def parse_dataset(path: Union[str, Path]) -> ChoiceDataset:

@@ -196,3 +196,22 @@ class IntervalUnion(Record):
             pairs.append((parse_rational(item[0]), parse_rational(item[1])))
         return cls.from_pairs(pairs)
 
+
+def cell_masks(unions: Sequence[IntervalUnion]) -> list[int]:
+    """Each union as a bitmask over the cells between the unions' distinct
+    endpoints, so that one union lies inside another exactly when
+    ``a & ~b`` is 0.
+
+    The endpoints are sorted once by their float, which is correctly
+    rounded and so never inverts two values; equal floats fall back to the
+    exact Fraction.  Bit c stands for (ends[c], ends[c+1]]."""
+    ends = {end for union in unions for pair in union.intervals for end in pair}
+    order = sorted(ends, key=lambda v: (v.numerator / v.denominator, v))
+    cell = {end: c for c, end in enumerate(order)}
+    masks = []
+    for union in unions:
+        mask = 0
+        for lo, hi in union.intervals:
+            mask |= (1 << cell[hi]) - (1 << cell[lo])
+        masks.append(mask)
+    return masks

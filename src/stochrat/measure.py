@@ -28,9 +28,9 @@ least common multiple of their denominators): each side of an inequality
 multiplies one entry of each menu, so scaling a row by a positive
 constant scales both sides alike and the integer comparison is exact.
 
-Comparing two subjects means comparing irrationality sets by inclusion:
-smaller (as a set) is more rational.  The induced partial order is
-reported as a verdict plus the two set differences that justify it.
+Comparing subjects compares irrationality sets by inclusion: smaller is
+more rational.  A batch tests inclusion on bitsets over the cells between
+the sets' sorted endpoints; a pair also reports the two set differences.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .core import SubjectCore, bits
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, cell_masks
 from .record import Record
 from .scf import DomainKind, StochasticChoiceFunction
 
@@ -381,7 +381,7 @@ def compare_many(
 
     Each value is a subject or its already computed
     :class:`IrrationalitySets`.  Verdicts and edges are read from one
-    inclusion matrix between the classes' sets.
+    inclusion matrix between the classes' sets, as cell bitsets.
     """
     pairs = list(subjects.items()) if isinstance(subjects, Mapping) else list(subjects)
     names = [name for name, _ in pairs]
@@ -407,12 +407,12 @@ def compare_many(
 
     # inside[i] has bit j when class i's set is strictly inside class j's
     # (distinct classes have distinct sets); holds[j] is the transpose.
-    sets = [unions[group[0]] for group in class_tuples]
-    count = len(sets)
+    masks = cell_masks([unions[group[0]] for group in class_tuples])
+    count = len(masks)
     inside = [0] * count
     holds = [0] * count
     for i, j in itertools.permutations(range(count), 2):
-        if sets[i].is_subset(sets[j]):
+        if not masks[i] & ~masks[j]:
             inside[i] |= 1 << j
             holds[j] |= 1 << i
 

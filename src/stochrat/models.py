@@ -62,6 +62,18 @@ def _require_same_universe(utilities: Sequence[Utility]) -> tuple[str, ...]:
     return keys.pop()
 
 
+def _domain_menu(raw_menu: Iterable[str], labels: tuple[str, ...], what: str) -> Menu:
+    """A menu a model's parameter is given for, which must lie in the full
+    domain on ``labels``; ``what`` names the parameter in errors."""
+    menu = as_menu(raw_menu)
+    if len(menu) < 2 or not menu <= set(labels):
+        raise ValueError(
+            f"{what} for {menu_str(menu)}: not a menu of the full domain on "
+            f"{menu_str(frozenset(labels))}"
+        )
+    return menu
+
+
 def _argmax(utility: Utility, menu: Menu) -> str:
     """The first label, in sorted order, of greatest utility."""
     return max(sorted(menu), key=utility.__getitem__)
@@ -93,7 +105,7 @@ def general_luce(
     labels = tuple(sorted(u))
     chosen_sets: dict[Menu, frozenset[str]] = {}
     for raw_menu, raw_subset in consideration.items():
-        menu = as_menu(raw_menu)
+        menu = _domain_menu(raw_menu, labels, "consideration set")
         subset = frozenset(raw_subset)
         if not subset or not subset <= menu:
             raise ValueError(
@@ -183,7 +195,7 @@ def drum(
     labels = _require_same_universe([u, v])
     theta_map: dict[Menu, Fraction] = {}
     for raw_menu, value in weights.items():
-        menu = as_menu(raw_menu)
+        menu = _domain_menu(raw_menu, labels, "weight")
         theta_map[menu] = to_probability(value, "weight", f" for {menu_str(menu)}")
     check_universe(len(labels), DomainKind.FULL, max_universe)
     table = {}

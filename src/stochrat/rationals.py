@@ -62,10 +62,12 @@ def parse_rational(text: str) -> Fraction:
 
 def to_fraction(value: RationalLike, name: str, where: str = "") -> Fraction:
     """Exact Fraction from a rational string (see :func:`parse_rational`) or
-    a number.  ``name`` and ``where`` describe the value in errors, as in
-    ``"bad weight 'x' for {a,b}"``."""
+    a number other than a bool.  ``name`` and ``where`` describe the value
+    in errors, as in ``"bad weight 'x' for {a,b}"``."""
     if isinstance(value, str):
         return parse_rational(value)
+    if isinstance(value, bool):  # Fraction(True) is 1, but a flag is no number
+        raise ValueError(f"bad {name} {value!r}{where}")
     try:
         return Fraction(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -90,7 +92,8 @@ def common_scale(values: Iterable[Fraction]) -> tuple[list[int], int]:
 
 def format_rational(value: Fraction) -> str:
     """Canonical text form: ``"p/q"`` in lowest terms, or ``"n"`` for integers."""
-    value = Fraction(value)
+    if type(value) is not Fraction and type(value) is not int:
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -102,7 +105,8 @@ def format_decimal(value: Fraction) -> str:
     Rounding is half away from zero, done in integer arithmetic so the
     output is identical on every platform.
     """
-    value = Fraction(value)
+    if type(value) is not Fraction and type(value) is not int:
+        value = Fraction(value)
     negative = value < 0
     num = abs(value.numerator)
     den = value.denominator

@@ -26,6 +26,7 @@ from typing import Callable, Optional, Union
 from .choice import menu_key
 from .errors import CapacityError, OracleMismatch
 from .dataset import ChoiceDataset
+from .intervals import IntervalUnion
 from .measure import (
     IrrationalitySets,
     MultiComparison,
@@ -157,33 +158,57 @@ def run_analyze(
 
 
 # -- serialization -------------------------------------------------------------
+#
+# ``render_json`` writes the text of ``json.dumps(doc, indent=2,
+# ensure_ascii=False)`` from templates: with ``indent`` that call runs the
+# pure-Python encoder over every member.  Strings are quoted by
+# ``encode_basestring``, the quoting ``json.dumps`` itself uses without
+# ``ensure_ascii``, and no quoted string holds a raw newline.  A template
+# starts at its opening bracket; the list around it writes the indent.
+
+_JSON_CONSTANT = {True: "true", False: "false", None: "null"}
 
 
-def _witness_json(witness: Witness) -> dict:
-    lo, hi = witness.interval
-    out: dict = {
-        "interval": [format_rational(lo), format_rational(hi)],
-        "axiom": witness.axiom,
-    }
-    if witness.axiom == "chernoff":
-        small, large, alternative = witness.detail
-        out["menu"] = list(menu_key(small))
-        out["larger_menu"] = list(menu_key(large))
-        out["alternative"] = alternative
-    elif witness.axiom == "condorcet":
-        menu, alternative = witness.detail
-        out["menu"] = list(menu_key(menu))
-        out["alternative"] = alternative
-    else:
-        out["triple"] = list(witness.detail)
-    return out
+def _list_parts(items: list[str], depth: int) -> list[str]:
+    """The pieces of a JSON list of written items whose brackets sit at
+    ``depth`` spaces, for one ``join`` with the rest of the document."""
+    if not items:
+        return ["[]"]
+    pad = "\n" + " " * (depth + 2)
+    parts = ["[" + pad]
+    for item in items:
+        parts += (item, "," + pad)
+    parts[-1] = "\n" + " " * depth + "]"
+    return parts
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    return "".join(_list_parts(items, depth))
+
+
+def _strings(values, depth: int) -> str:
+    return _json_list([encode_basestring(v) for v in values], depth)
+
+
+def _interval_list(union: IntervalUnion, depth: int) -> str:
+    """The union as a list of [lo, hi] pairs of exact rationals."""
+    if not union.intervals:
+        return "[]"
+    return _json_list(
+        [
+            _strings((format_rational(lo), format_rational(hi)), depth + 2)
+            for lo, hi in union.intervals
+        ],
+        depth,
+    )
 
 
 # The report's flags in output order, each with its reader; the JSON
 # "flags" object and the CSV columns both follow this table.
 _FLAGS: tuple[tuple[str, Callable[[SubjectAnalysis], Optional[bool]]], ...] = (
     ("maximally_rational", lambda e: e.sets.maximally_rational),
-    ("minimally_rational", lambda e: e.sets.minimally_rational),
+    # the index is 1 minus the set's length: no second sum of the lengths
+    ("minimally_rational", lambda e: e.index == 0),
     ("weak_s_transitive", lambda e: e.transitivity.weak),
     ("almost_weak_s_transitive", lambda e: e.transitivity.almost_weak),
     ("moderate_s_transitive", lambda e: e.transitivity.moderate),
@@ -194,46 +219,108 @@ _FLAGS: tuple[tuple[str, Callable[[SubjectAnalysis], Optional[bool]]], ...] = (
     ("selective_expansions", lambda e: e.selective_expansions),
 )
 
+# An item of the "subjects" list, by status.
+_SUBJECT_OK = (
+    """{
+      "subject": %s,
+      "status": "ok",
+      "domain": %s,
+      "universe": %s,
+      "sets": {
+        "chernoff": %s,
+        "condorcet": %s,
+        "transitivity": %s,
+        "irrationality": %s
+      },
+      "rationality_index": {
+        "exact": %s,
+        "decimal": %s
+      },
+      "flags": {
+"""
+    + ",\n".join(f"        {encode_basestring(name)}: %s" for name, _ in _FLAGS)
+    + """
+      },
+      "triangular_witness": %s,
+      "witnesses": %s
+    }"""
+)
+_SUBJECT_ERROR = """{
+      "subject": %s,
+      "status": "error",
+      "error": {
+        "kind": %s,
+        "message": %s
+      }
+    }"""
 
-def _subject_json(entry: Union[SubjectAnalysis, SubjectError]) -> dict:
+# An item of a subject's "witnesses" list: the head, then the rest by axiom.
+_WITNESS_HEAD = '{\n          "interval": %s,\n          "axiom": '
+_WITNESS_REST = {
+    "chernoff": (
+        '"chernoff",\n          "menu": %s,\n          "larger_menu": %s,\n'
+        '          "alternative": %s\n        }'
+    ),
+    "condorcet": (
+        '"condorcet",\n          "menu": %s,\n          "alternative": %s\n        }'
+    ),
+    "transitivity": '"transitivity",\n          "triple": %s\n        }',
+}
+
+
+def _witness_item(witness: Witness) -> str:
+    if witness.axiom == "chernoff":
+        small, large, alternative = witness.detail
+        detail: tuple = (
+            _strings(menu_key(small), 10),
+            _strings(menu_key(large), 10),
+            encode_basestring(alternative),
+        )
+    elif witness.axiom == "condorcet":
+        menu, alternative = witness.detail
+        detail = (_strings(menu_key(menu), 10), encode_basestring(alternative))
+    else:
+        detail = (_strings(witness.detail, 10),)
+    lo, hi = witness.interval
+    interval = _strings((format_rational(lo), format_rational(hi)), 10)
+    return _WITNESS_HEAD % interval + _WITNESS_REST[witness.axiom] % detail
+
+
+def _subject_item(entry: Union[SubjectAnalysis, SubjectError]) -> str:
     if isinstance(entry, SubjectError):
-        return {
-            "subject": entry.subject,
-            "status": "error",
-            "error": {"kind": entry.kind, "message": entry.message},
-        }
+        return _SUBJECT_ERROR % (
+            encode_basestring(entry.subject),
+            encode_basestring(entry.kind),
+            encode_basestring(entry.message),
+        )
     sets = entry.sets
-    return {
-        "subject": entry.subject,
-        "status": "ok",
-        "domain": entry.domain.value,
-        "universe": list(entry.universe),
-        "sets": {
-            "chernoff": sets.chernoff.to_json(),
-            "condorcet": sets.condorcet.to_json(),
-            "transitivity": sets.transitivity.to_json(),
-            "irrationality": sets.union.to_json(),
-        },
-        "rationality_index": {
-            "exact": format_rational(entry.index),
-            "decimal": format_decimal(entry.index),
-        },
-        "flags": {name: flag(entry) for name, flag in _FLAGS},
-        "triangular_witness": (
-            list(entry.triangular.witness) if entry.triangular.witness else None
-        ),
-        "witnesses": [_witness_json(w) for w in sets.witnesses],
-    }
+    witness = entry.triangular.witness
+    return _SUBJECT_OK % (
+        encode_basestring(entry.subject),
+        encode_basestring(entry.domain.value),
+        _strings(entry.universe, 6),
+        _interval_list(sets.chernoff, 8),
+        _interval_list(sets.condorcet, 8),
+        _interval_list(sets.transitivity, 8),
+        _interval_list(sets.union, 8),
+        encode_basestring(format_rational(entry.index)),
+        encode_basestring(format_decimal(entry.index)),
+        *(_JSON_CONSTANT[flag(entry)] for _, flag in _FLAGS),
+        _strings(witness, 6) if witness else "null",
+        _json_list([_witness_item(w) for w in sets.witnesses], 6),
+    )
 
 
-# One item of the "comparisons.verdicts" list, at its depth in the document,
-# split where the right name starts.
-_VERDICT_HEAD = '      {\n        "left": %s,\n        "right": '
+# One item of the "comparisons.verdicts" list, split where the right name
+# starts.
+_VERDICT_HEAD = '{\n        "left": %s,\n        "right": '
 _VERDICT_TAIL = '%s,\n        "verdict": %s\n      }'
+_HASSE_EDGE = '{\n        "more_rational": %s,\n        "less_rational": %s\n      }'
 
 
-def _verdict_items(comparison: MultiComparison) -> str:
-    """The items of the verdicts list, in ``comparison.pairs()`` order.
+def _verdict_groups(comparison: MultiComparison) -> list[str]:
+    """The items of the verdicts list, in ``comparison.pairs()`` order, one
+    string per left name.
 
     Each right name has one finished tail per verdict, and each class one
     row of its verdicts against every class, so the items of one left name
@@ -253,55 +340,54 @@ def _verdict_items(comparison: MultiComparison) -> str:
         row = rows[index[a]]
         groups.append(
             head
-            + f",\n{head}".join(
+            + f",\n      {head}".join(
                 [row[j][b] for b, j in enumerate(index[a + 1 :], a + 1)]
             )
         )
-    return ",\n".join(groups)
+    return groups
 
 
-def _comparisons_json(comparison: MultiComparison) -> str:
-    """The "comparisons" member as ``json.dumps(..., indent=2,
-    ensure_ascii=False)`` writes it for a top-level key.
+def _comparisons_parts(comparison: MultiComparison) -> list[str]:
+    """The pieces of the "comparisons" member, a top-level key."""
+    classes = [_strings(group, 6) for group in comparison.classes]
+    edges = [
+        _HASSE_EDGE % (encode_basestring(above), encode_basestring(below))
+        for above, below in comparison.hasse_edges
+    ]
+    return [
+        '  "comparisons": {\n    "verdicts": ',
+        *_list_parts(_verdict_groups(comparison), 4),
+        ',\n    "equivalence_classes": ',
+        _json_list(classes, 4),
+        ',\n    "hasse_edges": ',
+        _json_list(edges, 4),
+        "\n  }",
+    ]
 
-    The verdicts list, C(n, 2) objects of one shape, comes from a template
-    with strings quoted by ``encode_basestring``, the quoting that
-    ``json.dumps`` itself uses without ``ensure_ascii``.  The other members
-    go through ``json.dumps``; no JSON string holds a raw newline, so
-    indenting its output line by line is exact.
-    """
-    items = _verdict_items(comparison)
-    rest = json.dumps(
-        {
-            "equivalence_classes": [list(group) for group in comparison.classes],
-            "hasse_edges": [
-                {"more_rational": above, "less_rational": below}
-                for above, below in comparison.hasse_edges
-            ],
-        },
-        indent=2,
-        ensure_ascii=False,
-    )
-    members = "\n".join("  " + line for line in rest.split("\n")[1:-1])
-    verdict_list = "[\n" + items + "\n    ]" if items else "[]"
-    return f'  "comparisons": {{\n    "verdicts": {verdict_list},\n{members}\n  }}'
+
+# The document up to the subjects list.
+_HEAD = (
+    "{\n"
+    f'  "schema_version": {SCHEMA_VERSION},\n'
+    '  "settings": {\n'
+    f'    "digits": {DECIMAL_PLACES},\n'
+    '    "oracle": %s,\n'
+    '    "max_universe": %s\n'
+    "  },\n"
+    '  "subjects": '
+)
 
 
 def render_json(report: AnalysisReport) -> str:
-    doc: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "settings": {
-            "digits": DECIMAL_PLACES,
-            "oracle": report.config.oracle,
-            "max_universe": report.config.max_universe,
-        },
-        "subjects": [_subject_json(entry) for entry in report.subjects],
-    }
-    text = json.dumps(doc, indent=2, ensure_ascii=False)
+    config = report.config
+    parts = [
+        _HEAD % (json.dumps(config.oracle), json.dumps(config.max_universe)),
+        *_list_parts([_subject_item(entry) for entry in report.subjects], 2),
+    ]
     if report.comparison is not None:
-        # the document ends in "\n}"; "comparisons" is its last member
-        text = f"{text[:-2]},\n{_comparisons_json(report.comparison)}\n}}"
-    return text + "\n"
+        parts += (",\n", *_comparisons_parts(report.comparison))
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 _CSV_COLUMNS = [

@@ -20,9 +20,7 @@ from stochrat import (
     IntervalUnion,
     SplitMix64,
     StochasticChoiceFunction,
-    Verdict,
 )
-from stochrat.report import SCHEMA_VERSION, SubjectAnalysis, _subject_json
 
 Relation = frozenset[tuple[str, str]]
 
@@ -597,14 +595,140 @@ def core_tables(probs: dict) -> dict:
     }
 
 
+# the verdict from (left inside right, right inside left)
+_VERDICT_NAMES = {
+    (True, True): "Equivalent",
+    (True, False): "LeftMoreRational",
+    (False, True): "RightMoreRational",
+    (False, False): "Incomparable",
+}
+
+
+def compare_many_reference(unions: dict) -> dict:
+    """Brute-force panel comparison of named irrationality sets.
+
+    Classes group names whose sets contain each other, ordered by least
+    member; inclusion is ``IntervalUnion.is_subset``; a cover edge (a, b)
+    joins class representatives with a's set strictly inside b's and no
+    class strictly between; each verdict of a pair in name order is judged
+    from the two inclusions."""
+    names = sorted(unions)
+
+    def inside(a, b):
+        return unions[a].is_subset(unions[b])
+
+    classes: list[list[str]] = []
+    for name in names:
+        for group in classes:
+            if inside(group[0], name) and inside(name, group[0]):
+                group.append(name)
+                break
+        else:
+            classes.append([name])
+    reps = [group[0] for group in classes]
+
+    def below(a, b):
+        return inside(a, b) and not inside(b, a)
+
+    edges = sorted(
+        (a, b)
+        for a, b in itertools.permutations(reps, 2)
+        if below(a, b) and not any(below(a, c) and below(c, b) for c in reps)
+    )
+    verdicts = [
+        (left, right, _VERDICT_NAMES[inside(left, right), inside(right, left)])
+        for left, right in itertools.combinations(names, 2)
+    ]
+    return {
+        "classes": tuple(map(tuple, classes)),
+        "hasse_edges": tuple(edges),
+        "verdicts": verdicts,
+    }
+
+
+def _exact(value: Fraction) -> str:
+    return str(Fraction(value))
+
+
+def _six_places(value: Fraction) -> str:
+    """A value in [0, 1] to six places, half rounded up."""
+    scaled = (2 * value.numerator * 10**6 + value.denominator) // (2 * value.denominator)
+    return f"{scaled // 10**6}.{scaled % 10**6:06d}"
+
+
+def _witness_json(witness) -> dict:
+    lo, hi = witness.interval
+    out: dict = {"interval": [_exact(lo), _exact(hi)], "axiom": witness.axiom}
+    if witness.axiom == "chernoff":
+        small, large, alternative = witness.detail
+        out["menu"] = list(_menu_key(small))
+        out["larger_menu"] = list(_menu_key(large))
+        out["alternative"] = alternative
+    elif witness.axiom == "condorcet":
+        menu, alternative = witness.detail
+        out["menu"] = list(_menu_key(menu))
+        out["alternative"] = alternative
+    else:
+        out["triple"] = list(witness.detail)
+    return out
+
+
+def _subject_json(entry) -> dict:
+    if not hasattr(entry, "sets"):
+        return {
+            "subject": entry.subject,
+            "status": "error",
+            "error": {"kind": entry.kind, "message": entry.message},
+        }
+    sets = entry.sets
+    union = sets.union
+    flags = entry.transitivity
+    return {
+        "subject": entry.subject,
+        "status": "ok",
+        "domain": entry.domain.value,
+        "universe": list(entry.universe),
+        "sets": {
+            name: [[_exact(lo), _exact(hi)] for lo, hi in part]
+            for name, part in (
+                ("chernoff", sets.chernoff),
+                ("condorcet", sets.condorcet),
+                ("transitivity", sets.transitivity),
+                ("irrationality", union),
+            )
+        },
+        "rationality_index": {
+            "exact": _exact(entry.index),
+            "decimal": _six_places(entry.index),
+        },
+        "flags": {
+            "maximally_rational": not union.intervals,
+            "minimally_rational": union.measure() == 1,
+            "weak_s_transitive": flags.weak,
+            "almost_weak_s_transitive": flags.almost_weak,
+            "moderate_s_transitive": flags.moderate,
+            "almost_moderate_s_transitive": flags.almost_moderate,
+            "strong_s_transitive": flags.strong,
+            "triangular_condition": entry.triangular.holds,
+            "selective_contractions": entry.selective_contractions,
+            "selective_expansions": entry.selective_expansions,
+        },
+        "triangular_witness": (
+            list(entry.triangular.witness) if entry.triangular.witness else None
+        ),
+        "witnesses": [_witness_json(w) for w in sets.witnesses],
+    }
+
+
 def report_json(report) -> str:
     """The JSON report as one ``json.dumps(doc, indent=2, ensure_ascii=False)``
-    of the whole document.  Each verdict is judged here from the inclusion
-    of the two subjects' irrationality sets, pair by pair in name order;
-    the subject entries, classes and cover edges are taken as given."""
+    of the whole document, built from the report's records without
+    ``stochrat.report``.  Each verdict is judged here from the inclusion of
+    the two subjects' irrationality sets, pair by pair in name order; the
+    classes and cover edges are taken as given."""
     config = report.config
     doc: dict = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": 1,
         "settings": {
             "digits": 6,
             "oracle": config.oracle,
@@ -617,15 +741,15 @@ def report_json(report) -> str:
         unions = {
             entry.subject: entry.sets.union
             for entry in report.subjects
-            if isinstance(entry, SubjectAnalysis)
+            if hasattr(entry, "sets")
         }
         verdicts = []
         for left, right in itertools.combinations(sorted(unions), 2):
-            verdict = Verdict.from_inclusion(
+            verdict = _VERDICT_NAMES[
                 unions[left].is_subset(unions[right]),
                 unions[right].is_subset(unions[left]),
-            )
-            verdicts.append({"left": left, "right": right, "verdict": verdict.value})
+            ]
+            verdicts.append({"left": left, "right": right, "verdict": verdict})
         doc["comparisons"] = {
             "verdicts": verdicts,
             "equivalence_classes": [list(group) for group in comparison.classes],

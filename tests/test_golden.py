@@ -7,6 +7,9 @@ or class shows up here even when every semantic test still passes.
 both ingest routes are pinned to the same bytes.  Update a hash only for an
 intended change of the report, and say so in CHANGES.md.
 
+``seeded_panel()`` (in ``conftest``) is a panel built in process from
+seeded models over both domains; its reports are pinned the same way.
+
 ``MODEL_SPECS`` holds one model spec of each kind, at three or four
 alternatives, with rational strings and JSON integers only; their
 ``stochrat model`` output is pinned the same way.
@@ -17,9 +20,19 @@ import json
 
 import pytest
 
+from stochrat import DomainKind
 from stochrat.cli import main
+from stochrat.dataset import ChoiceDataset
+from stochrat.report import (
+    AnalysisConfig,
+    SubjectError,
+    render_csv,
+    render_json,
+    render_plotdata,
+    run_analyze,
+)
 
-from conftest import FIXTURES
+from conftest import FIXTURES, seeded_panel
 
 GOLDEN = {
     "demo_full3.csv": "8e12223f99a410311d9aa822b3201758a2fc0577b168a988088b85eade03a8dc",
@@ -45,6 +58,14 @@ GOLDEN_TABLES = {
 GOLDEN_COMPARE = {
     "pairwise5_panel26.csv": "cae35e5fb409ecd0e182ab4a1f95e3645a391a0be24ffdbc3292243fa55c4e67",
     "pairwise_cycles.csv": "05643b5eac6caa3fc863bc46a9eae15a514823c3ecd6518d0a50aed2edfa0464",
+}
+
+# format -> SHA-256 of the report of ``seeded_panel()`` under a universe cap
+# of 7; for plotdata, of the index bars followed by the segments
+GOLDEN_PANEL = {
+    "json": "0ad6f8f718b57c0b3fbf184da362355a63379922a6f8d38f9f3298b1de9e9942",
+    "csv": "f2a218b2b408ed5c3310a4a736076d658d8958b5fffde95f066f6ededdecc303",
+    "plotdata": "7ddef42f108ebdd6f8200a10c2e5fdb0c519473ee00e911e2765ca1f7042c733",
 }
 
 # kind -> a spec of that kind
@@ -169,3 +190,26 @@ def test_model_output_is_byte_identical(kind, tmp_path, capsys):
     assert main(["model", str(spec)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_MODELS[kind]
+
+
+def test_seeded_panel_reports_are_byte_identical():
+    report = run_analyze(ChoiceDataset(seeded_panel()), AnalysisConfig(max_universe=7))
+    # the panel reaches every shape the report writes
+    full = [e for e in report.ok_subjects() if e.domain is DomainKind.FULL]
+    assert {w.axiom for e in full for w in e.sets.witnesses} == {
+        "chernoff",
+        "condorcet",
+        "transitivity",
+    }
+    assert any(len(e.sets.union.intervals) >= 2 for e in full)
+    assert [e.subject for e in report.subjects if isinstance(e, SubjectError)] == [
+        "over the cap"
+    ]
+    assert len(report.comparison.classes) > 20
+    texts = {
+        "json": render_json(report),
+        "csv": render_csv(report),
+        "plotdata": "".join(render_plotdata(report)),
+    }
+    for fmt, text in texts.items():
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_PANEL[fmt], fmt

@@ -112,6 +112,24 @@ BAD_SPECS = {
          "response": [{"arg": "@NaN", "value": "1/2"}]},
         "not a rational number: 'NaN'",
     ),
+    "general-luce-menu-outside": (
+        {"kind": "general_luce", "utility": UTILITY,
+         "consideration": [{"menu": ["x", "q"], "allowed": ["q"]}]},
+        "consideration set for {q,x}: not a menu of the full domain on {x,y,z}",
+    ),
+    "drum-weights-menu-outside": (
+        {"kind": "drum", "first": UTILITY, "second": {"x": "1", "y": "2", "z": "3"},
+         "weights": [
+             {"menu": menu, "weight": "1/2"}
+             for menu in (["x", "y"], ["x", "z"], ["y", "z"], ["x", "y", "z"],
+                          ["x", "zz"])
+         ]},
+        "weight for {x,zz}: not a menu of the full domain on {x,y,z}",
+    ),
+    "utility-true": (
+        {"kind": "luce", "utility": {"x": True, "y": "2", "z": "1"}},
+        "bad utility True of 'x'",
+    ),
     "seed-fraction": (
         {"kind": "random", "universe": ["x", "y", "z"], "seed": "@7.9"},
         "model spec field 'seed' must be an integer, got '7.9'",

@@ -1,6 +1,8 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from stochrat import measure
 from stochrat import (
     DomainKind,
@@ -25,10 +27,12 @@ from stochrat import (
     tremble,
     uniform_drum,
 )
-from stochrat.dataset import parse_dataset
+from stochrat.dataset import ChoiceDataset, parse_dataset
+from stochrat.intervals import cell_masks
+from stochrat.report import AnalysisConfig, run_analyze
 
 import oracles
-from conftest import FIXTURES
+from conftest import FIXTURES, seeded_panel
 
 F = Fraction
 
@@ -310,6 +314,61 @@ def test_comparison_table_matches_direct_inclusion():
         itertools.combinations(multi.names, 2)
     )
     assert all(multi.verdict(left, right) is v for left, right, v in listed)
+
+
+# (lower, higher) pairs of distinct values with the same float
+_FLOAT_TIES = [
+    (F(1 / 3), F(1, 3)),
+    (F(1, 7), F(1, 7) + F(1, 10**30)),
+    (F(5, 7) - F(1, 10**30), F(5, 7)),
+    (F(2, 3), F(2, 3) + F(1, 10**30)),
+    (F(1, 10), F(1 / 10)),
+    (F(9, 10), F(0.9)),
+]
+
+# endpoints for drawn sets, the float ties among them
+_ENDS = [F(0), F(2, 5), F(1, 2), F(1), *(end for pair in _FLOAT_TIES for end in pair)]
+
+
+def _drawn_unions(seed, count):
+    """``count`` named unions of up to three intervals between drawn ends."""
+    gen = SplitMix64(seed)
+    unions = {}
+    for k in range(count):
+        pairs = [
+            sorted((_ENDS[gen.below(len(_ENDS))], _ENDS[gen.below(len(_ENDS))]))
+            for _ in range(gen.below(4))
+        ]
+        unions[f"s{k:02d}"] = IntervalUnion.from_pairs(pairs)
+    return unions
+
+
+def _as_sets(union):
+    empty = IntervalUnion.empty()
+    return measure.IrrationalitySets(empty, empty, empty, union, ())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_compare_many_matches_the_brute_force_reference(seed):
+    unions = _drawn_unions(seed, 30)
+    if seed == 0:  # the seeded panel's subjects too
+        config = AnalysisConfig(max_universe=7)
+        report = run_analyze(ChoiceDataset(seeded_panel()), config)
+        unions.update((e.subject, e.sets.union) for e in report.ok_subjects())
+    multi = compare_many({name: _as_sets(union) for name, union in unions.items()})
+    expected = oracles.compare_many_reference(unions)
+    assert multi.classes == expected["classes"]
+    assert multi.hasse_edges == expected["hasse_edges"]
+    assert [(l, r, v.value) for l, r, v in multi.pairs()] == expected["verdicts"]
+
+
+@pytest.mark.parametrize("low,high", _FLOAT_TIES)
+def test_cell_masks_order_endpoints_whose_floats_tie(low, high):
+    assert float(low) == float(high) and low < high
+    wide, narrow = iu((low, 1)), iu((high, 1))
+    assert cell_masks([narrow, wide, iu((0, low))]) == [0b100, 0b110, 0b1]
+    multi = compare_many({"narrow": _as_sets(narrow), "wide": _as_sets(wide)})
+    assert multi.verdict("narrow", "wide") is Verdict.LEFT_MORE_RATIONAL
 
 
 def test_compare_many_of_one_or_no_subject_has_no_pairs():

@@ -42,6 +42,8 @@ F = Fraction
 XYZ = frozenset(("x", "y", "z"))
 U321 = {"x": 3, "y": 2, "z": 1}
 REV = {"z": 3, "y": 2, "x": 1}
+# a drum weight for each menu on {x, y, z}
+FULL_WEIGHTS = {("x", "y"): F(1, 2), ("y", "z"): F(1, 4), ("x", "z"): F(1), XYZ: F(3, 4)}
 
 
 # -- luce -------------------------------------------------------------------------
@@ -80,6 +82,22 @@ def test_general_luce_defaults_to_plain_luce():
 def test_general_luce_consideration_must_be_subset():
     with pytest.raises(ValueError):
         general_luce(U321, {frozenset(("x", "y")): frozenset(("z",))})
+
+
+@pytest.mark.parametrize(
+    "build,menu",
+    [
+        (lambda: general_luce(U321, {("x", "q"): ("q",)}), "consideration set for {q,x}"),
+        (lambda: general_luce(U321, {("x",): ("x",)}), "consideration set for {x}"),
+        (lambda: drum(U321, REV, {**FULL_WEIGHTS, ("x", "zz"): F(7, 8)}), "weight for {x,zz}"),
+        (lambda: drum(U321, REV, {**FULL_WEIGHTS, ("z",): F(1, 2)}), "weight for {z}"),
+    ],
+    ids=["luce-outside", "luce-singleton", "drum-outside", "drum-singleton"],
+)
+def test_a_parameter_for_a_menu_outside_the_full_domain_is_refused(build, menu):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == f"{menu}: not a menu of the full domain on {{x,y,z}}"
 
 
 def test_general_luce_minimal_example():

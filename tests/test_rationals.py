@@ -121,6 +121,20 @@ def test_an_infinite_float_is_a_value_error(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: to_fraction(True, "weight"), "weight True"),
+        (lambda: to_probability(False, "weight", " for {x}"), "weight False for {x}"),
+        (lambda: models.luce({"x": True, "y": "1", "z": "2"}), "utility True of 'x'"),
+    ],
+    ids=["to_fraction", "to_probability", "luce"],
+)
+def test_a_bool_is_not_a_number(build, message):
+    with pytest.raises(ValueError, match=rf"^bad {message}$"):
+        build()
+
+
 def test_to_probability_checks_the_unit_interval():
     assert to_probability("0", "weight") == 0
     assert to_probability(1, "weight") == 1

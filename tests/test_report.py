@@ -313,3 +313,26 @@ def test_render_json_with_an_empty_comparison():
     text = render_json(report)
     assert '    "verdicts": [],\n    "equivalence_classes": [],\n' in text
     assert text == oracles.report_json(report)
+
+
+def test_render_json_runs_no_pure_python_encoder(monkeypatch):
+    table = {
+        "ok": _pairwise_rows("xyz", _HEAD_TO_HEAD[:3]),
+        "cycle": _pairwise_rows("xyz", _HEAD_TO_HEAD[1:]),
+        "over the cap": _pairwise_rows("wxyz", [Fraction(1, 2)] * 6),
+    }
+    table = {name: integer_rows(rows) for name, rows in table.items()}
+    reports = [
+        run_analyze(ChoiceDataset(table), AnalysisConfig(max_universe=3, oracle=True)),
+        run_analyze(parse_dataset(FIXTURES / "demo_full3.csv")),
+        run_analyze(parse_dataset(FIXTURES / "pairwise5_panel26.csv")),
+        AnalysisReport(AnalysisConfig(), (), compare_many({})),
+    ]
+    assert any(isinstance(e, SubjectError) for e in reports[0].subjects)
+    expected = [oracles.report_json(report) for report in reports]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert [render_json(report) for report in reports] == expected
