@@ -152,9 +152,7 @@ def total_compare(
     is complete-preorder-consistent wherever the right one is."""
     left_tr = totally_rational_regions(left)
     right_tr = totally_rational_regions(right)
-    return ComparisonResult.from_differences(
-        right_tr.difference(left_tr), left_tr.difference(right_tr)
-    )
+    return ComparisonResult.from_sets(right_tr, left_tr)
 
 
 def totally_rational_regions(scf: StochasticChoiceFunction) -> IntervalUnion:

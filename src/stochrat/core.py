@@ -14,11 +14,12 @@ first use (``StochasticChoiceFunction.core``).
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, from_cells
 
 _ZERO = Fraction(0)
 
@@ -41,7 +42,7 @@ class SubjectCore:
       subject's frozenset and ``members`` to its ascending indices.
     * ``cuts``: 0 followed by the sorted distinct positive normalized
       likelihoods (the last is 1).
-      Cell c >= 1 stands for the thresholds (cuts[c-1], cuts[c]].
+      Threshold region h >= 1 is (cuts[h-1], cuts[h]].
     * ``rank[mask][i]``: rank of alternative i's likelihood on the menu
       (0 for non-members and for zero probability).
     * ``pair_rank[i][j]``: rank of i's likelihood on {i, j}.
@@ -122,23 +123,17 @@ class SubjectCore:
 
     def union_of(self, spans: Iterable[tuple[int, int]]) -> IntervalUnion:
         """Union of the intervals (cuts[lo], cuts[hi]] for rank pairs
-        (lo, hi), by a difference array over the cells."""
-        cells = len(self.cuts)
-        diff = [0] * (cells + 1)
+        (lo, hi).  A difference array over the ranks counts the spans that
+        cover each cell (cuts[c], cuts[c+1]], threshold region c + 1; the
+        covered cells are one mask over ``cuts`` for
+        :func:`~stochrat.intervals.from_cells`."""
+        diff = [0] * len(self.cuts)
         for lo, hi in spans:
             if lo < hi:
-                diff[lo + 1] += 1
-                diff[hi + 1] -= 1
-        pieces = []
-        depth = 0
-        start = 0
-        for c in range(1, cells):
-            depth += diff[c]
-            if depth and not start:
-                start = c
-            elif not depth and start:
-                pieces.append((self.cuts[start - 1], self.cuts[c - 1]))
-                start = 0
-        if start:
-            pieces.append((self.cuts[start - 1], self.cuts[-1]))
-        return IntervalUnion(tuple(pieces))
+                diff[lo] += 1
+                diff[hi] -= 1
+        mask = 0
+        for c, depth in enumerate(itertools.accumulate(diff)):
+            if depth:
+                mask |= 1 << c
+        return from_cells(self.cuts, mask)

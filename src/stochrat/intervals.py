@@ -8,11 +8,20 @@ right endpoint it is) and is hard-coded rather than configurable.
 :class:`IntervalUnion` is an immutable canonical form: component intervals
 are nonempty, sorted, and pairwise disjoint with gaps between them, so two
 unions are equal as sets exactly when they compare equal as values.
+
+All set algebra runs on one encoding.  :func:`cell_masks` sorts the
+distinct endpoints of some unions, and each union becomes an integer whose
+bit c stands for the cell (ends[c], ends[c+1]].  Union, intersection,
+difference and inclusion are then ``|``, ``&``, ``& ~`` and ``not a & ~b``,
+and :func:`from_cells` turns each run of set bits back into one interval.
+The endpoints are sorted by the float num / den, which Python rounds
+correctly.  Correct rounding is monotone: it never puts two values in the
+wrong order, it only maps some distinct values to one float, and only
+those ties are settled by comparing the exact Fractions.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -22,36 +31,6 @@ from .record import Record
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _set = object.__setattr__
-
-
-def _canonical(
-    pairs: Iterable[tuple[Fraction, Fraction]],
-) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Check endpoints, drop empties, sort, and merge touching intervals."""
-    kept = []
-    for lo, hi in pairs:
-        lo = to_probability(lo, "interval endpoint")
-        hi = to_probability(hi, "interval endpoint")
-        if lo < hi:
-            kept.append((lo, hi))
-    kept.sort()
-    return _merge_sorted(kept)
-
-
-def _merge_sorted(
-    pairs: Iterable[tuple[Fraction, Fraction]],
-) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Merge touching or overlapping neighbours of nonempty intervals
-    sorted by their left ends."""
-    merged: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in pairs:
-        if merged and lo <= merged[-1][1]:
-            prev_lo, prev_hi = merged[-1]
-            if hi > prev_hi:
-                merged[-1] = (prev_lo, hi)
-        else:
-            merged.append((lo, hi))
-    return tuple(merged)
 
 
 class IntervalUnion(Record):
@@ -73,13 +52,21 @@ class IntervalUnion(Record):
     @classmethod
     def single(cls, lo: Fraction, hi: Fraction) -> "IntervalUnion":
         """The union containing just (lo, hi]; empty when lo >= hi."""
-        return cls(_canonical([(lo, hi)]))
+        return cls.from_pairs([(lo, hi)])
 
     @classmethod
     def from_pairs(
         cls, pairs: Iterable[tuple[Fraction, Fraction]]
     ) -> "IntervalUnion":
-        return cls(_canonical(pairs))
+        """Check every endpoint, drop empty pairs, and merge the rest."""
+        kept = []
+        for lo, hi in pairs:
+            lo = to_probability(lo, "interval endpoint")
+            hi = to_probability(hi, "interval endpoint")
+            if lo < hi:
+                kept.append((lo, hi))
+        ends, (mask,) = cell_masks([kept])
+        return from_cells(ends, mask)
 
     def insert(self, lo: Fraction, hi: Fraction) -> "IntervalUnion":
         """Return this union with (lo, hi] added.  Empty inputs are no-ops."""
@@ -93,7 +80,8 @@ class IntervalUnion(Record):
 
     def contains(self, point: Fraction) -> bool:
         """Membership of a single threshold value, honoring (lo, hi]."""
-        point = Fraction(point)
+        if type(point) is not Fraction and type(point) is not int:
+            point = Fraction(point)
         for lo, hi in self.intervals:
             if lo < point <= hi:
                 return True
@@ -102,66 +90,34 @@ class IntervalUnion(Record):
         return False
 
     def is_subset(self, other: "IntervalUnion") -> bool:
-        """Linear merge: each of our intervals must lie inside the first of
-        ``other``'s that reaches its right end (components have gaps
-        between them, so no other component can help)."""
-        theirs = other.intervals
-        j = 0
-        for lo, hi in self.intervals:
-            while j < len(theirs) and theirs[j][1] < hi:
-                j += 1
-            if j == len(theirs) or theirs[j][0] > lo:
-                return False
-        return True
+        _, (mine, theirs) = cell_masks((self, other))
+        return not mine & ~theirs
 
     # -- algebra -------------------------------------------------------
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        """Linear merge of the two sorted component lists."""
         if not other.intervals:
             return self
         if not self.intervals:
             return other
-        return IntervalUnion(
-            _merge_sorted(heapq.merge(self.intervals, other.intervals))
-        )
+        ends, (mine, theirs) = cell_masks((self, other))
+        return from_cells(ends, mine | theirs)
 
     __or__ = union
 
     def intersection(self, other: "IntervalUnion") -> "IntervalUnion":
-        """Linear merge of the two sorted component lists.  Pieces cut from
-        canonical inputs are sorted and separated by gaps already."""
-        mine, theirs = self.intervals, other.intervals
-        out = []
-        i = j = 0
-        while i < len(mine) and j < len(theirs):
-            (alo, ahi), (blo, bhi) = mine[i], theirs[j]
-            lo = max(alo, blo)
-            hi = min(ahi, bhi)
-            if lo < hi:
-                out.append((lo, hi))
-            if ahi < bhi:
-                i += 1
-            else:
-                j += 1
-        return IntervalUnion(tuple(out))
+        ends, (mine, theirs) = cell_masks((self, other))
+        return from_cells(ends, mine & theirs)
 
     __and__ = intersection
 
+    def difference(self, other: "IntervalUnion") -> "IntervalUnion":
+        ends, (mine, theirs) = cell_masks((self, other))
+        return from_cells(ends, mine & ~theirs)
+
     def complement(self) -> "IntervalUnion":
         """Complement within the ambient interval (0, 1]."""
-        gaps = []
-        cursor = _ZERO
-        for lo, hi in self.intervals:
-            if cursor < lo:
-                gaps.append((cursor, lo))
-            cursor = hi
-        if cursor < _ONE:
-            gaps.append((cursor, _ONE))
-        return IntervalUnion(tuple(gaps))
-
-    def difference(self, other: "IntervalUnion") -> "IntervalUnion":
-        return self.intersection(other.complement())
+        return _UNIT.difference(self)
 
     def measure(self) -> Fraction:
         """Total length, exact."""
@@ -197,21 +153,37 @@ class IntervalUnion(Record):
         return cls.from_pairs(pairs)
 
 
-def cell_masks(unions: Sequence[IntervalUnion]) -> list[int]:
-    """Each union as a bitmask over the cells between the unions' distinct
-    endpoints, so that one union lies inside another exactly when
-    ``a & ~b`` is 0.
+_UNIT = IntervalUnion(((_ZERO, _ONE),))
 
-    The endpoints are sorted once by their float, which is correctly
-    rounded and so never inverts two values; equal floats fall back to the
-    exact Fraction.  Bit c stands for (ends[c], ends[c+1]]."""
-    ends = {end for union in unions for pair in union.intervals for end in pair}
+
+def cell_masks(
+    unions: Sequence[Iterable[tuple[Fraction, Fraction]]],
+) -> tuple[list[Fraction], list[int]]:
+    """The unions' distinct endpoints in ascending order, and each union
+    as a bitmask over the cells between them: bit c stands for
+    (ends[c], ends[c+1]].  A union may be given as its list of nonempty
+    (lo, hi] pairs, which may overlap or touch."""
+    ends = {end for union in unions for pair in union for end in pair}
     order = sorted(ends, key=lambda v: (v.numerator / v.denominator, v))
     cell = {end: c for c, end in enumerate(order)}
     masks = []
     for union in unions:
         mask = 0
-        for lo, hi in union.intervals:
+        for lo, hi in union:
             mask |= (1 << cell[hi]) - (1 << cell[lo])
         masks.append(mask)
-    return masks
+    return order, masks
+
+
+def from_cells(ends: Sequence[Fraction], mask: int) -> IntervalUnion:
+    """The union of the cells (ends[c], ends[c+1]] whose bit c is set in
+    ``mask``: each run of set bits is one interval."""
+    pieces = []
+    while mask:
+        low = mask & -mask
+        # adding the run's lowest bit clears the run and sets the bit above
+        above = mask + low
+        high = above & -above
+        pieces.append((ends[low.bit_length() - 1], ends[high.bit_length() - 1]))
+        mask &= above
+    return IntervalUnion(tuple(pieces))

@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .core import SubjectCore, bits
-from .intervals import IntervalUnion, cell_masks
+from .intervals import IntervalUnion, cell_masks, from_cells
 from .record import Record
 from .scf import DomainKind, StochasticChoiceFunction
 
@@ -309,10 +309,9 @@ class ComparisonResult(Record):
         return cls(Verdict.from_inclusion(lmr.is_empty, rml.is_empty), lmr, rml)
 
     @classmethod
-    def from_sets(
-        cls, left: IntervalUnion, right: IntervalUnion
-    ) -> "ComparisonResult":
-        return cls.from_differences(left.difference(right), right.difference(left))
+    def from_sets(cls, left: IntervalUnion, right: IntervalUnion) -> ComparisonResult:
+        ends, (a, b) = cell_masks((left, right))
+        return cls.from_differences(from_cells(ends, a & ~b), from_cells(ends, b & ~a))
 
 
 def compare(
@@ -407,7 +406,7 @@ def compare_many(
 
     # inside[i] has bit j when class i's set is strictly inside class j's
     # (distinct classes have distinct sets); holds[j] is the transpose.
-    masks = cell_masks([unions[group[0]] for group in class_tuples])
+    _, masks = cell_masks([unions[group[0]] for group in class_tuples])
     count = len(masks)
     inside = [0] * count
     holds = [0] * count

@@ -604,18 +604,28 @@ _VERDICT_NAMES = {
 }
 
 
+def is_inside(small, big) -> bool:
+    """Whether one interval union lies inside another, by membership alone:
+    ``big`` must contain each endpoint of the two unions that ``small``
+    contains.  That is exhaustive, because membership is constant on each
+    (e, e'] between consecutive endpoints e < e', and neither union
+    reaches below the least endpoint."""
+    ends = {end for union in (small, big) for pair in union for end in pair}
+    return all(big.contains(end) for end in ends if small.contains(end))
+
+
 def compare_many_reference(unions: dict) -> dict:
     """Brute-force panel comparison of named irrationality sets.
 
     Classes group names whose sets contain each other, ordered by least
-    member; inclusion is ``IntervalUnion.is_subset``; a cover edge (a, b)
-    joins class representatives with a's set strictly inside b's and no
-    class strictly between; each verdict of a pair in name order is judged
-    from the two inclusions."""
+    member; inclusion is :func:`is_inside`; a cover edge (a, b) joins class
+    representatives with a's set strictly inside b's and no class strictly
+    between; each verdict of a pair in name order is judged from the two
+    inclusions."""
     names = sorted(unions)
 
     def inside(a, b):
-        return unions[a].is_subset(unions[b])
+        return is_inside(unions[a], unions[b])
 
     classes: list[list[str]] = []
     for name in names:
@@ -746,8 +756,8 @@ def report_json(report) -> str:
         verdicts = []
         for left, right in itertools.combinations(sorted(unions), 2):
             verdict = _VERDICT_NAMES[
-                unions[left].is_subset(unions[right]),
-                unions[right].is_subset(unions[left]),
+                is_inside(unions[left], unions[right]),
+                is_inside(unions[right], unions[left]),
             ]
             verdicts.append({"left": left, "right": right, "verdict": verdict})
         doc["comparisons"] = {

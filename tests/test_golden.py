@@ -10,6 +10,14 @@ intended change of the report, and say so in CHANGES.md.
 ``seeded_panel()`` (in ``conftest``) is a panel built in process from
 seeded models over both domains; its reports are pinned the same way.
 
+``wide_dataset()`` writes, with ``write_dataset_csv``, one full-domain file
+of seeded models at n = 8 (Luce, a tremble, a random table, a two-stage
+Luce with zero probabilities, and Luce with one flat pair, which has two
+maximal intervals) and the four-alternative subject with zeros of
+``test_measure``, and one pairwise file with a random table at n = 24.
+``analyze`` in every format, ``--oracle analyze``, ``compare``, ``check``
+and ``swap`` are pinned on them.
+
 ``MODEL_SPECS`` holds one model spec of each kind, at three or four
 alternatives, with rational strings and JSON integers only; their
 ``stochrat model`` output is pinned the same way.
@@ -20,9 +28,10 @@ import json
 
 import pytest
 
-from stochrat import DomainKind
+from stochrat import DomainKind, StochasticChoiceFunction
 from stochrat.cli import main
-from stochrat.dataset import ChoiceDataset
+from stochrat.dataset import ChoiceDataset, scf_to_rows, write_dataset_csv
+from stochrat.models import luce, random_scf, tremble, two_stage_luce
 from stochrat.report import (
     AnalysisConfig,
     SubjectError,
@@ -66,6 +75,22 @@ GOLDEN_PANEL = {
     "json": "0ad6f8f718b57c0b3fbf184da362355a63379922a6f8d38f9f3298b1de9e9942",
     "csv": "f2a218b2b408ed5c3310a4a736076d658d8958b5fffde95f066f6ededdecc303",
     "plotdata": "7ddef42f108ebdd6f8200a10c2e5fdb0c519473ee00e911e2765ca1f7042c733",
+}
+
+# command line, with FULL and PAIRWISE for the files of ``wide_dataset()``
+# -> SHA-256 of stdout; for plotdata, of the index bars followed by the
+# segments
+GOLDEN_WIDE = {
+    "analyze FULL": "d167d5a1f1c0ed1faf22e6ac47b61ca25f5fac9096c4eb9653e75b6880611922",
+    "analyze FULL --format csv": "a7acefe6abad281ffeeabab766bbc6e8c3b710aa294db2f692a60b2915d67951",
+    "analyze FULL --format plotdata": "21870a85b4c85c11ea5527ebbce668ca6ea3cc910b91d13889614d64027840e9",
+    "analyze PAIRWISE": "7345f7205cf62638ec6facd3f0a0591673865b8a60baa114c4f3aee9e1527137",
+    "analyze PAIRWISE --format csv": "d26a344c064d1264e9c540005490877af98e1fb619c99b6fc69e168504f8e96c",
+    "analyze PAIRWISE --format plotdata": "c9e8acc17d8ac257b78aba622c8f290f4f90ad29bac1df5880f21e369b2cc054",
+    "--oracle analyze FULL": "c2f3f0c36173a38cf7b7ef34a9c9ef998cb4c4348f8027843d9b8290f7de8785",
+    "compare FULL": "8a470b8963ad3a3c5cfaecab04d280da1d783eeaf0317983ee8ba9eec687f2de",
+    "check FULL": "40165e8d9a8602f7273be0d9365d59424f5a5a64f6d5f15c2a65403d438a6eba",
+    "swap FULL": "8450de92a4da804327a0a11bd0a588960f0ac1cef0a1b4aecb92224ce6203078",
 }
 
 # kind -> a spec of that kind
@@ -213,3 +238,66 @@ def test_seeded_panel_reports_are_byte_identical():
     }
     for fmt, text in texts.items():
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_PANEL[fmt], fmt
+
+
+@pytest.fixture(scope="module")
+def wide_dataset(tmp_path_factory):
+    """The full-domain file at n = 8 and the pairwise file at n = 24."""
+    labels = tuple("abcdefgh")
+    base = luce(dict(zip(labels, (20, 13, 12, 11, 10, 9, 8, 1))))
+    flat = luce(dict.fromkeys(labels, 1))
+    flat_pair = frozenset(("a", "h"))
+    full = {
+        "luce": luce(dict(zip(labels, range(1, 9)))),
+        "tremble": tremble(dict(zip(labels, range(8, 0, -1))), "1/4"),
+        "random": random_scf(8, labels, denominator_bound=9),
+        "two-stage": two_stage_luce(
+            dict(zip(labels, range(1, 9))), [("a", "b"), ("c", "d")]
+        )[0],
+        "flat pair": StochasticChoiceFunction(
+            {m: (flat if m == flat_pair else base).menu_probs(m) for m in base.menus()},
+            DomainKind.FULL,
+        ),
+        # contraction selectivity fails here, yet no one-element step does
+        "zeros abxy": StochasticChoiceFunction(
+            {
+                "abxy": {"a": "7/20", "b": "7/20", "x": "1/5", "y": "1/10"},
+                "axy": {"a": 1},
+                "bxy": {"b": 1},
+                "abx": {"a": "7/18", "b": "7/18", "x": "2/9"},
+                "aby": {"a": "7/16", "b": "7/16", "y": "1/8"},
+                "xy": {"x": "1/4", "y": "3/4"},
+                "ax": {"a": 1},
+                "ay": {"a": 1},
+                "bx": {"b": 1},
+                "by": {"b": 1},
+                "ab": {"a": "1/2", "b": "1/2"},
+            }
+        ),
+    }
+    pairwise = random_scf(
+        24, [f"p{i:02d}" for i in range(24)], domain_kind=DomainKind.PAIRWISE
+    )
+    folder = tmp_path_factory.mktemp("wide")
+    files = {"FULL": folder / "full8.csv", "PAIRWISE": folder / "pairwise24.csv"}
+    rows = [row for name, scf in full.items() for row in scf_to_rows(scf, name)]
+    write_dataset_csv(files["FULL"], rows)
+    write_dataset_csv(files["PAIRWISE"], scf_to_rows(pairwise, "random"))
+    return files
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_WIDE))
+def test_wide_dataset_outputs_are_byte_identical(
+    command, wide_dataset, tmp_path, capsys
+):
+    args = [str(wide_dataset.get(word, word)) for word in command.split()]
+    if "plotdata" in args:
+        args += ["--out", str(tmp_path / "report.csv")]
+    assert main(args) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    if "plotdata" in args:
+        out = b"".join(
+            (tmp_path / name).read_bytes()
+            for name in ("report_index_bars.csv", "report_segments.csv")
+        )
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_WIDE[command]

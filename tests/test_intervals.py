@@ -146,3 +146,62 @@ def test_algebra_on_random_unions():
             inserted = inserted.insert(lo, hi)
         assert inserted == union
         assert a.complement().measure() == 1 - a.measure()
+
+
+# (lower, higher) pairs of distinct endpoints whose floats tie
+_FLOAT_TIES = [
+    (F(1 / 3), F(1, 3)),
+    (F(1, 10), F(1 / 10)),
+    (F(2, 3), F(2, 3) + F(1, 10**30)),
+]
+_POINTS = [F(0), F(1, 4), F(1, 2), F(1), *(end for pair in _FLOAT_TIES for end in pair)]
+
+
+def _member(pairs, point):
+    """Whether some raw pair (lo, hi] holds the point; inverted pairs hold none."""
+    return any(lo < point <= hi for lo, hi in pairs)
+
+
+def _draw_pairs(gen):
+    """Up to four (lo, hi) pairs between drawn points, in drawn order."""
+    return [
+        (_POINTS[gen.below(len(_POINTS))], _POINTS[gen.below(len(_POINTS))])
+        for _ in range(gen.below(5))
+    ]
+
+
+def _is_canonical(union):
+    pieces = union.intervals
+    return all(lo < hi for lo, hi in pieces) and all(
+        left[1] < right[0] for left, right in zip(pieces, pieces[1:])
+    )
+
+
+def test_algebra_agrees_with_pointwise_membership_at_every_endpoint():
+    # Every set here has its endpoints among _POINTS, and membership is
+    # constant on each (e, e'] between consecutive points, so checking each
+    # point decides every set exactly.
+    gen = SplitMix64(18)
+    cases = [(_draw_pairs(gen), _draw_pairs(gen)) for _ in range(300)]
+    drawn = [pair for a_pairs, b_pairs in cases for pair in a_pairs + b_pairs]
+    # the draws reach inverted, touching and overlapping pairs
+    assert any(lo > hi for lo, hi in drawn)
+    assert any(x[1] == y[0] and x[0] < x[1] < y[1] for x in drawn for y in drawn)
+    assert any(x[0] < y[0] < x[1] < y[1] for x in drawn for y in drawn)
+    for a_pairs, b_pairs in cases:
+        a = IntervalUnion.from_pairs(a_pairs)
+        b = IntervalUnion.from_pairs(b_pairs)
+        results = a | b, a & b, a.difference(b), a.complement()
+        assert all(_is_canonical(union) for union in (a, b, *results))
+        for point in _POINTS:
+            in_a, in_b = _member(a_pairs, point), _member(b_pairs, point)
+            assert [union.contains(point) for union in (a, *results)] == [
+                in_a,
+                in_a or in_b,
+                in_a and in_b,
+                in_a and not in_b,
+                point > 0 and not in_a,
+            ]
+        assert a.is_subset(b) == all(
+            _member(b_pairs, point) for point in _POINTS if _member(a_pairs, point)
+        )

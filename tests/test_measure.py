@@ -306,7 +306,8 @@ def test_comparison_table_matches_direct_inclusion():
     assert 3 < len(multi.classes) < len(named)
     for left, right in itertools.permutations(named, 2):
         expected = Verdict.from_inclusion(
-            unions[left].is_subset(unions[right]), unions[right].is_subset(unions[left])
+            oracles.is_inside(unions[left], unions[right]),
+            oracles.is_inside(unions[right], unions[left]),
         )
         assert multi.verdict(left, right) is expected, (left, right)
     listed = list(multi.pairs())
@@ -366,7 +367,9 @@ def test_compare_many_matches_the_brute_force_reference(seed):
 def test_cell_masks_order_endpoints_whose_floats_tie(low, high):
     assert float(low) == float(high) and low < high
     wide, narrow = iu((low, 1)), iu((high, 1))
-    assert cell_masks([narrow, wide, iu((0, low))]) == [0b100, 0b110, 0b1]
+    ends, masks = cell_masks([narrow, wide, iu((0, low))])
+    assert ends == [0, low, high, 1]
+    assert masks == [0b100, 0b110, 0b1]
     multi = compare_many({"narrow": _as_sets(narrow), "wide": _as_sets(wide)})
     assert multi.verdict("narrow", "wide") is Verdict.LEFT_MORE_RATIONAL
 

@@ -120,6 +120,22 @@ def test_json_is_parsed_only_by_dataset_read_json():
     assert found == ["dataset.py read_json"]
 
 
+def test_only_intervals_calls_the_raw_interval_union_constructor():
+    # ``IntervalUnion(...)`` stores its pieces as given, unchecked and
+    # unmerged; every other module gets its sets from ``from_pairs``,
+    # ``from_cells``, ``single``, ``empty`` or the set algebra
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "intervals.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "IntervalUnion"
+        in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert found == []
+
+
 def _modules_after(statement: str) -> set[str]:
     """The modules a fresh interpreter holds after running ``statement``."""
     done = subprocess.run(
