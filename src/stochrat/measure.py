@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .core import SubjectCore, bits
-from .intervals import IntervalUnion, cell_masks, from_cells
+from .intervals import IntervalUnion, cell_masks
 from .record import Record
 from .scf import DomainKind, StochasticChoiceFunction
 
@@ -309,9 +309,10 @@ class ComparisonResult(Record):
         return cls(Verdict.from_inclusion(lmr.is_empty, rml.is_empty), lmr, rml)
 
     @classmethod
-    def from_sets(cls, left: IntervalUnion, right: IntervalUnion) -> ComparisonResult:
-        ends, (a, b) = cell_masks((left, right))
-        return cls.from_differences(from_cells(ends, a & ~b), from_cells(ends, b & ~a))
+    def from_sets(
+        cls, left: IntervalUnion, right: IntervalUnion
+    ) -> "ComparisonResult":
+        return cls.from_differences(left.difference(right), right.difference(left))
 
 
 def compare(
