@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .intervals import IntervalUnion, from_cells
+from .intervals import IntervalUnion, ascending, from_cells
 
 _ZERO = Fraction(0)
 
@@ -85,14 +85,11 @@ class SubjectCore:
             keyed[mask] = row_keys
         self.by_key = tuple(sorted(self.members, key=self.members.__getitem__))
 
-        # sort the distinct values by their float, which is correctly
-        # rounded and so never inverts two values; equal floats fall back
-        # to the exact Fraction
         distinct = {key for row in keyed.values() for _, key in row}
-        value = {key: Fraction(*key) for key in distinct}
-        order = sorted(value, key=lambda key: (key[0] / key[1], value[key]))
-        self.cuts: tuple[Fraction, ...] = (_ZERO, *(value[key] for key in order))
-        rank_of = {key: r for r, key in enumerate(order, 1)}
+        order = ascending(Fraction(*key) for key in distinct)
+        self.cuts: tuple[Fraction, ...] = (_ZERO, *order)
+        # a key is its value's reduced (numerator, denominator)
+        rank_of = {(v.numerator, v.denominator): r for r, v in enumerate(order, 1)}
         self.rank: dict[int, list[int]] = {}
         for mask, row_keys in keyed.items():
             row_rank = [0] * n

@@ -43,22 +43,6 @@ class _RowFault(ValueError):
     row's place to the message, so no place is written for a sound row."""
 
 
-def _menu_from_labels(labels: list[str], field: str) -> Menu:
-    """A menu from its labels; ``field`` is the menu as written, for errors."""
-    labels = [label.strip() for label in labels]
-    if not labels or any(not label for label in labels):
-        raise _RowFault(f"empty label in menu field {field!r}")
-    if len(set(labels)) != len(labels):
-        raise _RowFault(f"duplicate label in menu field {field!r}")
-    menu = as_menu(labels)
-    if len(menu) < 2:
-        raise _RowFault(
-            f"menu {field!r} has a single member; singleton menus "
-            "are implicit and must not appear in data"
-        )
-    return menu
-
-
 def _json_text(value: object) -> str:
     """A JSON label as text; null reads as a missing value, like an empty
     CSV cell."""
@@ -76,9 +60,14 @@ class _Ingest:
     denominator once, where their sum is checked.  A fault of the row itself
     is a :class:`_RowFault`, which the reader turns into an error naming the
     row's place.
+
+    Each distinct subject and label is kept as one ``str`` in ``names``,
+    however many rows name it, and :meth:`table` releases each (subject,
+    menu) slot as it builds that slot's row.
     """
 
     def __init__(self) -> None:
+        self.names: dict[str, str] = {}
         self.menus: dict[Union[str, tuple[str, ...]], Menu] = {}
         self.cells: dict[str, Fraction] = {}
         # (subject, menu) -> (kind, alternative -> count or probability)
@@ -99,8 +88,19 @@ class _Ingest:
                         f"label {label!r} contains '|', which a CSV "
                         "menu field cannot hold"
                     )
-            labels, field = list(key), "|".join(key)
-        menu = self.menus[key] = _menu_from_labels(labels, field)
+            labels, field = key, "|".join(key)
+        labels = [label.strip() for label in labels]
+        if not labels or any(not label for label in labels):
+            raise _RowFault(f"empty label in menu field {field!r}")
+        if len(set(labels)) != len(labels):
+            raise _RowFault(f"duplicate label in menu field {field!r}")
+        menu = as_menu([self.names.setdefault(label, label) for label in labels])
+        if len(menu) < 2:
+            raise _RowFault(
+                f"menu {field!r} has a single member; singleton menus "
+                "are implicit and must not appear in data"
+            )
+        self.menus[key] = menu
         return menu
 
     def probability(self, text: str) -> Fraction:
@@ -109,7 +109,9 @@ class _Ingest:
             try:
                 value = to_probability(text, "probability")
             except ValueError as exc:
-                raise _RowFault(str(exc)) from None
+                # the row's place names the cell: text that does not parse
+                # gets the parser's own message, its cause
+                raise _RowFault(str(exc.__cause__ or exc)) from None
             self.cells[text] = value
         return value
 
@@ -129,6 +131,8 @@ class _Ingest:
             raise _RowFault("empty alternative")
         if alternative not in menu:
             raise _RowFault(f"alternative {alternative!r} not in menu {menu_str(menu)}")
+        subject = self.names.setdefault(subject, subject)
+        alternative = self.names[alternative]
         count_text = "" if count_field is None else count_field.strip()
         prob_text = "" if prob_field is None else prob_field.strip()
         if bool(count_text) == bool(prob_text):
@@ -181,7 +185,8 @@ class _Ingest:
             for subject, members in labels.items()
         }
         table: dict[str, dict[Menu, tuple[int, ...]]] = {}
-        for (subject, menu), (kind, cells) in self.slots.items():
+        for subject, menu in list(self.slots):
+            kind, cells = self.slots.pop((subject, menu))
             if kind == "count":
                 divisor = math.gcd(*cells.values())
                 if not divisor:

@@ -63,9 +63,13 @@ def parse_rational(text: str) -> Fraction:
 def to_fraction(value: RationalLike, name: str, where: str = "") -> Fraction:
     """Exact Fraction from a rational string (see :func:`parse_rational`) or
     a number other than a bool.  ``name`` and ``where`` describe the value
-    in errors, as in ``"bad weight 'x' for {a,b}"``."""
+    in errors, as in ``"bad weight 'x' for {a,b}"``; the error for text
+    that does not parse ends with, and is caused by, the parser's."""
     if isinstance(value, str):
-        return parse_rational(value)
+        try:
+            return parse_rational(value)
+        except ValueError as exc:
+            raise ValueError(f"bad {name} {value!r}{where}: {exc}") from exc
     if isinstance(value, bool):  # Fraction(True) is 1, but a flag is no number
         raise ValueError(f"bad {name} {value!r}{where}")
     try:

@@ -18,10 +18,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 
 from .choice import menu_key
 from .errors import CapacityError, OracleMismatch
@@ -165,24 +166,25 @@ def run_analyze(
 # ``encode_basestring``, the quoting ``json.dumps`` itself uses without
 # ``ensure_ascii``, and no quoted string holds a raw newline.  A template
 # starts at its opening bracket; the list around it writes the indent.
+# The document is a stream of pieces, each made as it is reached, so no
+# more than one subject entry or one left name's verdicts is held at once.
 
 _JSON_CONSTANT = {True: "true", False: "false", None: "null"}
 
 
-def _list_parts(items: list[str], depth: int) -> list[str]:
+def _list_parts(items: Iterable[str], depth: int) -> Iterator[str]:
     """The pieces of a JSON list of written items whose brackets sit at
-    ``depth`` spaces, for one ``join`` with the rest of the document."""
-    if not items:
-        return ["[]"]
+    ``depth`` spaces."""
     pad = "\n" + " " * (depth + 2)
-    parts = ["[" + pad]
+    separator = "["
     for item in items:
-        parts += (item, "," + pad)
-    parts[-1] = "\n" + " " * depth + "]"
-    return parts
+        yield separator + pad
+        yield item
+        separator = ","
+    yield "[]" if separator == "[" else "\n" + " " * depth + "]"
 
 
-def _json_list(items: list[str], depth: int) -> str:
+def _json_list(items: Iterable[str], depth: int) -> str:
     return "".join(_list_parts(items, depth))
 
 
@@ -318,7 +320,7 @@ _VERDICT_TAIL = '%s,\n        "verdict": %s\n      }'
 _HASSE_EDGE = '{\n        "more_rational": %s,\n        "less_rational": %s\n      }'
 
 
-def _verdict_groups(comparison: MultiComparison) -> list[str]:
+def _verdict_groups(comparison: MultiComparison) -> Iterator[str]:
     """The items of the verdicts list, in ``comparison.pairs()`` order, one
     string per left name.
 
@@ -334,35 +336,29 @@ def _verdict_groups(comparison: MultiComparison) -> list[str]:
     }
     # rows[i][j]: the tails of the verdict of class i against class j
     rows = [[tails[v] for v in row] for row in comparison.verdict_rows()]
-    groups = []
     for a in range(len(names) - 1):
         head = _VERDICT_HEAD % quoted[a]
         row = rows[index[a]]
-        groups.append(
-            head
-            + f",\n      {head}".join(
-                [row[j][b] for b, j in enumerate(index[a + 1 :], a + 1)]
-            )
+        yield head + f",\n      {head}".join(
+            [row[j][b] for b, j in enumerate(index[a + 1 :], a + 1)]
         )
-    return groups
 
 
-def _comparisons_parts(comparison: MultiComparison) -> list[str]:
+def _comparisons_parts(comparison: MultiComparison) -> Iterator[str]:
     """The pieces of the "comparisons" member, a top-level key."""
-    classes = [_strings(group, 6) for group in comparison.classes]
-    edges = [
-        _HASSE_EDGE % (encode_basestring(above), encode_basestring(below))
-        for above, below in comparison.hasse_edges
-    ]
-    return [
-        '  "comparisons": {\n    "verdicts": ',
-        *_list_parts(_verdict_groups(comparison), 4),
-        ',\n    "equivalence_classes": ',
-        _json_list(classes, 4),
-        ',\n    "hasse_edges": ',
-        _json_list(edges, 4),
-        "\n  }",
-    ]
+    yield '  "comparisons": {\n    "verdicts": '
+    yield from _list_parts(_verdict_groups(comparison), 4)
+    yield ',\n    "equivalence_classes": '
+    yield from _list_parts((_strings(group, 6) for group in comparison.classes), 4)
+    yield ',\n    "hasse_edges": '
+    yield from _list_parts(
+        (
+            _HASSE_EDGE % (encode_basestring(above), encode_basestring(below))
+            for above, below in comparison.hasse_edges
+        ),
+        4,
+    )
+    yield "\n  }"
 
 
 # The document up to the subjects list.
@@ -378,16 +374,26 @@ _HEAD = (
 )
 
 
-def render_json(report: AnalysisReport) -> str:
+def _json_parts(report: AnalysisReport) -> Iterator[str]:
+    """The pieces of the JSON document, in order."""
     config = report.config
-    parts = [
-        _HEAD % (json.dumps(config.oracle), json.dumps(config.max_universe)),
-        *_list_parts([_subject_item(entry) for entry in report.subjects], 2),
-    ]
+    yield _HEAD % (json.dumps(config.oracle), json.dumps(config.max_universe))
+    yield from _list_parts(map(_subject_item, report.subjects), 2)
     if report.comparison is not None:
-        parts += (",\n", *_comparisons_parts(report.comparison))
-    parts.append("\n}\n")
-    return "".join(parts)
+        yield ",\n"
+        yield from _comparisons_parts(report.comparison)
+    yield "\n}\n"
+
+
+def render_json(report: AnalysisReport, out: Optional[TextIO] = None) -> Optional[str]:
+    """The report as one JSON document.  With ``out`` None the text is
+    returned; given a text handle, the pieces are written there as they are
+    made, so the whole text is never held, and None is returned."""
+    parts = _json_parts(report)
+    if out is None:
+        return "".join(parts)
+    out.writelines(parts)
+    return None
 
 
 _CSV_COLUMNS = [
@@ -464,11 +470,7 @@ def emit_report(
     returned.  The plotdata format writes ``<stem>_index_bars.csv`` and
     ``<stem>_segments.csv`` next to the given path.
     """
-    if fmt == "json":
-        content = render_json(report)
-    elif fmt == "csv":
-        content = render_csv(report)
-    elif fmt == "plotdata":
+    if fmt == "plotdata":
         bars, segments = render_plotdata(report)
         if out is None:
             print("# index_bars")
@@ -482,12 +484,23 @@ def emit_report(
         bars_path.write_text(bars, encoding="utf-8")
         segments_path.write_text(segments, encoding="utf-8")
         return [bars_path, segments_path]
+    if fmt == "json":
+
+        def write(handle: TextIO) -> None:
+            render_json(report, handle)
+
+    elif fmt == "csv":
+        content = render_csv(report)
+
+        def write(handle: TextIO) -> None:
+            handle.write(content)
+
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-
     if out is None:
-        print(content, end="")
+        write(sys.stdout)
         return []
     out = Path(out)
-    out.write_text(content, encoding="utf-8")
+    with out.open("w", encoding="utf-8") as handle:
+        write(handle)
     return [out]

@@ -16,7 +16,9 @@ Luce with zero probabilities, and Luce with one flat pair, which has two
 maximal intervals) and the four-alternative subject with zeros of
 ``test_measure``, and one pairwise file with a random table at n = 24.
 ``analyze`` in every format, ``--oracle analyze``, ``compare``, ``check``
-and ``swap`` are pinned on them.
+and ``swap`` are pinned on them.  Two more files, a pairwise random table
+at n = 32 and a full-domain mixture of three rankings at n = 6, have
+``analyze`` pinned in every format.
 
 ``MODEL_SPECS`` holds one model spec of each kind, at three or four
 alternatives, with rational strings and JSON integers only; their
@@ -31,7 +33,7 @@ import pytest
 from stochrat import DomainKind, StochasticChoiceFunction
 from stochrat.cli import main
 from stochrat.dataset import ChoiceDataset, scf_to_rows, write_dataset_csv
-from stochrat.models import luce, random_scf, tremble, two_stage_luce
+from stochrat.models import luce, random_scf, rum, tremble, two_stage_luce
 from stochrat.report import (
     AnalysisConfig,
     SubjectError,
@@ -77,9 +79,9 @@ GOLDEN_PANEL = {
     "plotdata": "7ddef42f108ebdd6f8200a10c2e5fdb0c519473ee00e911e2765ca1f7042c733",
 }
 
-# command line, with FULL and PAIRWISE for the files of ``wide_dataset()``
-# -> SHA-256 of stdout; for plotdata, of the index bars followed by the
-# segments
+# command line, with FULL, PAIRWISE, PAIRWISE32 and RUM6 for the files of
+# ``wide_dataset()`` -> SHA-256 of stdout; for plotdata, of the index bars
+# followed by the segments
 GOLDEN_WIDE = {
     "analyze FULL": "d167d5a1f1c0ed1faf22e6ac47b61ca25f5fac9096c4eb9653e75b6880611922",
     "analyze FULL --format csv": "a7acefe6abad281ffeeabab766bbc6e8c3b710aa294db2f692a60b2915d67951",
@@ -91,6 +93,12 @@ GOLDEN_WIDE = {
     "compare FULL": "8a470b8963ad3a3c5cfaecab04d280da1d783eeaf0317983ee8ba9eec687f2de",
     "check FULL": "40165e8d9a8602f7273be0d9365d59424f5a5a64f6d5f15c2a65403d438a6eba",
     "swap FULL": "8450de92a4da804327a0a11bd0a588960f0ac1cef0a1b4aecb92224ce6203078",
+    "analyze PAIRWISE32": "6ff26220f81199da1a3392061549335d8e5adafd7f280ea34d8721012604f7a9",
+    "analyze PAIRWISE32 --format csv": "d26a344c064d1264e9c540005490877af98e1fb619c99b6fc69e168504f8e96c",
+    "analyze PAIRWISE32 --format plotdata": "c9e8acc17d8ac257b78aba622c8f290f4f90ad29bac1df5880f21e369b2cc054",
+    "analyze RUM6": "239f117c7a7fea86b274676ae98686973b231b764a2b080f02b8f86c0ca95ae0",
+    "analyze RUM6 --format csv": "d608a2a3d37da5f4f6849134f9c9f05c658381b6572d63a9785e18bc11fcee44",
+    "analyze RUM6 --format plotdata": "529666063798bcdfb72c14fabe90a0c46028cf901d116adcc97029978d1752ea",
 }
 
 # kind -> a spec of that kind
@@ -242,7 +250,8 @@ def test_seeded_panel_reports_are_byte_identical():
 
 @pytest.fixture(scope="module")
 def wide_dataset(tmp_path_factory):
-    """The full-domain file at n = 8 and the pairwise file at n = 24."""
+    """The full-domain file at n = 8, the pairwise files at n = 24 and 32,
+    and the ranking mixture at n = 6."""
     labels = tuple("abcdefgh")
     base = luce(dict(zip(labels, (20, 13, 12, 11, 10, 9, 8, 1))))
     flat = luce(dict.fromkeys(labels, 1))
@@ -278,11 +287,28 @@ def wide_dataset(tmp_path_factory):
     pairwise = random_scf(
         24, [f"p{i:02d}" for i in range(24)], domain_kind=DomainKind.PAIRWISE
     )
+    pairwise32 = random_scf(
+        32, [f"q{i:02d}" for i in range(32)], domain_kind=DomainKind.PAIRWISE
+    )
+    mixture = rum(
+        [
+            (dict(zip(labels[:6], (6, 5, 4, 3, 2, 1))), "1/2"),
+            (dict(zip(labels[:6], (2, 6, 1, 5, 4, 3))), "1/3"),
+            (dict(zip(labels[:6], (1, 2, 3, 4, 6, 5))), "1/6"),
+        ]
+    )
     folder = tmp_path_factory.mktemp("wide")
-    files = {"FULL": folder / "full8.csv", "PAIRWISE": folder / "pairwise24.csv"}
+    files = {
+        "FULL": folder / "full8.csv",
+        "PAIRWISE": folder / "pairwise24.csv",
+        "PAIRWISE32": folder / "pairwise32.csv",
+        "RUM6": folder / "rum6.csv",
+    }
     rows = [row for name, scf in full.items() for row in scf_to_rows(scf, name)]
     write_dataset_csv(files["FULL"], rows)
     write_dataset_csv(files["PAIRWISE"], scf_to_rows(pairwise, "random"))
+    write_dataset_csv(files["PAIRWISE32"], scf_to_rows(pairwise32, "random"))
+    write_dataset_csv(files["RUM6"], scf_to_rows(mixture, "rum"))
     return files
 
 

@@ -134,6 +134,36 @@ BAD_SPECS = {
         {"kind": "random", "universe": ["x", "y", "z"], "seed": "@7.9"},
         "model spec field 'seed' must be an integer, got '7.9'",
     ),
+    # rational text that does not parse is named by its field and label
+    "utility-infinity-named": (
+        {"kind": "luce", "utility": {"x": "@Infinity", "y": "1"}},
+        "bad utility 'Infinity' of 'x': not a rational number: 'Infinity'",
+    ),
+    "utility-text-named": (
+        {"kind": "luce", "utility": {"x": "3", "y": "abc", "z": "1"}},
+        "bad utility 'abc' of 'y': not a rational number: 'abc'",
+    ),
+    "rum-weight-named": (
+        {"kind": "rum", "components": [{"utility": UTILITY, "weight": "@-Infinity"}]},
+        "bad weight '-Infinity' of component 0: not a rational number: '-Infinity'",
+    ),
+    "drum-weight-named": (
+        {"kind": "drum", "first": UTILITY, "second": UTILITY,
+         "weights": [{"menu": ["x", "y"], "weight": "1/0"}]},
+        "bad weight '1/0' for {x,y}: not a rational number: '1/0'",
+    ),
+    "mum-distance-named": (
+        {"kind": "mum", "utility": {"x": "1", "y": "0"},
+         "metric": [{"pair": ["x", "y"], "distance": "@Infinity"}],
+         "response": [{"arg": "0", "value": "1/2"}]},
+        "bad distance 'Infinity' of {x,y}: not a rational number: 'Infinity'",
+    ),
+    "mum-value-named": (
+        {"kind": "mum", "utility": {"x": "1", "y": "0"},
+         "metric": [{"pair": ["x", "y"], "distance": "1"}],
+         "response": [{"arg": "0", "value": "half"}]},
+        "bad response value 'half' at 0: not a rational number: 'half'",
+    ),
 }
 
 

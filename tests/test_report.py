@@ -1,6 +1,7 @@
 """Batch analysis and rendering: JSON/CSV/plotdata shape and byte stability."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from stochrat import measure
-from stochrat.dataset import ChoiceDataset, parse_dataset
+from stochrat import DomainKind, measure
+from stochrat.cli import main
+from stochrat.dataset import (
+    ChoiceDataset,
+    parse_dataset,
+    scf_to_rows,
+    write_dataset_csv,
+)
 from stochrat.errors import OracleMismatch
 from stochrat.intervals import IntervalUnion
 from stochrat.measure import compare_many
@@ -27,7 +34,7 @@ from stochrat.report import (
     run_analyze,
 )
 
-from conftest import FIXTURES, integer_rows
+from conftest import FIXTURES, PANEL_LABELS, integer_rows
 
 
 @pytest.fixture()
@@ -241,6 +248,46 @@ def test_emit_report_stdout(capsys, cycles_report):
 def test_emit_report_rejects_unknown_format(cycles_report):
     with pytest.raises(ValueError, match="format"):
         emit_report(cycles_report, "yaml", None)
+
+
+def _pairwise_panel(size):
+    """Subject name -> subject of a seeded pairwise panel on five labels;
+    names and labels need JSON escapes or are not ASCII."""
+    return {
+        f'pair "{k}" \u00e9': random_scf(
+            k, PANEL_LABELS[:5], denominator_bound=20, domain_kind=DomainKind.PAIRWISE
+        )
+        for k in range(size)
+    }
+
+
+def test_json_report_streams_into_its_file(tmp_path):
+    # 300 subjects make 44,850 verdicts and a report of about 6 MB
+    table = {
+        name: integer_rows({m: scf.menu_probs(m) for m in scf.menus()})
+        for name, scf in _pairwise_panel(300).items()
+    }
+    report = run_analyze(ChoiceDataset(table))
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        assert emit_report(report, "json", path) == [path]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
+    assert path.read_text(encoding="utf-8") == render_json(report)
+
+
+def test_json_report_on_stdout_has_the_bytes_of_the_file(tmp_path, capsys):
+    data, out = tmp_path / "panel.csv", tmp_path / "report.json"
+    rows = [
+        row for name, scf in _pairwise_panel(40).items() for row in scf_to_rows(scf, name)
+    ]
+    write_dataset_csv(data, rows)
+    assert main(["analyze", str(data), "--format", "json", "--out", str(out)]) == 0
+    assert main(["analyze", str(data), "--format", "json"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
 def test_panel_report_has_expected_anchors():

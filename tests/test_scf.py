@@ -321,6 +321,29 @@ def test_likelihood_accessors_read_the_row_not_the_core():
         assert row == {x: core.cuts[core.rank[mask][core.index[x]]] for x in row}
 
 
+def test_core_orders_likelihoods_whose_floats_tie_by_their_exact_values():
+    tiny = Fraction(1, 10**30)
+    # the lower member of each pair has this likelihood; three of them
+    # share one float
+    lower = {"wx": Fraction(1, 3), "wy": Fraction(1, 3) + tiny,
+             "xy": Fraction(1, 3) - tiny, "wz": Fraction(1, 2),
+             "xz": Fraction(1), "yz": Fraction(1, 3) + tiny}
+    assert len({float(v) for v in lower.values()}) == 3
+    table = {
+        pair: {pair[0]: v / (1 + v), pair[1]: 1 / (1 + v)} for pair, v in lower.items()
+    }
+    scf = StochasticChoiceFunction(table, DomainKind.PAIRWISE)
+    core = scf.core
+    assert all(a < b for a, b in zip(core.cuts, core.cuts[1:]))
+    exact = sorted({Fraction(0), *lower.values()})
+    assert list(core.cuts) == exact
+    for pair, v in lower.items():
+        mask = sum(1 << core.index[x] for x in pair)
+        row = core.rank[mask]
+        assert row[core.index[pair[0]]] == exact.index(v)
+        assert row[core.index[pair[1]]] == exact.index(Fraction(1))
+
+
 def test_threshold_cuts(demo_scf):
     assert threshold_cuts(demo_scf) == (F(1, 6), F(1, 4), F(1, 2), F(1))
 
