@@ -18,7 +18,11 @@ maximal intervals) and the four-alternative subject with zeros of
 ``analyze`` in every format, ``--oracle analyze``, ``compare``, ``check``
 and ``swap`` are pinned on them.  Two more files, a pairwise random table
 at n = 32 and a full-domain mixture of three rankings at n = 6, have
-``analyze`` pinned in every format.
+``analyze`` pinned in every format, as do a full-domain file at n = 9 and a
+pairwise file with a planted cycle at n = 24.  The n = 9 file holds a Luce
+subject, which passes both selectivity checks, the mean of that Luce
+subject and a tremble, which has no zero yet fails them, and a subject with
+zeros: a maximizer on the menus that hold a and b, Luce elsewhere.
 
 ``MODEL_SPECS`` holds one model spec of each kind, at three or four
 alternatives, with rational strings and JSON integers only; their
@@ -30,9 +34,20 @@ import json
 
 import pytest
 
-from stochrat import DomainKind, StochasticChoiceFunction
+from stochrat import (
+    DomainKind,
+    StochasticChoiceFunction,
+    is_selective_in_contractions,
+    is_selective_in_expansions,
+    transitivity_set,
+)
 from stochrat.cli import main
-from stochrat.dataset import ChoiceDataset, scf_to_rows, write_dataset_csv
+from stochrat.dataset import (
+    ChoiceDataset,
+    parse_dataset,
+    scf_to_rows,
+    write_dataset_csv,
+)
 from stochrat.models import luce, random_scf, rum, tremble, two_stage_luce
 from stochrat.report import (
     AnalysisConfig,
@@ -44,6 +59,7 @@ from stochrat.report import (
 )
 
 from conftest import FIXTURES, seeded_panel
+from test_rank_core import planted_cycle
 
 GOLDEN = {
     "demo_full3.csv": "8e12223f99a410311d9aa822b3201758a2fc0577b168a988088b85eade03a8dc",
@@ -79,7 +95,8 @@ GOLDEN_PANEL = {
     "plotdata": "7ddef42f108ebdd6f8200a10c2e5fdb0c519473ee00e911e2765ca1f7042c733",
 }
 
-# command line, with FULL, PAIRWISE, PAIRWISE32 and RUM6 for the files of
+# command line, with FULL, PAIRWISE, PAIRWISE32, RUM6, FULL9 and CYCLE24 for the
+# files of
 # ``wide_dataset()`` -> SHA-256 of stdout; for plotdata, of the index bars
 # followed by the segments
 GOLDEN_WIDE = {
@@ -99,6 +116,12 @@ GOLDEN_WIDE = {
     "analyze RUM6": "239f117c7a7fea86b274676ae98686973b231b764a2b080f02b8f86c0ca95ae0",
     "analyze RUM6 --format csv": "d608a2a3d37da5f4f6849134f9c9f05c658381b6572d63a9785e18bc11fcee44",
     "analyze RUM6 --format plotdata": "529666063798bcdfb72c14fabe90a0c46028cf901d116adcc97029978d1752ea",
+    "analyze FULL9": "299f6a65293a6f22d97c2898a40f3b3c0e8bded800fe75a53e65e90f8239041d",
+    "analyze FULL9 --format csv": "a665c2e6f919770669dddaefc4aa5bd9716a5aeab2524c24f62b6e11e99073b9",
+    "analyze FULL9 --format plotdata": "cab4b97f532c57ec5da8dae7f9fbc669082bb30fee19f090958bd90170238a79",
+    "analyze CYCLE24": "239d03fb0b6d7a275266209ac7a8208e0ee98197f8a9341e37051b2dbd7ae77d",
+    "analyze CYCLE24 --format csv": "b25fcf013c312247839a3debd8abd8767880fac02ef1b37d1c26c17bc5502125",
+    "analyze CYCLE24 --format plotdata": "8f2afe282f9bc3101fd6210ce3620b07e45941d76eea8fc87c9b0b4783088352",
 }
 
 # kind -> a spec of that kind
@@ -250,8 +273,8 @@ def test_seeded_panel_reports_are_byte_identical():
 
 @pytest.fixture(scope="module")
 def wide_dataset(tmp_path_factory):
-    """The full-domain file at n = 8, the pairwise files at n = 24 and 32,
-    and the ranking mixture at n = 6."""
+    """The full-domain files at n = 8 and 9, the pairwise files at n = 24
+    and 32, the planted cycle at n = 24 and the ranking mixture at n = 6."""
     labels = tuple("abcdefgh")
     base = luce(dict(zip(labels, (20, 13, 12, 11, 10, 9, 8, 1))))
     flat = luce(dict.fromkeys(labels, 1))
@@ -297,18 +320,42 @@ def wide_dataset(tmp_path_factory):
             (dict(zip(labels[:6], (1, 2, 3, 4, 6, 5))), "1/6"),
         ]
     )
+    labels9 = tuple("abcdefghi")
+    luce9 = luce(dict(zip(labels9, (9, 14, 2, 30, 7, 11, 5, 21, 3))))
+    tremble9 = tremble(dict(zip(labels9, range(9, 0, -1))), "1/3")
+    maximizer9 = tremble(dict(zip(labels9, range(9, 0, -1))), 1)
+    top = frozenset("ab")
+    full9 = {
+        "luce": luce9,
+        "noisy luce": StochasticChoiceFunction(
+            {
+                m: {x: (p + tremble9.prob(x, m)) / 2 for x, p in luce9.menu_probs(m).items()}
+                for m in luce9.menus()
+            },
+            DomainKind.FULL,
+        ),
+        "zeros": StochasticChoiceFunction(
+            {m: (maximizer9 if top <= m else luce9).menu_probs(m) for m in luce9.menus()},
+            DomainKind.FULL,
+        ),
+    }
     folder = tmp_path_factory.mktemp("wide")
     files = {
         "FULL": folder / "full8.csv",
         "PAIRWISE": folder / "pairwise24.csv",
         "PAIRWISE32": folder / "pairwise32.csv",
         "RUM6": folder / "rum6.csv",
+        "FULL9": folder / "full9.csv",
+        "CYCLE24": folder / "cycle24.csv",
     }
     rows = [row for name, scf in full.items() for row in scf_to_rows(scf, name)]
     write_dataset_csv(files["FULL"], rows)
     write_dataset_csv(files["PAIRWISE"], scf_to_rows(pairwise, "random"))
     write_dataset_csv(files["PAIRWISE32"], scf_to_rows(pairwise32, "random"))
     write_dataset_csv(files["RUM6"], scf_to_rows(mixture, "rum"))
+    rows = [row for name, scf in full9.items() for row in scf_to_rows(scf, name)]
+    write_dataset_csv(files["FULL9"], rows)
+    write_dataset_csv(files["CYCLE24"], scf_to_rows(planted_cycle(24, 24), "cycle"))
     return files
 
 
@@ -327,3 +374,23 @@ def test_wide_dataset_outputs_are_byte_identical(
             for name in ("report_index_bars.csv", "report_segments.csv")
         )
     assert hashlib.sha256(out).hexdigest() == GOLDEN_WIDE[command]
+
+
+def test_wide_files_reach_both_selectivity_routes_and_a_cycle(wide_dataset):
+    full9 = parse_dataset(wide_dataset["FULL9"])
+    flags = {}
+    for subject in full9.subject_ids():
+        scf = full9.scf(subject)
+        flags[subject] = (
+            any(scf.support(menu) != menu for menu in scf.menus()),
+            is_selective_in_contractions(scf),
+            is_selective_in_expansions(scf),
+        )
+    assert flags == {
+        "luce": (False, True, True),
+        "noisy luce": (False, False, False),
+        "zeros": (True, False, False),
+    }
+    cycle = parse_dataset(wide_dataset["CYCLE24"]).scf("cycle")
+    assert not transitivity_set(cycle).is_empty
+    assert transitivity_set(cycle).measure() < 1
