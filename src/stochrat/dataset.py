@@ -29,12 +29,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .choice import Menu, as_menu, menu_str
-from .rationals import (
-    RATIONAL_TEXT_CAP,
-    common_scale,
-    format_rational,
-    to_probability,
-)
+from .rationals import RATIONAL_TEXT_CAP, format_rational, to_probability
 from .scf import DomainKind, StochasticChoiceFunction, missing_menus
 
 
@@ -53,13 +48,17 @@ class _Ingest:
     """The one route from data rows to per-subject probability rows.
 
     Each distinct menu and each distinct probability cell of a file is
-    parsed once.  Rows are summed (counts) or collected (probabilities) per
-    (subject, menu) as they are read; :meth:`table` then turns each into
-    the one integer row that the dataset and the subject keep: counts never
-    become ``Fraction``s, and probability cells meet over their common
-    denominator once, where their sum is checked.  A fault of the row itself
-    is a :class:`_RowFault`, which the reader turns into an error naming the
-    row's place.
+    parsed once, a cell into its reduced (numerator, denominator) pair.
+    :meth:`place` checks a row's subject and menu and names the row's
+    (subject, menu) slot, and :meth:`add` folds the rest of the row into
+    that slot: counts are summed, probabilities collected.  A reader may
+    keep a slot for the rows that follow while their subject and menu
+    fields stay the same.  :meth:`table` then turns each slot into the one
+    integer row that the dataset and the subject keep: counts never become
+    ``Fraction``s, and probability cells meet over the least common
+    multiple of their denominators once, where their sum is checked.  A
+    fault of the row itself is a :class:`_RowFault`, which the reader turns
+    into an error naming the row's place.
 
     Each distinct subject and label is kept as one ``str`` in ``names``,
     however many rows name it, and :meth:`table` releases each (subject,
@@ -69,8 +68,8 @@ class _Ingest:
     def __init__(self) -> None:
         self.names: dict[str, str] = {}
         self.menus: dict[Union[str, tuple[str, ...]], Menu] = {}
-        self.cells: dict[str, Fraction] = {}
-        # (subject, menu) -> (kind, alternative -> count or probability)
+        self.cells: dict[str, tuple[int, int]] = {}
+        # (subject, menu) -> (kind, alternative -> count or (num, den))
         self.slots: dict[tuple[str, Menu], tuple[str, dict]] = {}
 
     def menu(self, written: Union[str, list]) -> Menu:
@@ -103,35 +102,26 @@ class _Ingest:
         self.menus[key] = menu
         return menu
 
-    def probability(self, text: str) -> Fraction:
-        value = self.cells.get(text)
-        if value is None:
-            try:
-                value = to_probability(text, "probability")
-            except ValueError as exc:
-                # the row's place names the cell: text that does not parse
-                # gets the parser's own message, its cause
-                raise _RowFault(str(exc.__cause__ or exc)) from None
-            self.cells[text] = value
-        return value
+    def place(self, subject: str, written_menu: Union[str, list]) -> tuple[str, Menu]:
+        """Check a row's subject and menu; the row's (subject, menu) slot."""
+        if not subject:
+            raise _RowFault("empty subject id")
+        menu = self.menu(written_menu)
+        return self.names.setdefault(subject, subject), menu
 
     def add(
         self,
-        subject: str,
-        written_menu: Union[str, list],
+        slot: tuple[str, Menu],
         alternative: str,
         count_field: Optional[str],
         prob_field: Optional[str],
     ) -> None:
-        """Validate one data row and fold it into its (subject, menu) row."""
-        if not subject:
-            raise _RowFault("empty subject id")
-        menu = self.menu(written_menu)
+        """Validate the rest of a row of the slot and fold it in."""
+        subject, menu = slot
         if not alternative:
             raise _RowFault("empty alternative")
         if alternative not in menu:
             raise _RowFault(f"alternative {alternative!r} not in menu {menu_str(menu)}")
-        subject = self.names.setdefault(subject, subject)
         alternative = self.names[alternative]
         count_text = "" if count_field is None else count_field.strip()
         prob_text = "" if prob_field is None else prob_field.strip()
@@ -147,13 +137,20 @@ class _Ingest:
             digits = count_text[1:] if count_text[0] in "+-" else count_text
             if not (digits.isascii() and digits.isdigit()):
                 raise _RowFault(f"count {count_text!r} is not an integer")
-            value: Union[int, Fraction] = int(count_text)
+            value: Union[int, tuple[int, int]] = int(count_text)
             if value < 0:
                 raise _RowFault(f"count {value} is negative")
         else:
             kind = "prob"
-            value = self.probability(prob_text)
-        slot = (subject, menu)
+            value = self.cells.get(prob_text)
+            if value is None:
+                try:
+                    prob = to_probability(prob_text, "probability")
+                except ValueError as exc:
+                    # the row's place names the cell: text that does not
+                    # parse gets the parser's own message, its cause
+                    raise _RowFault(str(exc.__cause__ or exc)) from None
+                value = self.cells[prob_text] = prob.numerator, prob.denominator
         entry = self.slots.get(slot)
         if entry is None:
             entry = self.slots[slot] = (kind, {})
@@ -195,7 +192,8 @@ class _Ingest:
                     )
                 nums = [count // divisor for count in cells.values()]
             else:
-                nums, scale = common_scale(cells.values())
+                scale = math.lcm(*(den for _, den in cells.values()))
+                nums = [num * (scale // den) for num, den in cells.values()]
                 total = sum(nums)
                 if total != scale:
                     raise ValueError(
@@ -304,15 +302,21 @@ def _read_csv_rows(path: Path, reader, ingest: _Ingest) -> None:
         column[name] for name in ("subject", "menu", "alternative")
     )
     count_at, prob_at = column.get("count"), column.get("prob")
+    # the slot of the last row, kept while the raw subject and menu fields
+    # repeat
+    written = slot = None
     try:
         for row in reader:
             if not row:
                 continue
             if len(row) < width:  # a short row's missing cells read as empty
                 row += [""] * (width - len(row))
+            fields = row[subject_at], row[menu_at]
+            if fields != written:
+                slot = ingest.place(fields[0].strip(), fields[1].strip())
+                written = fields
             ingest.add(
-                row[subject_at].strip(),
-                row[menu_at].strip(),
+                slot,
                 row[alternative_at].strip(),
                 None if count_at is None else row[count_at],
                 None if prob_at is None else row[prob_at],
@@ -365,8 +369,7 @@ def _read_json(path: Path, ingest: _Ingest) -> None:
                 count = obs.get("count")
                 prob = obs.get("prob")
                 ingest.add(
-                    subject,
-                    menu,
+                    ingest.place(subject, menu),
                     _json_text(obs.get("alternative")).strip(),
                     None if count is None else str(count),
                     None if prob is None else str(prob),

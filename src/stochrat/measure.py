@@ -12,7 +12,9 @@ ranks among the subject's distinct values and menus become bitmasks.  Each
 axiom emits rank pairs (lo, hi]; a difference array over the ranks marks
 the covered cells, and only runs of covered cells become exact Fraction
 intervals.  Contraction uses nested menus differing by one element (a
-chain argument shows larger gaps add nothing).  Cycles need one interval
+chain argument shows larger gaps add nothing).  The pairwise-winner bound
+of x in S is x's head-to-head rank against its first opponent in S, with
+x's opponents sorted once by that rank.  Cycles need one interval
 per ordered (x, z), since the triples through every y share the right
 end; one ascending sweep over the pair ranks, on bitsets of the revealed
 strict preferences, finds every left end without visiting the triples.
@@ -27,6 +29,9 @@ walk the same pairs on integer rows (each menu's probabilities times the
 least common multiple of their denominators): each side of an inequality
 multiplies one entry of each menu, so scaling a row by a positive
 constant scales both sides alike and the integer comparison is exact.
+With every row positive on its menu, one-element steps decide: a strict
+premise P(x, .) > P(y, .) carries down each contraction step and up each
+expansion step of a chain, and the ratio inequalities compose.
 
 Comparing subjects compares irrationality sets by inclusion: smaller is
 more rational.  A batch tests inclusion on bitsets over the cells between
@@ -64,10 +69,8 @@ def chernoff_set(scf: StochasticChoiceFunction) -> IntervalUnion:
     core = scf.core
     rank = core.rank
     spans = []
-    for large in core.by_key:
+    for large in _wide_menus(core):
         members = core.members[large]
-        if len(members) < 3:
-            continue
         row_large = rank[large]
         for dropped in members:
             row_small = rank[large ^ (1 << dropped)]
@@ -75,11 +78,27 @@ def chernoff_set(scf: StochasticChoiceFunction) -> IntervalUnion:
     return core.union_of(spans)
 
 
-def _condorcet_spans(core: SubjectCore, menu: int) -> list[tuple[int, int]]:
-    """(rank of x on the menu, least rank of x head to head) per member."""
-    members = core.members[menu]
-    row, pair = core.rank[menu], core.pair_rank
-    return [(row[x], min(pair[x][y] for y in members if y != x)) for x in members]
+def _wide_menus(core: SubjectCore) -> list[int]:
+    """The menus of three or more members, in key order."""
+    return [menu for menu in core.by_key if len(core.members[menu]) >= 3]
+
+
+def _condorcet_spans(core: SubjectCore, menus: list[int]) -> Iterator[tuple[int, int]]:
+    """(rank of x on S, least rank of x head to head within S) for each x
+    of each menu S in turn: the rank against x's first opponent in S."""
+    pair, n = core.pair_rank, core.n
+    # x's (rank over y, bit of y), ascending; no menus need none
+    opponents = [
+        sorted((pair[x][y], 1 << y) for y in range(n) if y != x)
+        for x in range(n if menus else 0)
+    ]
+    for menu in menus:
+        row = core.rank[menu]
+        for x in core.members[menu]:
+            for least, bit in opponents[x]:
+                if menu & bit:
+                    break
+            yield row[x], least
 
 
 def condorcet_set(scf: StochasticChoiceFunction) -> IntervalUnion:
@@ -87,15 +106,10 @@ def condorcet_set(scf: StochasticChoiceFunction) -> IntervalUnion:
 
     For a menu S and x in S the violating thresholds run from nlik(x, S)
     up to the smallest head-to-head normalized likelihood of x against
-    the other members of S.
+    the other members of S; on a two-element menu that is the start.
     """
     core = scf.core
-    spans = []
-    for menu in core.by_key:
-        # on a two-element menu the bound equals the start
-        if len(core.members[menu]) >= 3:
-            spans += _condorcet_spans(core, menu)
-    return core.union_of(spans)
+    return core.union_of(_condorcet_spans(core, _wide_menus(core)))
 
 
 def transitivity_set(scf: StochasticChoiceFunction) -> IntervalUnion:
@@ -206,12 +220,11 @@ def _chernoff_witness(core: SubjectCore, h: int) -> Optional[tuple]:
 
 
 def _condorcet_witness(core: SubjectCore, h: int) -> Optional[tuple]:
-    for menu in core.by_key:
-        if len(core.members[menu]) < 3:
-            continue
-        for x, (lo, hi) in zip(core.members[menu], _condorcet_spans(core, menu)):
-            if lo < h <= hi:
-                return core.menu_set[menu], core.labels[x]
+    menus = _wide_menus(core)
+    places = ((menu, x) for menu in menus for x in core.members[menu])
+    for (menu, x), (lo, hi) in zip(places, _condorcet_spans(core, menus)):
+        if lo < h <= hi:
+            return core.menu_set[menu], core.labels[x]
     return None
 
 
@@ -535,15 +548,20 @@ def triangular_condition(scf: StochasticChoiceFunction) -> TriangularResult:
 def _ratios_kept(scf: StochasticChoiceFunction, contractions: bool) -> bool:
     """Over nested S within T and x, y in S: when x beats y on the reference
     menu (T for contractions, S for expansions), y's likelihood relative to
-    x's must not be lower there than on the other menu."""
+    x's must not be lower there than on the other menu.  Zero-free rows
+    need only |T| = |S| + 1 (see the module docstring)."""
     if scf.domain_kind is DomainKind.PAIRWISE:
         return True
     core = scf.core
-    scaled = core.scaled
+    scaled, members = core.scaled, core.members
+    # a row is zero off its menu; positive on it when no other entry is
+    steps = all(len(members[m]) + row.count(0) == core.n for m, row in scaled.items())
     for small in core.by_key:
         row_small = scaled[small]
-        pairs = list(itertools.permutations(core.members[small], 2))
-        for large in core.supersets(small):
+        pairs = list(itertools.permutations(members[small], 2))
+        rest = core.full ^ small
+        larges = [small | 1 << y for y in bits(rest)] if steps else core.supersets(small)
+        for large in larges:
             ref, other = (
                 (scaled[large], row_small) if contractions else (row_small, scaled[large])
             )

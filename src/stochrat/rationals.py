@@ -44,6 +44,12 @@ def parse_rational(text: str) -> Fraction:
         # digit separators and non-ASCII digits are Python literal syntax,
         # not data
         raise ValueError(f"not a rational number: {text!r}")
+    num, slash, den = stripped.partition("/")
+    den = den if slash else "1"
+    if num.isdigit() and den.isdigit() and int(den):
+        # "p/q" and "n" in ASCII digits, the common data cell, need no
+        # text parser
+        return Fraction(int(num), int(den))
     _, marker, exponent = stripped.lower().partition("e")
     try:
         too_large = bool(marker) and abs(int(exponent)) > DECIMAL_EXPONENT_CAP

@@ -38,7 +38,7 @@ from .choice import (
 )
 from .core import SubjectCore
 from .errors import CapacityError
-from .rationals import RationalLike, common_scale, parse_rational, to_probability
+from .rationals import RationalLike, common_scale, to_probability
 
 FULL_UNIVERSE_CAP = 12
 PAIRWISE_UNIVERSE_CAP = 64
@@ -165,8 +165,6 @@ class StochasticChoiceFunction:
                 if type(value) is not Fraction or not (
                     0 <= value.numerator <= value.denominator
                 ):
-                    if isinstance(value, str):  # keeps the parser's message
-                        value = parse_rational(value)
                     value = to_probability(
                         value, "probability", f" for {alt!r} in {menu_str(menu)}"
                     )

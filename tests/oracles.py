@@ -532,6 +532,40 @@ def core_pairwise_reference(scf: StochasticChoiceFunction) -> dict:
     }
 
 
+def core_condorcet_set(scf: StochasticChoiceFunction) -> IntervalUnion:
+    """The pairwise-winner set on the core, each bound the minimum of x's
+    head-to-head ranks against the other members of the menu."""
+    core = scf.core
+    spans = []
+    for menu in core.by_key:
+        members = core.members[menu]
+        if len(members) >= 3:
+            row, pair = core.rank[menu], core.pair_rank
+            spans += [(row[x], min(pair[x][y] for y in members if y != x)) for x in members]
+    return core.union_of(spans)
+
+
+def nested_ratios_kept(scf: StochasticChoiceFunction, contractions: bool) -> bool:
+    """The selectivity scan over every nested pair S within T, on the
+    core's integer rows, for every subject: the route ``measure`` keeps
+    for rows with zeros."""
+    if scf.domain_kind is DomainKind.PAIRWISE:
+        return True
+    core = scf.core
+    scaled = core.scaled
+    for small in core.by_key:
+        row_small = scaled[small]
+        pairs = list(itertools.permutations(core.members[small], 2))
+        for large in core.supersets(small):
+            ref, other = (
+                (scaled[large], row_small) if contractions else (row_small, scaled[large])
+            )
+            for x, y in pairs:
+                if ref[x] > ref[y] and ref[y] * other[x] < other[y] * ref[x]:
+                    return False
+    return True
+
+
 # -- subject tables by plain Fraction formulas ----------------------------------
 #
 # What a subject built from the table ``probs`` (menu -> member -> Fraction,

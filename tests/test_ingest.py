@@ -287,6 +287,45 @@ def test_csv_error_messages(tmp_path, text, message):
     assert str(info.value) == message.replace("{path}", str(path))
 
 
+# The reader checks a row's subject and menu only when its raw fields differ
+# from the row before; a fault still names its own row.
+GOOD_ROWS = "s1,a|b,a,,1/2\ns1,a|c,a,,1/3\ns1,a|b,b,,1/2\ns1,a|c,c,,2/3\n"
+REPEATED_FIELD_FAULTS = [
+    # after good rows of the same (subject, menu)
+    ("s1,a|b,a,,1/4\ns1,a|b,b,,abc\n", "data.csv:3: not a rational number: 'abc'"),
+    ("s1,a|b,a,1,\ns1,a|b,b,2,\ns1,a|b,c,1,\n",
+     "data.csv:4: alternative 'c' not in menu {a,b}"),
+    ("s1,a|b,a,1,\ns1,a|b,,2,\n", "data.csv:3: empty alternative"),
+    ("s1,a|b,a,1,\ns1,a|b,b,1,1/2\n", "data.csv:3: each row needs exactly one of count/prob"),
+    # two menus interleaved line by line
+    (GOOD_ROWS + "s1,a|b,c,,0\n", "data.csv:6: alternative 'c' not in menu {a,b}"),
+    (GOOD_ROWS + "s1,a|c,b,,0\n", "data.csv:6: alternative 'b' not in menu {a,c}"),
+    (GOOD_ROWS + "s1,a|a,a,,0\n", "data.csv:6: duplicate label in menu field 'a|a'"),
+    (GOOD_ROWS + ",a|b,a,,0\n", "data.csv:6: empty subject id"),
+    (GOOD_ROWS + "s1,a|c,a,,-1\n", "data.csv:6: probability -1 outside [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("body,message", REPEATED_FIELD_FAULTS)
+def test_csv_faults_name_their_row_when_fields_repeat(tmp_path, body, message):
+    path = tmp_path / "data.csv"
+    path.write_text(HEADER + body, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        parse_dataset(path)
+    assert str(info.value) == message
+
+
+def test_interleaved_menus_read_as_grouped_menus(tmp_path):
+    interleaved, grouped = tmp_path / "interleaved.csv", tmp_path / "grouped.csv"
+    interleaved.write_text(HEADER + GOOD_ROWS + "s1,b|c,b,3,\ns1,b|c,c,1,\n", encoding="utf-8")
+    lines = GOOD_ROWS.splitlines(keepends=True)
+    grouped.write_text(
+        HEADER + "".join(lines[0::2] + lines[1::2]) + "s1,b|c,c,1,\ns1,b|c,b,3,\n",
+        encoding="utf-8",
+    )
+    assert parse_dataset(interleaved).scf("s1") == parse_dataset(grouped).scf("s1")
+
+
 def _json_doc(*observations, subject="s1"):
     return {"subjects": [{"subject": subject, "observations": list(observations)}]}
 

@@ -7,6 +7,7 @@ the union must agree with direct axiom checking on the critical grid.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,94 @@ def test_subjects_cover_both_selectivity_outcomes():
     assert any(not is_selective_in_contractions(s) for s in full)
     assert any(not is_selective_in_expansions(s) for s in full)
     assert any(not irrationality_sets(s).maximally_rational for s in full)
+
+
+# -- one-element selectivity steps and first-hit pairwise-winner bounds ---------
+#
+# Zero-free subjects near the independence of irrelevant alternatives (Luce,
+# Luce with some menus nudged, trembles) take the one-element route of the
+# selectivity checks, and subjects with zeros the nested scan.  Both must
+# agree with the nested scan of ``oracles``, and the pairwise-winner set with
+# the minimum over each menu's head-to-head ranks.
+
+STEP_KINDS = ("luce", "noisy", "tremble", "zeros", "dominated", "masked")
+
+
+def near_iia(seed: int, n: int, kind: str) -> StochasticChoiceFunction:
+    """A full-domain subject over n labels: Luce on utilities 1..30
+    ("luce"), with a third of its menus nudged by at most 2/4 of a utility
+    ("noisy"), a tremble, or noisy Luce with zeros: on one member of a
+    quarter of its menus ("zeros"), or on the first label wherever the
+    second is on the menu ("dominated").  "masked" is Luce in the shape of
+    the pinned subject of ``test_measure`` that fails contraction
+    selectivity on no one-element step: the two least labels are at zero
+    on the menus that hold one of the next two, and their pair is
+    reversed."""
+    gen = SplitMix64(seed)
+    labels = LABELS[:n]
+    if kind == "tremble":
+        alpha = Fraction(1 + gen.below(9), 10)
+        return tremble(random_ranking_utility(gen, labels), alpha)
+    u = sorted(4 + 4 * gen.below(30) for _ in range(n))
+    rows = {}
+    for size in range(2, n + 1):
+        for menu in itertools.combinations(range(n), size):
+            row = [u[i] if i in menu else 0 for i in range(n)]
+            if kind not in ("luce", "masked") and gen.below(3) == 0:
+                row[menu[gen.below(size)]] += gen.below(5) - 2
+            if kind == "zeros" and gen.below(4) == 0:
+                row[menu[gen.below(size)]] = 0
+            if kind == "dominated" and 1 in menu:
+                row[0] = 0
+            if kind == "masked" and (2 in menu) != (3 in menu):
+                row[0] = row[1] = 0
+            if kind == "masked" and menu == (0, 1):
+                row[0], row[1] = row[1], row[0]
+            g = math.gcd(*row)
+            rows[frozenset(labels[i] for i in menu)] = tuple(v // g for v in row)
+    return StochasticChoiceFunction.from_rows(rows, DomainKind.FULL)
+
+
+STEP_SUBJECTS = {
+    f"{kind}-n{n}-s{seed}": near_iia(100 * n + seed, n, kind)
+    for kind in STEP_KINDS
+    for n in range(3, 9)
+    for seed in range(3 if n < 7 else 2 if n < 8 else 1)
+}
+
+
+def _scans_agree(scf):
+    for contractions, flag in (
+        (True, is_selective_in_contractions),
+        (False, is_selective_in_expansions),
+    ):
+        assert flag(scf) == oracles.nested_ratios_kept(scf, contractions)
+    assert condorcet_set(scf) == oracles.core_condorcet_set(scf)
+
+
+@pytest.mark.parametrize("name", sorted(STEP_SUBJECTS))
+def test_step_scans_match_the_full_scans(name):
+    _scans_agree(STEP_SUBJECTS[name])
+
+
+def test_step_subjects_reach_every_selectivity_outcome():
+    outcomes = {
+        (
+            all(scf.support(menu) == menu for menu in scf.menus()),
+            is_selective_in_contractions(scf),
+            is_selective_in_expansions(scf),
+        )
+        for scf in STEP_SUBJECTS.values()
+    }
+    for zero_free in (True, False):
+        for k in (1, 2):
+            assert {o[k] for o in outcomes if o[0] == zero_free} == {True, False}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(3, 7), st.integers(0, 2**32 - 1), st.sampled_from(STEP_KINDS))
+def test_step_scans_match_the_full_scans_on_drawn_subjects(n, seed, kind):
+    _scans_agree(near_iia(seed, n, kind))
 
 
 # -- pairwise subjects at scale -------------------------------------------------

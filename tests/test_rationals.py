@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochrat import format_decimal, format_rational, models, parse_rational
 from stochrat.intervals import IntervalUnion
@@ -43,6 +45,50 @@ def test_parse_rejects_python_literal_quirks(quirk):
     with pytest.raises(ValueError) as info:
         parse_rational(quirk)
     assert str(info.value) == f"not a rational number: {quirk!r}"
+
+
+# ASCII digits, leading zeros included; "p/q" of two stays within the cap
+NUMERALS = st.text(alphabet="0123456789", min_size=1, max_size=RATIONAL_TEXT_CAP // 2 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(NUMERALS, st.none() | NUMERALS.filter(lambda text: int(text) != 0))
+def test_digit_text_parses_as_fraction_parses_it(num, den):
+    text = num if den is None else f"{num}/{den}"
+    assert parse_rational(text) == Fraction(text)
+    assert parse_rational(f" {text} ") == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0/7", "007/0014", "0", "000", "9" * RATIONAL_TEXT_CAP, "1/" + "9" * (RATIONAL_TEXT_CAP - 2)],
+)
+def test_digit_text_edge_cases(text):
+    assert parse_rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text,result",
+    [
+        ("5/0", "not a rational number: '5/0'"),
+        ("0/0", "not a rational number: '0/0'"),
+        ("+1/2", Fraction(1, 2)),
+        ("1/-2", "not a rational number: '1/-2'"),
+        ("1/", "not a rational number: '1/'"),
+        ("/2", "not a rational number: '/2'"),
+        ("\uff11/\uff12", "not a rational number: '\uff11/\uff12'"),
+        ("1" * (RATIONAL_TEXT_CAP + 1),
+         f"rational text of {RATIONAL_TEXT_CAP + 1} characters exceeds the cap of "
+         f"{RATIONAL_TEXT_CAP}"),
+    ],
+)
+def test_text_beside_the_digit_forms_keeps_its_result(text, result):
+    if isinstance(result, Fraction):
+        assert parse_rational(text) == result
+    else:
+        with pytest.raises(ValueError) as info:
+            parse_rational(text)
+        assert str(info.value) == result
 
 
 def test_format_rational():

@@ -63,7 +63,8 @@ HALF = {"x": F(1, 2), "y": F(1, 2)}
         ({XY: {"x": "-1/2", "y": "3/2"}}, "pairwise",
          "probability -1/2 for 'x' in {x,y} outside [0, 1]"),
         ({XY: {"x": [1], "y": 1}}, "pairwise", "bad probability [1] for 'x' in {x,y}"),
-        ({XY: {"x": "abc"}}, "pairwise", "not a rational number: 'abc'"),
+        ({XY: {"x": "abc"}}, "pairwise",
+         "bad probability 'abc' for 'x' in {x,y}: not a rational number: 'abc'"),
         ({XY: {"x": F(2, 5), "y": F(2, 5)}}, "pairwise",
          "probabilities on menu {x,y} sum to 4/5, not 1"),
         ({XY: {}}, "pairwise", "probabilities on menu {x,y} sum to 0, not 1"),

@@ -120,6 +120,30 @@ def test_json_is_parsed_only_by_dataset_read_json():
     assert found == ["dataset.py read_json"]
 
 
+def test_only_the_ingest_touches_its_slots_and_cells():
+    # rows reach a slot only through ``_Ingest.place`` and ``_Ingest.add``,
+    # so that the CSV and JSON readers share one per-row route
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "_Ingest"
+            for method in cls.body
+            if isinstance(method, ast.FunctionDef)
+            for node in ast.walk(method)
+        }
+        found += [
+            f"{path.name}:{node.lineno} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("slots", "cells")
+            and id(node) not in inside
+        ]
+    assert found == []
+
+
 def test_only_intervals_calls_the_raw_interval_union_constructor():
     # ``IntervalUnion(...)`` stores its pieces as given, unchecked and
     # unmerged; every other module gets its sets from ``from_pairs``,
