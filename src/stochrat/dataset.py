@@ -47,18 +47,15 @@ def _json_text(value: object) -> str:
 class _Ingest:
     """The one route from data rows to per-subject probability rows.
 
-    Each distinct menu and each distinct probability cell of a file is
-    parsed once, a cell into its reduced (numerator, denominator) pair.
-    :meth:`place` checks a row's subject and menu and names the row's
-    (subject, menu) slot, and :meth:`add` folds the rest of the row into
-    that slot: counts are summed, probabilities collected.  A reader may
-    keep a slot for the rows that follow while their subject and menu
-    fields stay the same.  :meth:`table` then turns each slot into the one
-    integer row that the dataset and the subject keep: counts never become
-    ``Fraction``s, and probability cells meet over the least common
-    multiple of their denominators once, where their sum is checked.  A
-    fault of the row itself is a :class:`_RowFault`, which the reader turns
-    into an error naming the row's place.
+    Each distinct menu and each distinct probability cell (as its reduced
+    integer pair) of a file is parsed once.  :meth:`place` checks a row's
+    subject and menu and names its (subject, menu) slot, which a reader may
+    reuse while those fields repeat; :meth:`add` sums (counts) or collects
+    (probabilities) the rest of the row there.  :meth:`table` then turns
+    each slot into the one integer row that the dataset and the subject
+    keep, over its counts' gcd or its cells' common denominator.  A fault
+    of the row itself is a :class:`_RowFault`, which the reader turns into
+    an error naming the row's place.
 
     Each distinct subject and label is kept as one ``str`` in ``names``,
     however many rows name it, and :meth:`table` releases each (subject,

@@ -559,8 +559,9 @@ def _ratios_kept(scf: StochasticChoiceFunction, contractions: bool) -> bool:
     for small in core.by_key:
         row_small = scaled[small]
         pairs = list(itertools.permutations(members[small], 2))
-        rest = core.full ^ small
-        larges = [small | 1 << y for y in bits(rest)] if steps else core.supersets(small)
+        larges = core.supersets(small)
+        if steps:  # only S + {y}
+            larges = [small | 1 << y for y in bits(core.full ^ small)]
         for large in larges:
             ref, other = (
                 (scaled[large], row_small) if contractions else (row_small, scaled[large])
