@@ -118,8 +118,9 @@ STEP_KINDS = ("luce", "noisy", "tremble", "zeros", "dominated", "masked")
 
 
 def near_iia(seed: int, n: int, kind: str) -> StochasticChoiceFunction:
-    """A full-domain subject over n labels: Luce on utilities 1..30
-    ("luce"), with a third of its menus nudged by at most 2/4 of a utility
+    """A full-domain subject over n labels: Luce on utilities 1..30 in
+    ascending label order, times 4 ("luce"), with a third of its menus
+    nudged by at most 2/4 of a utility
     ("noisy"), a tremble, or noisy Luce with zeros: on one member of a
     quarter of its menus ("zeros"), or on the first label wherever the
     second is on the menu ("dominated").  "masked" is Luce in the shape of
@@ -190,7 +191,7 @@ def test_step_subjects_reach_every_selectivity_outcome():
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(3, 7), st.integers(0, 2**32 - 1), st.sampled_from(STEP_KINDS))
-@example(4, 0, "masked")  # the masked shape needs its zeros only at n = 4
+@example(4, 0, "masked")  # masked subjects tell the two scans apart only at n = 4
 def test_step_scans_match_the_full_scans_on_drawn_subjects(n, seed, kind):
     _scans_agree(near_iia(seed, n, kind))
 
