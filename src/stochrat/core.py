@@ -3,7 +3,8 @@
 Every endpoint of a threshold set is a normalized likelihood or 0, so the
 set work only ever compares likelihoods with each other.  :class:`SubjectCore`
 replaces them by their ranks among the subject's distinct values, menus by
-bitmasks over the sorted universe, and probabilities by integers, so the
+bitmasks over the sorted universe, and probabilities by each menu's own
+integer row, never by a denominator common to several menus.  So the
 analysis runs on small ints and converts back to ``Fraction`` only where an
 :class:`~stochrat.intervals.IntervalUnion` comes out.
 
@@ -45,12 +46,11 @@ class SubjectCore:
       Threshold region h >= 1 is (cuts[h-1], cuts[h]].
     * ``rank[mask][i]``: rank of alternative i's likelihood on the menu
       (0 for non-members and for zero probability).
-    * ``pair_rank[i][j]``: rank of i's likelihood on {i, j}.
+    * ``pair_rank[i][j]``: rank of i's likelihood on {i, j}, which orders
+      the head-to-head probabilities (see :mod:`stochrat.measure`).
     * ``scaled[mask][i]``: the subject's integer row of the menu, taken as
       it is: numerators in lowest terms over the row's sum, one per
-      alternative.
-    * ``pair_num[i][j] / pair_den``: P(i over j) over one common even
-      denominator, so one half is ``pair_den // 2``.
+      alternative.  No integer of the core is longer than a row's entry.
     """
 
     def __init__(
@@ -97,18 +97,10 @@ class SubjectCore:
                 row_rank[i] = rank_of[key]
             self.rank[mask] = row_rank
 
-        pairs = [m for m in self.by_key if len(self.members[m]) == 2]
-        # a row's sum is its scale
-        self.pair_den = 2 * math.lcm(*(sum(self.scaled[m]) for m in pairs))
         self.pair_rank = [[0] * n for _ in range(n)]
-        self.pair_num = [[0] * n for _ in range(n)]
-        for mask in pairs:
-            i, j = self.members[mask]
-            row_rank, row_scaled = self.rank[mask], self.scaled[mask]
-            up = self.pair_den // sum(row_scaled)
-            for a, b in ((i, j), (j, i)):
-                self.pair_rank[a][b] = row_rank[a]
-                self.pair_num[a][b] = row_scaled[a] * up
+        for i, j in itertools.combinations(range(n), 2):
+            row_rank = self.rank[1 << i | 1 << j]
+            self.pair_rank[i][j], self.pair_rank[j][i] = row_rank[i], row_rank[j]
 
     def supersets(self, mask: int) -> Iterator[int]:
         """Proper supersets of a menu mask within the universe."""

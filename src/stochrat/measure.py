@@ -11,31 +11,30 @@ subject's rank-coded core (:mod:`stochrat.core`): likelihoods become their
 ranks among the subject's distinct values and menus become bitmasks.  Each
 axiom emits rank pairs (lo, hi]; a difference array over the ranks marks
 the covered cells, and only runs of covered cells become exact Fraction
-intervals.  Contraction uses nested menus differing by one element (a
-chain argument shows larger gaps add nothing).  The pairwise-winner bound
-of x in S is x's head-to-head rank against its first opponent in S, with
-x's opponents sorted once by that rank.  Cycles need one interval
-per ordered (x, z), since the triples through every y share the right
-end; one ascending sweep over the pair ranks, on bitsets of the revealed
-strict preferences, finds every left end without visiting the triples.
-The transitivity flags read the relations "at least one half" and "above
-one half" as bitsets too.
+intervals.  A witness is the least violating tuple at the right end of a
+maximal interval, with menus tried in ``menu_key`` order.
 
-A witness is the least violating tuple at the right end of a maximal
-interval.  Menus are tried in ``menu_key`` order; for contraction the
-first smaller menu with a hit decides, and its supersets are walked by
-bitmask, so at most 3^n menu pairs are visited.  The selectivity checks
-walk the same pairs on integer rows (each menu's probabilities times the
-least common multiple of their denominators): each side of an inequality
-multiplies one entry of each menu, so scaling a row by a positive
-constant scales both sides alike and the integer comparison is exact.
-With every row positive on its menu, one-element steps decide: a strict
-premise P(x, .) > P(y, .) carries down each contraction step and up each
-expansion step of a chain, and the ratio inequalities compose.
+The selectivity checks walk nested menus on integer rows (each menu's
+probabilities times the least common multiple of their denominators): each
+side of an inequality multiplies one entry of each menu, so scaling a row
+by a positive constant scales both sides alike and the integer comparison
+is exact.  With every row positive on its menu, one-element steps decide: a
+strict premise P(x, .) > P(y, .) carries down each contraction step and up
+each expansion step of a chain, and the ratio inequalities compose.
 
-Comparing subjects compares irrationality sets by inclusion: smaller is
-more rational.  A batch tests inclusion on bitsets over the cells between
-the sets' sorted endpoints; a pair also reports the two set differences.
+No two menus share a denominator.  One side of each pair {x, z} has
+likelihood 1, of rank top = len(cuts) - 1.  If x's side does, P(x over z) =
+1 / (1 + z's likelihood) >= 1/2 falls as z's rank rises; otherwise it is
+x's likelihood / (1 + x's likelihood) < 1/2 and rises with x's rank.  So
+the key 2 top - rank(z) or rank(x) orders every P exactly, and P is 1/2 at
+key top: the transitivity flags read only these keys.  The triangular test
+P(y over z) - P(x over z) > 1 - P(x over y) adds values, so it reads each
+pair's own row, as correctly rounded floats within 2^-54 of their values.
+Each side takes one or two more float steps (a difference, a margin m off
+or onto the bound), each rounding by at most 2^-53 as every operand lies in
+[-1, 2], so each side is within 2^-51 of its exact value.  Outside m = 2^-48
+of the bound the floats decide; inside it the test is exact, with the
+three rows' sums cross-multiplied.
 """
 
 from __future__ import annotations
@@ -468,12 +467,15 @@ def classify_transitivity(scf: StochasticChoiceFunction) -> TransitivityFlags:
     W[x] and {x}; almost-weak when some y in S[x] has S[y] outside them.
     Moderate, almost-moderate and strong compare values, so for each
     premise pair (x, y) they walk only z in W[y] minus x.  The walk stops
-    once every flag is false.
+    once every flag is false.  Each P is read as its pair-rank key.
     """
     core = scf.core
-    p = core.pair_num
-    half = core.pair_den // 2
-    n = core.n
+    r, n = core.pair_rank, core.n
+    # p[x][z] is the key of P(x over z) (see the module docstring), and
+    # one half's is ``half``
+    half = len(core.cuts) - 1
+    p = [[2 * half - r[z][x] if r[x][z] == half else r[x][z] for z in range(n)]
+         for x in range(n)]
     at_least = [0] * n
     above = [0] * n
     for x, z in itertools.permutations(range(n), 2):
@@ -523,20 +525,31 @@ def triangular_condition(scf: StochasticChoiceFunction) -> TriangularResult:
     ``itertools.permutations`` order.  The three rotations of a triple
     have the same sum, so that triple starts with its least alternative,
     and only x < y, z is scanned.  With P(z over x) = 1 - P(x over z) the
-    test reads off two rows: P(y over z) - P(x over z) > 1 - P(x over y).
+    test reads off two rows: P(y over z) - P(x over z) > 1 - P(x over y),
+    on floats and, within their error bound, exactly.
     """
     core = scf.core
-    p = core.pair_num
     n = core.n
-    den = core.pair_den
+    # num[a][b] / den[a][b] = P(a over b), from the pair's own row, and p
+    # its float (see the module docstring for the margin m)
+    num, den = [[0] * n for _ in range(n)], [[1] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        row = core.scaled[1 << i | 1 << j]
+        num[i][j], num[j][i] = row[i], row[j]
+        den[i][j] = den[j][i] = row[i] + row[j]
+    p = [[a / b for a, b in zip(*rows)] for rows in zip(num, den)]
+    m = 2.0**-48
     for x in range(n):
         p_x = p[x]
         for y in range(x + 1, n):
-            p_y = p[y]
-            bound = den - p_x[y]
+            p_y, low, high = p[y], 1 - p_x[y] - m, 1 - p_x[y] + m
             for z in range(x + 1, n):
                 # z == y never passes: its left side is -P(x over y)
-                if p_y[z] - p_x[z] > bound:
+                if p_y[z] - p_x[z] > low and (
+                    p_y[z] - p_x[z] > high
+                    or (num[y][z] * den[x][z] - num[x][z] * den[y][z]) * den[x][y]
+                    > (den[x][y] - num[x][y]) * den[y][z] * den[x][z]
+                ):
                     witness = core.labels[x], core.labels[y], core.labels[z]
                     return TriangularResult(False, witness)
     return TriangularResult(True, None)

@@ -1,15 +1,20 @@
 """Exact rational parsing and rendering.
 
 All quantitative work in this package happens on ``fractions.Fraction``
-with arbitrary-precision integers.  Floats appear only as presentation,
-via :func:`format_decimal`, and never feed back into computation.
+with arbitrary-precision integers.  Floats appear as presentation, via
+:func:`format_decimal`, and as filters that decide only where their error
+bound allows and leave every closer case to an exact comparison
+(``intervals.ascending``, ``measure.triangular_condition``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Union
+
+from .errors import CapacityError
 
 # Bounds on rational text.  Every digit, written or implied by an exponent,
 # becomes a digit of an exact numerator or denominator that every later
@@ -101,12 +106,27 @@ def common_scale(values: Iterable[Fraction]) -> tuple[list[int], int]:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical text form: ``"p/q"`` in lowest terms, or ``"n"`` for integers."""
+    """Canonical text form: ``"p/q"`` in lowest terms, or ``"n"`` for integers.
+
+    A numerator or denominator longer than Python prints (see
+    ``sys.get_int_max_str_digits``) raises :class:`CapacityError`.
+    """
     if type(value) is not Fraction and type(value) is not int:
         value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        longest = max(abs(value.numerator), value.denominator)
+        # floor(log10 longest) or one more, as 0.30103 just exceeds log10 2
+        digits = longest.bit_length() * 30103 // 100000
+        digits += longest >= 10**digits
+        raise CapacityError(
+            f"an exact value's numerator or denominator of {digits} digits "
+            f"exceeds Python's limit of {sys.get_int_max_str_digits()} digits "
+            "for printing an integer"
+        ) from None
 
 
 def format_decimal(value: Fraction) -> str:

@@ -457,11 +457,12 @@ def triangular_witness(scf: StochasticChoiceFunction):
     return None
 
 
-# -- pairwise structure by brute force over the core's integer tables -----------
+# -- pairwise structure by brute force over the core's tables ------------------
 #
-# The same formulas as above, on ``scf.core.pair_rank`` and ``pair_num``
-# instead of Fractions, so that every ordered triple can be scanned at n = 64.
-# These are the triple loops that stochrat.measure replaced by bitset sweeps.
+# The same formulas as above, on ``scf.core.pair_rank`` and on a table of the
+# pair probabilities read once, so that every ordered triple can be scanned at
+# n = 64.  These are the triple loops that stochrat.measure replaced by bitset
+# sweeps, rank keys and a float filter.
 
 
 def core_transitivity_set(scf: StochasticChoiceFunction) -> IntervalUnion:
@@ -488,13 +489,21 @@ def core_transitivity_witness(scf: StochasticChoiceFunction, hi: Fraction):
     return None
 
 
+def pair_table(scf: StochasticChoiceFunction) -> list[list[Fraction]]:
+    """``p[i][j]``: P(labels[i] over labels[j]) as a Fraction, from the
+    pair's own row; 0 on the diagonal."""
+    labels = sorted(scf.universe)
+    return [
+        [scf.pair_prob(x, z) if x != z else Fraction(0) for z in labels] for x in labels
+    ]
+
+
 def core_transitivity_flags(scf: StochasticChoiceFunction) -> tuple[bool, ...]:
     """(weak, almost weak, moderate, almost moderate, strong) over every
-    ordered triple of the integer pair table."""
-    core = scf.core
-    p, half = core.pair_num, core.pair_den // 2
+    ordered triple of the pair probabilities."""
+    p, half = pair_table(scf), Fraction(1, 2)
     flags = [True] * 5
-    for x, y, z in itertools.permutations(range(core.n), 3):
+    for x, y, z in itertools.permutations(range(len(p)), 3):
         p_xy, p_yz, p_xz = p[x][y], p[y][z], p[x][z]
         if p_xy >= half and p_yz >= half:
             bounds = [half, None, min(p_xy, p_yz), None, max(p_xy, p_yz)]
@@ -507,13 +516,17 @@ def core_transitivity_flags(scf: StochasticChoiceFunction) -> tuple[bool, ...]:
 
 
 def core_triangular_witness(scf: StochasticChoiceFunction):
-    """First ordered triple of the integer pair table whose cyclic sum
-    exceeds two, or None."""
-    core = scf.core
-    p, two = core.pair_num, 2 * core.pair_den
-    for x, y, z in itertools.permutations(range(core.n), 3):
-        if p[x][y] + p[y][z] + p[z][x] > two:
-            return core.labels[x], core.labels[y], core.labels[z]
+    """First ordered triple whose cyclic sum of pair probabilities exceeds
+    two, or None.  The sum a/A + b/B + c/C > 2 is cross-multiplied by the
+    three pairs' denominators."""
+    p = pair_table(scf)
+    labels = sorted(scf.universe)
+    for x, y, z in itertools.permutations(range(len(p)), 3):
+        (a, A), (b, B), (c, C) = (
+            (v.numerator, v.denominator) for v in (p[x][y], p[y][z], p[z][x])
+        )
+        if a * B * C + b * A * C + c * A * B > 2 * A * B * C:
+            return labels[x], labels[y], labels[z]
     return None
 
 

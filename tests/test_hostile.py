@@ -7,12 +7,18 @@ exact as its rational strings.
 """
 
 import copy
+import itertools
 import json
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
+import oracles
 from conftest import FIXTURES
+from stochrat import classify_transitivity, triangular_condition
+from stochrat.dataset import parse_dataset
 from test_cli import run_cli
 from test_golden import MODEL_SPECS
 
@@ -310,3 +316,106 @@ def test_byte_mutated_data_files_exit_0_2_or_3(capsys, tmp_path, fixture):
         for command in ("analyze", "compare", "check", "swap"):
             code, _, err = run_cli(capsys, command, str(path))
             assert code in (0, 2, 3), (command, bytes(data), err)
+
+
+# -- long counts ---------------------------------------------------------------
+#
+# Every count may have up to a cell's 1000 characters.  No work may grow with
+# the product of many such counts: the pairwise tables read each pair's own
+# row, and a value too long to print is a capacity error.
+
+
+def write_counts(path, rows):
+    """Write (subject, menu members, member -> count) rows as a count file."""
+    lines = ["subject,menu,alternative,count,prob"]
+    for subject, menu, counts in rows:
+        field = "|".join(menu)
+        lines += [f"{subject},{field},{x},{counts[x]}," for x in menu]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def long_count(rng, digits):
+    return rng.randrange(10 ** (digits - 1), 10**digits)
+
+
+def test_swap_value_too_long_to_print_exits_3(capsys, tmp_path):
+    rng = random.Random(8)
+    labels = [f"a{i}" for i in range(8)]
+    rows = [
+        ("s", menu, {x: long_count(rng, 50) for x in menu})
+        for size in range(2, 9)
+        for menu in itertools.combinations(labels, size)
+    ]
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "swap", write_counts(tmp_path / "d.csv", rows))
+    assert (code, out) == (3, "")
+    assert err.startswith("capacity error: ") and err.count("\n") == 1
+    assert f"of {limit} digits" in err
+    assert sys.get_int_max_str_digits() == limit
+
+
+def _int_bits(value, seen):
+    """Bit lengths of every int reachable from ``value`` through containers,
+    Fractions and object attributes."""
+    if id(value) in seen or isinstance(value, (str, bool)):
+        return []
+    seen.add(id(value))
+    if isinstance(value, int):
+        return [value.bit_length()]
+    if isinstance(value, Fraction):
+        return [value.numerator.bit_length(), value.denominator.bit_length()]
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    elif hasattr(value, "__dict__"):
+        value = list(vars(value).values())
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return [b for item in value for b in _int_bits(item, seen)]
+    return []
+
+
+@pytest.fixture(scope="module")
+def long_pairwise(tmp_path_factory):
+    """A random and a Luce subject at n = 32 with 400-digit counts."""
+    rng = random.Random(32)
+    labels = [f"a{i:02d}" for i in range(32)]
+    utility = {x: long_count(rng, 400) for x in labels}
+    rows = []
+    for menu in itertools.combinations(labels, 2):
+        rows.append(("luce", menu, {x: utility[x] for x in menu}))
+        rows.append(("random", menu, {x: long_count(rng, 400) for x in menu}))
+    path = write_counts(tmp_path_factory.mktemp("long") / "pairs.csv", rows)
+    return path, max(c.bit_length() for *_, counts in rows for c in counts.values())
+
+
+def test_long_pairwise_counts_match_the_fraction_formulas(long_pairwise):
+    path, longest = long_pairwise
+    dataset = parse_dataset(path)
+    triangular = {}
+    for subject in dataset.subject_ids():
+        scf = dataset.scf(subject)
+        flags = classify_transitivity(scf)
+        assert (
+            flags.weak,
+            flags.almost_weak,
+            flags.moderate,
+            flags.almost_moderate,
+            flags.strong,
+        ) == oracles.core_transitivity_flags(scf)
+        triangular[subject] = triangular_condition(scf).witness
+        assert triangular[subject] == oracles.core_triangular_witness(scf)
+        core = scf.core
+        top = len(core.cuts)
+        assert all(r < top for row in core.rank.values() for r in row)
+        assert all(r < top for row in core.pair_rank for r in row)
+        assert max(_int_bits(core, set())) <= longest
+    # Luce is a mixture of rankings; independent draws break the triangle
+    assert triangular["luce"] is None and triangular["random"] is not None
+
+
+def test_long_pairwise_counts_run_every_command(capsys, long_pairwise):
+    path, _ = long_pairwise
+    for command in ("analyze", "check", "compare"):
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, err) == (0, ""), command
+        assert out

@@ -134,10 +134,10 @@ def test_ingest_matches_fraction_formulas(tmp_path, seed, suffix):
         for field in ("labels", "by_key", "menu_set", "members",
                       "cuts", "rank", "scaled", "pair_rank"):
             assert getattr(core, field) == want[field], field
-        assert core.pair_den % 2 == 0
         for i, j in itertools.permutations(range(core.n), 2):
             if want["pair_prob"][i][j] is not None:
-                assert Fraction(core.pair_num[i][j], core.pair_den) == want["pair_prob"][i][j]
+                x, y = core.labels[i], core.labels[j]
+                assert scf.pair_prob(x, y) == want["pair_prob"][i][j]
 
 
 def _fractions_in(value, seen=None):

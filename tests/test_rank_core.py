@@ -331,14 +331,14 @@ def test_wide_subjects_reach_interior_endpoints():
     for k in range(5):
         assert {f[k] for f in flags} == {True, False}
     assert {triangular_condition(scf).holds for scf in WIDE.values()} == {True, False}
-    tables = [scf.core for scf in WIDE.values() if scf.core.n <= 24]
-    off_diagonal = [
-        (core.pair_num[i][j], core.pair_den)
-        for core in tables
-        for i, j in itertools.permutations(range(core.n), 2)
+    # each pair's own row: equal entries are a half, a zero entry a zero
+    pair_rows = [
+        (core.scaled[1 << i | 1 << j][i], core.scaled[1 << i | 1 << j][j])
+        for core in (scf.core for scf in WIDE.values() if scf.core.n <= 24)
+        for i, j in itertools.combinations(range(core.n), 2)
     ]
-    assert any(2 * num == den for num, den in off_diagonal)
-    assert any(num == 0 for num, _ in off_diagonal)
+    assert any(a == b for a, b in pair_rows)
+    assert any(0 in row for row in pair_rows)
 
 
 @st.composite
@@ -357,6 +357,66 @@ def pair_tables(draw):
 @given(pair_tables())
 def test_sweeps_match_brute_force_on_drawn_tables(scf):
     assert _pairwise_outputs(scf) == oracles.core_pairwise_reference(scf)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pair_tables())
+def test_pair_rank_keys_order_the_pair_probabilities(scf):
+    # the key the transitivity flags read for P(x over z), with one half at
+    # ``top``, the rank of likelihood 1
+    core = scf.core
+    r, top = core.pair_rank, len(core.cuts) - 1
+    ordered = list(itertools.permutations(range(core.n), 2))
+    key = {(x, z): 2 * top - r[z][x] if r[x][z] == top else r[x][z] for x, z in ordered}
+    prob = {
+        (x, z): scf.pair_prob(core.labels[x], core.labels[z]) for x, z in ordered
+    }
+    half = Fraction(1, 2)
+    for a in ordered:
+        assert (key[a] > top, key[a] == top) == (prob[a] > half, prob[a] == half)
+    # both orders are total: along the pairs sorted by P the key must rise
+    # exactly where P does
+    ordered.sort(key=prob.__getitem__)
+    for a, b in zip(ordered, ordered[1:]):
+        assert key[a] <= key[b] and (key[a] < key[b]) == (prob[a] < prob[b])
+
+
+def _three_pairs(xy, yz, xz):
+    """Pairwise subject on x, y, z from each pair's two long counts."""
+    table = {}
+    for (a, b), counts in zip(("xy", "yz", "xz"), (xy, yz, xz)):
+        total = sum(counts)
+        table[frozenset((a, b))] = {a: Fraction(counts[0], total),
+                                    b: Fraction(counts[1], total)}
+    return StochasticChoiceFunction(table, DomainKind.PAIRWISE)
+
+
+LONG = 10**40
+TRIANGLES = {
+    # x over y over z for certain: every cyclic sum is 1 or 2
+    "exactly 2 on 0/1 pairs": (_three_pairs((LONG, 0), (LONG, 0), (LONG, 0)), None),
+    # P(x over z) + P(z over y) + P(y over x) = 2/3 + 2/3 + 2/3: no float of
+    # these thirds is exact
+    "exactly 2 on thirds": (
+        _three_pairs((LONG, 2 * LONG), (LONG, 2 * LONG), (2 * LONG, LONG)), None
+    ),
+    # the same with P(x over z) moved up or down by 10^-40
+    "2 + 10^-40": (
+        _three_pairs((LONG, 2 * LONG), (LONG, 2 * LONG), (2 * LONG + 3, LONG - 3)),
+        ("x", "z", "y"),
+    ),
+    "2 - 10^-40": (
+        _three_pairs((LONG, 2 * LONG), (LONG, 2 * LONG), (2 * LONG - 3, LONG + 3)), None
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIANGLES))
+def test_triangular_sums_within_the_float_margin_are_decided_exactly(name):
+    scf, witness = TRIANGLES[name]
+    assert triangular_condition(scf).witness == witness
+    assert oracles.triangular_witness(scf) == witness
+    assert triangular_condition(scf).holds == (witness is None)
 
 
 # -- relabelling invariance ----------------------------------------------

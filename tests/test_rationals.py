@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochrat import format_decimal, format_rational, models, parse_rational
+from stochrat.errors import CapacityError
 from stochrat.intervals import IntervalUnion
 from stochrat.rationals import (
     DECIMAL_EXPONENT_CAP,
@@ -95,6 +97,22 @@ def test_format_rational():
     assert format_rational(Fraction(2, 3)) == "2/3"
     assert format_rational(Fraction(5)) == "5"
     assert format_rational(Fraction(0)) == "0"
+    widest = 10 ** sys.get_int_max_str_digits() - 1
+    assert format_rational(Fraction(-widest, widest - 1)) == f"-{widest}/{widest - 1}"
+
+
+@pytest.mark.parametrize("digits", [1, 2, 3, 10, 100])
+def test_format_rational_names_the_digits_beyond_the_print_limit(digits):
+    limit = sys.get_int_max_str_digits()
+    longest = limit + digits
+    for value in (Fraction(10 ** (longest - 1)), Fraction(1, 10**longest - 1),
+                  Fraction(-(10**longest) + 1, 7)):
+        with pytest.raises(CapacityError) as info:
+            format_rational(value)
+        assert str(info.value) == (
+            f"an exact value's numerator or denominator of {longest} digits exceeds "
+            f"Python's limit of {limit} digits for printing an integer"
+        )
 
 
 def test_format_decimal_fixed_width():

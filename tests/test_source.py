@@ -215,3 +215,36 @@ def test_package_namespace_lists_and_star_imports_all():
     )
     with pytest.raises(AttributeError, match="no_such_name"):
         stochrat.no_such_name
+
+
+def test_lcm_is_taken_only_per_row_and_by_the_swap_index():
+    # a denominator common to several menus grows with the number of menus,
+    # not with any one row; only the swap index's exact value needs one
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [
+            (f"{cls.name}.{node.name}" if cls is not tree else node.name, node)
+            for cls in [tree, *(n for n in tree.body if isinstance(n, ast.ClassDef))]
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [
+                    f"{path.stem} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name == "lcm"
+                ]
+            elif isinstance(node, ast.Attribute) and node.attr == "lcm":
+                inside = [
+                    name
+                    for name, scope in scopes
+                    if scope.lineno <= node.lineno <= scope.end_lineno
+                ]
+                found.append(f"{path.stem}.{'.'.join(inside) or '<module>'}")
+    assert sorted(found) == [
+        "comparators.swap_index",
+        "dataset._Ingest.table",
+        "rationals.common_scale",
+    ]
