@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .choice import Menu, as_menu, menu_str
-from .rationals import RATIONAL_TEXT_CAP, format_rational, to_probability
+from .rationals import RATIONAL_TEXT_CAP, common_scale, format_rational, to_probability
 from .scf import DomainKind, StochasticChoiceFunction, missing_menus
 
 
@@ -189,8 +189,7 @@ class _Ingest:
                     )
                 nums = [count // divisor for count in cells.values()]
             else:
-                scale = math.lcm(*(den for _, den in cells.values()))
-                nums = [num * (scale // den) for num, den in cells.values()]
+                nums, scale = common_scale(cells.values())
                 total = sum(nums)
                 if total != scale:
                     raise ValueError(

@@ -112,15 +112,12 @@ def general_luce(
                 f"consideration set for {menu_str(menu)} must be a nonempty subset"
             )
         chosen_sets[menu] = subset
-    check_universe(len(labels), DomainKind.FULL, max_universe)
     table = {}
-    for menu in required_menus(labels, DomainKind.FULL):
+    for menu in required_menus(labels, DomainKind.FULL, max_universe):
         focus = chosen_sets.get(menu, menu)
         total = sum(u[x] for x in focus)
         table[menu] = {x: (u[x] / total if x in focus else _ZERO) for x in menu}
-    return StochasticChoiceFunction(
-        table, DomainKind.FULL, universe=labels, max_universe=max_universe
-    )
+    return StochasticChoiceFunction(table, DomainKind.FULL, max_universe=max_universe)
 
 
 def two_stage_luce(
@@ -149,14 +146,14 @@ def two_stage_luce(
     order = Preorder.closure(labels, strict)
     if any(a == b or order.geq(b, a) for a, b in strict):
         raise ValueError("dominance relation has a cycle")
-    check_universe(len(labels), DomainKind.FULL, max_universe)
 
     # utility increases along the closure exactly when along every pair
     proper = all(u[a] > u[b] for a, b in strict)
 
     # the undominated members of each menu (nonempty: the relation is acyclic)
     focus = {
-        menu: order.maximal(menu) for menu in required_menus(labels, DomainKind.FULL)
+        menu: order.maximal(menu)
+        for menu in required_menus(labels, DomainKind.FULL, max_universe)
     }
     return general_luce(u, focus, max_universe=max_universe), proper
 
@@ -172,8 +169,8 @@ def uniform_drum(
 ) -> StochasticChoiceFunction:
     """Two-ranking mixture with a menu-independent weight on the first."""
     theta = to_probability(weight, "mixture weight")
-    check_universe(len(as_utility(first)), DomainKind.FULL, max_universe)
-    weights = {menu: theta for menu in required_menus(first, DomainKind.FULL)}
+    menus = required_menus(as_utility(first), DomainKind.FULL, max_universe)
+    weights = dict.fromkeys(menus, theta)
     return drum(first, second, weights, max_universe=max_universe)
 
 
@@ -197,9 +194,8 @@ def drum(
     for raw_menu, value in weights.items():
         menu = _domain_menu(raw_menu, labels, "weight")
         theta_map[menu] = to_probability(value, "weight", f" for {menu_str(menu)}")
-    check_universe(len(labels), DomainKind.FULL, max_universe)
     table = {}
-    for menu in required_menus(labels, DomainKind.FULL):
+    for menu in required_menus(labels, DomainKind.FULL, max_universe):
         if menu not in theta_map:
             raise ValueError(f"no weight given for menu {menu_str(menu)}")
         theta = theta_map[menu]
@@ -207,9 +203,7 @@ def drum(
         row[_argmax(u, menu)] += theta
         row[_argmax(v, menu)] += _ONE - theta
         table[menu] = row
-    return StochasticChoiceFunction(
-        table, DomainKind.FULL, universe=labels, max_universe=max_universe
-    )
+    return StochasticChoiceFunction(table, DomainKind.FULL, max_universe=max_universe)
 
 
 def rum(
@@ -238,16 +232,13 @@ def rum(
         raise ValueError(f"component weights sum to {total}, not 1")
     order = sorted(range(len(parsed)), key=lambda i: (-parsed[i][1], i))
     parsed = [parsed[i] for i in order]
-    check_universe(len(labels), DomainKind.FULL, max_universe)
     table = {}
-    for menu in required_menus(labels, DomainKind.FULL):
+    for menu in required_menus(labels, DomainKind.FULL, max_universe):
         row = {x: _ZERO for x in menu}
         for utility, weight in parsed:
             row[_argmax(utility, menu)] += weight
         table[menu] = row
-    return StochasticChoiceFunction(
-        table, DomainKind.FULL, universe=labels, max_universe=max_universe
-    )
+    return StochasticChoiceFunction(table, DomainKind.FULL, max_universe=max_universe)
 
 
 # -- consistency predicates for ranking mixtures ----------------------------
@@ -354,18 +345,14 @@ def tremble(
     """Maximize with probability alpha, otherwise pick uniformly."""
     u = as_utility(utility)
     _require_injective(u)
-    labels = tuple(sorted(u))
     a = to_probability(alpha, "tremble weight")
-    check_universe(len(labels), DomainKind.FULL, max_universe)
     table = {}
-    for menu in required_menus(labels, DomainKind.FULL):
+    for menu in required_menus(u, DomainKind.FULL, max_universe):
         noise = (_ONE - a) / len(menu)
         row = {x: noise for x in menu}
         row[_argmax(u, menu)] += a
         table[menu] = row
-    return StochasticChoiceFunction(
-        table, DomainKind.FULL, universe=labels, max_universe=max_universe
-    )
+    return StochasticChoiceFunction(table, DomainKind.FULL, max_universe=max_universe)
 
 
 def tremble_irrationality(size: int, alpha: RationalLike) -> IntervalUnion:
@@ -472,7 +459,7 @@ def mum_pairwise(
             )
         table[pair] = {x: table_f[arg], y: _ONE - table_f[arg]}
     return StochasticChoiceFunction(
-        table, DomainKind.PAIRWISE, universe=labels, max_universe=max_universe
+        table, DomainKind.PAIRWISE, max_universe=max_universe
     )
 
 
@@ -496,21 +483,17 @@ def random_scf(
     """
     if denominator_bound < 2:
         raise ValueError("denominator_bound below 2 is degenerate")
-    labels = tuple(sorted({str(x) for x in universe}))
-    domain_kind = DomainKind(domain_kind)
-    check_universe(len(labels), domain_kind, max_universe)
+    menus = required_menus(universe, DomainKind(domain_kind), max_universe)
     gen = SplitMix64(seed)
     table = {}
-    for menu in required_menus(labels, domain_kind):
+    for menu in menus:
         members = sorted(menu)
         weights = [gen.below(denominator_bound + 1) for _ in members]
         if not any(weights):
             weights[0] = 1
         total = sum(weights)
         table[menu] = {x: Fraction(w, total) for x, w in zip(members, weights)}
-    return StochasticChoiceFunction(
-        table, domain_kind, universe=labels, max_universe=max_universe
-    )
+    return StochasticChoiceFunction(table, domain_kind, max_universe=max_universe)
 
 
 def random_ranking_utility(gen: SplitMix64, universe: Iterable[str]) -> Utility:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Collection, Union
 
 from .errors import CapacityError
 
@@ -97,12 +97,11 @@ def to_probability(value: RationalLike, name: str, where: str = "") -> Fraction:
     return prob
 
 
-def common_scale(values: Iterable[Fraction]) -> tuple[list[int], int]:
-    """The values as integer numerators over the least common multiple of
-    their denominators, and that multiple; ``[]`` and 1 for no values."""
-    values = list(values)
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+def common_scale(values: Collection[tuple[int, int]]) -> tuple[list[int], int]:
+    """Numerators of the (numerator, denominator) pairs over the lcm of their
+    denominators, and that lcm; ``[]`` and 1 for no pairs."""
+    scale = math.lcm(*(den for _, den in values))
+    return [num * (scale // den) for num, den in values], scale
 
 
 def format_rational(value: Fraction) -> str:

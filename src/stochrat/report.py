@@ -468,7 +468,8 @@ def emit_report(
 
     With ``out`` None the content goes to stdout and no paths are
     returned.  The plotdata format writes ``<stem>_index_bars.csv`` and
-    ``<stem>_segments.csv`` next to the given path.
+    ``<stem>_segments.csv`` next to the given path.  Each file is replaced
+    whole or not at all.
     """
     if fmt == "plotdata":
         bars, segments = render_plotdata(report)
@@ -481,8 +482,8 @@ def emit_report(
         out = Path(out)
         bars_path = out.with_name(out.stem + "_index_bars.csv")
         segments_path = out.with_name(out.stem + "_segments.csv")
-        bars_path.write_text(bars, encoding="utf-8")
-        segments_path.write_text(segments, encoding="utf-8")
+        _write_whole(bars_path, lambda handle: handle.write(bars))
+        _write_whole(segments_path, lambda handle: handle.write(segments))
         return [bars_path, segments_path]
     if fmt == "json":
 
@@ -501,6 +502,18 @@ def emit_report(
         write(sys.stdout)
         return []
     out = Path(out)
-    with out.open("w", encoding="utf-8") as handle:
-        write(handle)
+    _write_whole(out, write)
     return [out]
+
+
+def _write_whole(path: Path, write: Callable[[TextIO], object]) -> None:
+    """Stream ``write``'s output into a sibling moved onto ``path`` once
+    complete; on any failure the sibling is removed and ``path`` untouched."""
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with partial.open("w", encoding="utf-8") as handle:
+            write(handle)
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise

@@ -80,9 +80,13 @@ def check_universe(
         )
 
 
-def required_menus(universe: Iterable[str], kind: DomainKind) -> list[Menu]:
-    """All menus the given domain kind must cover, in canonical order."""
+def required_menus(
+    universe: Iterable[str], kind: DomainKind, max_universe: Optional[int] = None
+) -> list[Menu]:
+    """All menus the given domain kind must cover, in canonical order, once
+    :func:`check_universe` passes the universe: none is built above the cap."""
     labels = sorted({str(x) for x in universe})
+    check_universe(len(labels), kind, max_universe)
     return [
         frozenset(combo)
         for size in kind.sizes(len(labels))
@@ -134,9 +138,10 @@ class StochasticChoiceFunction:
 
     ``probabilities`` maps menus to member -> probability mappings.
     Members omitted from a menu's mapping get probability zero.  Values
-    may be Fractions, ints, or rational strings (parsed exactly).
-    Validation is eager: the domain must be complete for its kind, every
-    menu must sum to one, and the universe size must respect the cap.
+    may be Fractions, ints, or rational strings (parsed exactly).  The
+    universe is the menus' labels; validation is eager: the domain over it
+    must be complete for its kind, every menu must sum to one, and its size
+    must respect the cap (``max_universe`` when given).
 
     Each menu is kept as one integer row, the form :meth:`from_rows`
     takes: the numerators of its probabilities in lowest terms, one per
@@ -148,15 +153,14 @@ class StochasticChoiceFunction:
         self,
         probabilities: Mapping[Iterable[str], Mapping[str, RationalLike]],
         domain_kind: DomainKind = DomainKind.FULL,
-        universe: Optional[Iterable[str]] = None,
         max_universe: Optional[int] = None,
     ) -> None:
         domain_kind = DomainKind(domain_kind)
-        table, labels = menu_table(probabilities, universe)
+        table, labels = menu_table(probabilities)
         index = {x: i for i, x in enumerate(labels)}
         for menu, dist in table.items():
             _check_size(menu)
-            values: dict[str, Fraction] = {}
+            values: dict[str, tuple[int, int]] = {}
             for alt, value in dist.items():
                 if alt not in menu:
                     raise ValueError(
@@ -169,7 +173,7 @@ class StochasticChoiceFunction:
                         value, "probability", f" for {alt!r} in {menu_str(menu)}"
                     )
                 if value:
-                    values[alt] = value
+                    values[alt] = value.numerator, value.denominator
             nums, scale = common_scale(values.values())
             total = sum(nums)
             if total != scale:

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: output text, files, exit codes."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from stochrat import measure
 from stochrat.cli import main
 from stochrat.dataset import parse_dataset
 from stochrat.intervals import IntervalUnion
+from stochrat.models import mum_response_table
 from stochrat.rationals import RATIONAL_TEXT_CAP
 
 from conftest import FIXTURES
@@ -445,18 +447,51 @@ def test_analyze_json_does_not_depend_on_the_hash_seed():
 
 
 @pytest.mark.parametrize(
-    "kind", ["luce", "two_stage_luce", "drum", "tremble", "random"]
+    "kind",
+    [
+        "luce",
+        "general_luce",
+        "two_stage_luce",
+        "uniform_drum",
+        "drum",
+        "rum",
+        "tremble",
+        "mum",
+        "random",
+    ],
 )
 def test_model_spec_above_the_cap_exits_3_before_building_menus(tmp_path, kind):
-    labels = [f"a{i:02d}" for i in range(40)]
+    domain, cap = ("pairwise", 64) if kind == "mum" else ("full", 12)
+    labels = [f"a{i:02d}" for i in range(cap + 1 if kind == "mum" else 40)]
     utility = {x: str(i + 1) for i, x in enumerate(labels)}
-    spec = {
-        "luce": {"utility": utility},
-        "two_stage_luce": {"utility": utility, "dominance": [["a01", "a00"]]},
-        "drum": {"first": utility, "second": utility, "weights": []},
-        "tremble": {"utility": utility, "alpha": "1/2"},
-        "random": {"universe": labels, "seed": 1},
-    }[kind]
+    if kind == "mum":
+        # complete and valid, so that only the cap refuses it
+        differences = range(1 - len(labels), len(labels))
+        spec = {
+            "utility": utility,
+            "metric": [
+                {"pair": list(pair), "distance": "1"}
+                for pair in itertools.combinations(labels, 2)
+            ],
+            "response": [
+                {"arg": str(arg), "value": str(value)}
+                for arg, value in mum_response_table(differences).items()
+            ],
+        }
+    else:
+        spec = {
+            "luce": {"utility": utility},
+            "general_luce": {
+                "utility": utility,
+                "consideration": [{"menu": ["a00", "a01", "a02"], "allowed": ["a00"]}],
+            },
+            "two_stage_luce": {"utility": utility, "dominance": [["a01", "a00"]]},
+            "uniform_drum": {"first": utility, "second": utility, "weight": "1/2"},
+            "drum": {"first": utility, "second": utility, "weights": []},
+            "rum": {"components": [{"utility": utility, "weight": "1"}]},
+            "tremble": {"utility": utility, "alpha": "1/2"},
+            "random": {"universe": labels, "seed": 1},
+        }[kind]
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"kind": kind, **spec}), encoding="utf-8")
     # the full domain over 40 labels has 2**40 menus: only a check made
@@ -470,8 +505,8 @@ def test_model_spec_above_the_cap_exits_3_before_building_menus(tmp_path, kind):
     )
     assert result.returncode == 3
     assert result.stderr == (
-        "capacity error: universe of 40 alternatives exceeds the "
-        "full-domain cap of 12\n"
+        f"capacity error: universe of {len(labels)} alternatives exceeds the "
+        f"{domain}-domain cap of {cap}\n"
     )
 
 

@@ -21,6 +21,7 @@ from stochrat import classify_transitivity, triangular_condition
 from stochrat.dataset import parse_dataset
 from test_cli import run_cli
 from test_golden import MODEL_SPECS
+from test_rank_core import noisy_ranking
 
 UTILITY = {"x": "3", "y": "2", "z": "1"}
 # number tokens that ``write_spec`` writes bare in place of the string "@token"
@@ -353,6 +354,32 @@ def test_swap_value_too_long_to_print_exits_3(capsys, tmp_path):
     assert err.startswith("capacity error: ") and err.count("\n") == 1
     assert f"of {limit} digits" in err
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("earlier", [None, b'{"earlier": "report"}\n'])
+def test_report_too_long_to_print_leaves_out_as_it_was(capsys, tmp_path, earlier):
+    # a noisy Luce subject at n = 16 with every pair moved by a few units of
+    # 10**-900: its exact index is too long to print, which only shows once
+    # the report's first bytes are written
+    scf = noisy_ranking(16005, 16)
+    total = 10**900
+    rows = []
+    for k, (x, y) in enumerate(itertools.combinations(scf.universe, 2)):
+        p = scf.pair_prob(x, y)
+        count = p.numerator * total // p.denominator + 1 + k % 3
+        rows.append(("s", (x, y), {x: count, y: total - count}))
+    data = write_counts(tmp_path / "d.csv", rows)
+    out = tmp_path / "reports" / "R.json"
+    out.parent.mkdir()
+    if earlier is not None:
+        out.write_bytes(earlier)
+    code, stdout, err = run_cli(capsys, "analyze", data, "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert err.startswith("capacity error: an exact value's numerator")
+    left = [path.name for path in out.parent.iterdir()]
+    assert left == ([] if earlier is None else ["R.json"])
+    if earlier is not None:
+        assert out.read_bytes() == earlier
 
 
 def _int_bits(value, seen):

@@ -26,15 +26,14 @@ def test_benchmark_selftest_passes():
     assert done.returncode == 0, done.stdout + done.stderr
 
 
-def test_layer_tracer_attaches_to_the_analyze_path(tmp_path):
-    # the tracer wraps every module binding of each traced function; a
-    # binding it cannot see would leave that layer's time at zero
+def _traced_metrics(tmp_path, fixture):
+    """The per-layer metrics of a traced ``analyze`` run on the fixture."""
     done = subprocess.run(
         [
             sys.executable,
             str(ROOT / "perfbench" / "layers.py"),
             "traced",
-            str(ROOT / "fixtures" / "pairwise5_panel26.csv"),
+            str(ROOT / "fixtures" / fixture),
             str(tmp_path / "report.json"),
             str(tmp_path / "spans.json"),
         ],
@@ -47,7 +46,22 @@ def test_layer_tracer_attaches_to_the_analyze_path(tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
     result = json.loads(done.stdout)
     assert result["exit"] == 0
-    metrics = result["metrics"]
+    return result["metrics"]
+
+
+def test_layer_tracer_attaches_to_the_analyze_path(tmp_path):
+    # the tracer wraps every module binding of each traced function; a
+    # binding it cannot see would leave that layer's time at zero
+    metrics = _traced_metrics(tmp_path, "pairwise5_panel26.csv")
     assert metrics["report.render_json_s"] > 0
     assert metrics["measure.compare_many_s"] > 0
     assert metrics["measure.verdict_pairs"] == 325
+
+
+def test_layer_tracer_attaches_to_the_full_domain_parts(tmp_path):
+    # on a pairwise panel the contraction and pairwise-winner parts are
+    # vacuous; the full-domain demo has two witnesses to find
+    metrics = _traced_metrics(tmp_path, "demo_full3.csv")
+    for layer in ("chernoff_set", "condorcet_set", "transitivity_set", "selectivity"):
+        assert metrics[f"measure.{layer}_s"] > 0, layer
+    assert metrics["measure.witnesses"] == 2

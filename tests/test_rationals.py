@@ -209,6 +209,6 @@ def test_to_probability_checks_the_unit_interval():
 
 
 def test_common_scale_is_the_lcm_of_reduced_denominators():
-    values = [Fraction(2, 4), Fraction(1, 6), Fraction(1, 3), Fraction(0)]
+    values = [(1, 2), (1, 6), (1, 3), (0, 1)]
     assert common_scale(values) == ([3, 1, 2, 0], 6)
     assert common_scale([]) == ([], 1)

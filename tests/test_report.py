@@ -234,6 +234,13 @@ def test_emit_report_files(tmp_path, cycles_report):
     bars, segments = render_plotdata(cycles_report)
     assert bars_path.read_text(encoding="utf-8") == bars
     assert segments_path.read_text(encoding="utf-8") == segments
+    # each file was moved into place whole, and no partial file is left
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "out.csv",
+        "out.json",
+        "plot_index_bars.csv",
+        "plot_segments.csv",
+    ]
 
 
 def test_emit_report_stdout(capsys, cycles_report):

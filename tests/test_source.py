@@ -219,7 +219,8 @@ def test_package_namespace_lists_and_star_imports_all():
 
 def test_lcm_is_taken_only_per_row_and_by_the_swap_index():
     # a denominator common to several menus grows with the number of menus,
-    # not with any one row; only the swap index's exact value needs one
+    # not with any one row; rows are scaled by one helper, and only the swap
+    # index's exact value needs a common denominator
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -243,8 +244,4 @@ def test_lcm_is_taken_only_per_row_and_by_the_swap_index():
                     if scope.lineno <= node.lineno <= scope.end_lineno
                 ]
                 found.append(f"{path.stem}.{'.'.join(inside) or '<module>'}")
-    assert sorted(found) == [
-        "comparators.swap_index",
-        "dataset._Ingest.table",
-        "rationals.common_scale",
-    ]
+    assert sorted(found) == ["comparators.swap_index", "rationals.common_scale"]
