@@ -10,7 +10,9 @@ analysis runs on small ints and converts back to ``Fraction`` only where an
 
 A core is built from a validated subject's integer rows, which it keeps as
 ``scaled`` without copying, and never changes; the subject builds it on
-first use (``StochasticChoiceFunction.core``).
+first use (``StochasticChoiceFunction.core``).  Sets of full-domain menus,
+one bit per menu, are built per call (``menu_bitsets``) and not kept: at
+n = 12 they hold a 4,096-bit int per distinct rank of each alternative.
 """
 
 from __future__ import annotations
@@ -109,6 +111,34 @@ class SubjectCore:
         while extra:
             yield mask | extra
             extra = (extra - 1) & rest
+
+    def menu_bitsets(self) -> tuple[list[int], int, list[list[tuple[int, int]]]]:
+        """Sets of menus as ints, bit T standing for menu mask T: ``has[d]``,
+        the masks that contain d; ``wide``, the menus of three or more
+        members; and ``ladders[x]``, for each distinct positive rank r of x,
+        ascending, (r, the menus T of rank(x, T) >= r).  Empty unless every
+        mask of two or more bits is a menu, as on the full domain: on the
+        pairwise domain no menu lies in another, and bit T of a mask over 64
+        alternatives would need 2^64 bits."""
+        n, size, rank = self.n, 1 << self.n, self.rank
+        if len(self.by_key) < size - n - 1:
+            return [], 0, []
+        # bit d of the masks runs in blocks of 2^d zeros and 2^d ones
+        has = [
+            int(("1" * (1 << d) + "0" * (1 << d)) * (size >> d >> 1), 2)
+            for d in range(n)
+        ]
+        wide = sum(1 << menu for menu in self.by_key if len(self.members[menu]) >= 3)
+        ladders = []
+        for x in range(n):
+            at: dict[int, int] = {}  # x's rank -> the menus where x has it
+            for menu in self.by_key:
+                if rank[menu][x]:
+                    at[rank[menu][x]] = at.get(rank[menu][x], 0) | 1 << menu
+            top_down = sorted(at, reverse=True)
+            ors = itertools.accumulate(map(at.get, top_down), int.__or__)
+            ladders.append(list(zip(top_down, ors))[::-1])
+        return has, wide, ladders
 
     def union_of(self, spans: Iterable[tuple[int, int]]) -> IntervalUnion:
         """Union of the intervals (cuts[lo], cuts[hi]] for rank pairs

@@ -12,7 +12,9 @@ ranks among the subject's distinct values and menus become bitmasks.  Each
 axiom emits rank pairs (lo, hi]; a difference array over the ranks marks
 the covered cells, and only runs of covered cells become exact Fraction
 intervals.  A witness is the least violating tuple at the right end of a
-maximal interval, with menus tried in ``menu_key`` order.
+maximal interval, with menus tried in ``menu_key`` order.  On the full
+domain every mask of two or more bits is a menu, so the contraction part
+and its witnesses read sets of menus as ints, bit T for menu T.
 
 The selectivity checks walk nested menus on integer rows (each menu's
 probabilities times the least common multiple of their denominators): each
@@ -56,25 +58,39 @@ _ONE = Fraction(1)
 # -- the three axiom threshold sets --------------------------------------
 
 
-def chernoff_set(scf: StochasticChoiceFunction) -> IntervalUnion:
+def chernoff_set(
+    scf: StochasticChoiceFunction, tables: Optional[tuple] = None
+) -> IntervalUnion:
     """Thresholds at which contraction consistency fails.
 
     For nested menus S within T and x in S the violating thresholds are
-    (nlik(x, S), nlik(x, T)].  Only pairs with |T| = |S| + 1 are
-    enumerated: along any chain of one-element steps from S to T the
-    steps' intervals cover (nlik(x, S), nlik(x, T)], so the union is the
-    same.
+    (nlik(x, S), nlik(x, T)].  Only pairs with |T| = |S| + 1 are needed:
+    along any chain of one-element steps from S to T the steps' intervals
+    cover (nlik(x, S), nlik(x, T)], so the union is the same.  The steps
+    are tested on the core's menu bitsets, ``tables`` when the caller has
+    built them (``SubjectCore.menu_bitsets``).
     """
     core = scf.core
-    rank = core.rank
-    spans = []
-    for large in _wide_menus(core):
-        members = core.members[large]
-        row_large = rank[large]
-        for dropped in members:
-            row_small = rank[large ^ (1 << dropped)]
-            spans += [(row_small[x], row_large[x]) for x in members if x != dropped]
-    return core.union_of(spans)
+    return core.union_of(_contraction_spans(tables or core.menu_bitsets()))
+
+
+def _contraction_spans(tables: tuple) -> Iterator[tuple[int, int]]:
+    """(the next lower rank or 0, r) for each distinct rank r of each x at
+    which a one-element step violates: with K the menus T of rank(x, T) >=
+    r, some wide T in K holds a d != x whose S = T - {d} is not in K.  The
+    shift by 1 << d maps each T holding d to T - {d}."""
+    has, wide, ladders = tables
+    for x, ladder in enumerate(ladders):
+        steps = [(with_d, 1 << d) for d, with_d in enumerate(has) if d != x]
+        lower = 0
+        for r, k in ladder:
+            k_wide = k & wide
+            for with_d, shift in steps:
+                smaller = (k_wide & with_d) >> shift
+                if smaller & k != smaller:
+                    yield lower, r
+                    break
+            lower = r
 
 
 def _wide_menus(core: SubjectCore) -> list[int]:
@@ -196,26 +212,33 @@ class IrrationalitySets(Record):
         return self.union.measure() == _ONE
 
 
-def _chernoff_witness(core: SubjectCore, h: int) -> Optional[tuple]:
+def _chernoff_witness(core: SubjectCore, tables: tuple, h: int) -> Optional[tuple]:
     """Least (S, T, x) by (menu_key(S), menu_key(T), x) with
-    rank(x, S) < h <= rank(x, T): the first S in key order with a hit
-    decides, and among its supersets the one earliest in key order."""
+    rank(x, S) < h <= rank(x, T).  With K the menus T of rank(x, T) >= h,
+    the S that violate for x are the menus below some T in K (K's
+    down-closure) that hold x and are not in K.  The first such S in key
+    order decides, and among its supersets the one earliest in key order."""
+    has, _, ladders = tables
+    candidates = 0
+    for x, ladder in enumerate(ladders):
+        i = bisect.bisect_left(ladder, (h,))
+        if i < len(ladder):
+            k = down = ladder[i][1]
+            for d, with_d in enumerate(has):
+                down |= (down & with_d) >> (1 << d)
+            candidates |= down & has[x] & ~k
+    small = next((menu for menu in core.by_key if candidates >> menu & 1), None)
+    if small is None:
+        return None
     rank, members = core.rank, core.members
-    for small in core.by_key:
-        row_small = rank[small]
-        below = [x for x in members[small] if row_small[x] < h]
-        if not below:
-            continue
-        best = None
-        for large in core.supersets(small):
-            if best is None or members[large] < members[best]:
-                row_large = rank[large]
-                if any(row_large[x] >= h for x in below):
-                    best = large
-        if best is not None:
-            x = next(x for x in below if rank[best][x] >= h)
-            return core.menu_set[small], core.menu_set[best], core.labels[x]
-    return None
+    below = [x for x in members[small] if rank[small][x] < h]
+    best = None
+    for large in core.supersets(small):
+        if best is None or members[large] < members[best]:
+            if any(rank[large][x] >= h for x in below):
+                best = large
+    x = next(x for x in below if rank[best][x] >= h)
+    return core.menu_set[small], core.menu_set[best], core.labels[x]
 
 
 def _condorcet_witness(core: SubjectCore, h: int) -> Optional[tuple]:
@@ -245,16 +268,17 @@ def irrationality_sets(scf: StochasticChoiceFunction) -> IrrationalitySets:
     interval's right endpoint; axioms are tried in the fixed order
     contraction, pairwise winner, cycle composition.
     """
-    ch = chernoff_set(scf)
+    core = scf.core
+    tables = core.menu_bitsets()
+    ch = chernoff_set(scf, tables)
     con = condorcet_set(scf)
     st = transitivity_set(scf)
     union = ch | con | st
-    core = scf.core
     witnesses = []
     for lo, hi in union:
         h = bisect.bisect_left(core.cuts, hi)
         if ch.contains(hi):
-            axiom, detail = "chernoff", _chernoff_witness(core, h)
+            axiom, detail = "chernoff", _chernoff_witness(core, tables, h)
         elif con.contains(hi):
             axiom, detail = "condorcet", _condorcet_witness(core, h)
         else:

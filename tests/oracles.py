@@ -545,6 +545,13 @@ def core_pairwise_reference(scf: StochasticChoiceFunction) -> dict:
     }
 
 
+# -- full-domain scans over the core's tables ----------------------------------
+#
+# The nested-menu loops that stochrat.measure replaced by first hits,
+# one-element steps and menu bitsets, on the same rank-coded core, so that they
+# run at n = 10.
+
+
 def core_condorcet_set(scf: StochasticChoiceFunction) -> IntervalUnion:
     """The pairwise-winner set on the core, each bound the minimum of x's
     head-to-head ranks against the other members of the menu."""
@@ -556,6 +563,42 @@ def core_condorcet_set(scf: StochasticChoiceFunction) -> IntervalUnion:
             row, pair = core.rank[menu], core.pair_rank
             spans += [(row[x], min(pair[x][y] for y in members if y != x)) for x in members]
     return core.union_of(spans)
+
+
+def core_chernoff_set(scf: StochasticChoiceFunction) -> IntervalUnion:
+    """The contraction part on the core, one span (rank(x, S), rank(x, T))
+    for each wide T, each dropped member d and each x of S = T - {d}."""
+    core = scf.core
+    rank = core.rank
+    spans = []
+    for large in core.by_key:
+        members = core.members[large]
+        if len(members) >= 3:
+            for dropped in members:
+                row_small = rank[large ^ (1 << dropped)]
+                spans += [(row_small[x], rank[large][x]) for x in members if x != dropped]
+    return core.union_of(spans)
+
+
+def core_chernoff_witness(scf: StochasticChoiceFunction, hi: Fraction):
+    """Least (S, T, x) by (menu_key(S), menu_key(T), x) with rank(x, S) <
+    h <= rank(x, T), where h is the rank of ``hi``: every superset of every
+    menu in key order until the first S with a hit."""
+    core = scf.core
+    rank, members, h = core.rank, core.members, core.cuts.index(hi)
+    for small in core.by_key:
+        below = [x for x in members[small] if rank[small][x] < h]
+        if not below:
+            continue
+        best = None
+        for large in core.supersets(small):
+            if best is None or members[large] < members[best]:
+                if any(rank[large][x] >= h for x in below):
+                    best = large
+        if best is not None:
+            x = next(x for x in below if rank[best][x] >= h)
+            return core.menu_set[small], core.menu_set[best], core.labels[x]
+    return None
 
 
 def nested_ratios_kept(scf: StochasticChoiceFunction, contractions: bool) -> bool:

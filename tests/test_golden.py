@@ -22,7 +22,10 @@ at n = 32 and a full-domain mixture of three rankings at n = 6, have
 pairwise file with a planted cycle at n = 24.  The n = 9 file holds a Luce
 subject, which passes both selectivity checks, the mean of that Luce
 subject and a tremble, which has no zero yet fails them, and a subject with
-zeros: a maximizer on the menus that hold a and b, Luce elsewhere.
+zeros: a maximizer on the menus that hold a and b, Luce elsewhere.  A
+full-domain file at n = 10 holds ``luce_counts(10, 10)``, Luce written as
+rounded counts, whose 44 maximal intervals each have a contraction witness;
+its ``analyze`` json is pinned.
 
 ``MODEL_SPECS`` holds one model spec of each kind, at three or four
 alternatives, with rational strings and JSON integers only; their
@@ -59,7 +62,7 @@ from stochrat.report import (
 )
 
 from conftest import FIXTURES, seeded_panel
-from test_rank_core import planted_cycle
+from test_rank_core import luce_counts, planted_cycle
 
 GOLDEN = {
     "demo_full3.csv": "8e12223f99a410311d9aa822b3201758a2fc0577b168a988088b85eade03a8dc",
@@ -95,9 +98,8 @@ GOLDEN_PANEL = {
     "plotdata": "7ddef42f108ebdd6f8200a10c2e5fdb0c519473ee00e911e2765ca1f7042c733",
 }
 
-# command line, with FULL, PAIRWISE, PAIRWISE32, RUM6, FULL9 and CYCLE24 for the
-# files of
-# ``wide_dataset()`` -> SHA-256 of stdout; for plotdata, of the index bars
+# command line, with FULL, PAIRWISE, PAIRWISE32, RUM6, FULL9, CYCLE24 and
+# LUCE10 for the files of ``wide_dataset()`` -> SHA-256 of stdout; for plotdata, of the index bars
 # followed by the segments
 GOLDEN_WIDE = {
     "analyze FULL": "d167d5a1f1c0ed1faf22e6ac47b61ca25f5fac9096c4eb9653e75b6880611922",
@@ -122,6 +124,7 @@ GOLDEN_WIDE = {
     "analyze CYCLE24": "239d03fb0b6d7a275266209ac7a8208e0ee98197f8a9341e37051b2dbd7ae77d",
     "analyze CYCLE24 --format csv": "b25fcf013c312247839a3debd8abd8767880fac02ef1b37d1c26c17bc5502125",
     "analyze CYCLE24 --format plotdata": "8f2afe282f9bc3101fd6210ce3620b07e45941d76eea8fc87c9b0b4783088352",
+    "analyze LUCE10": "551bdd365ed286d2ed6e786191d7fd408e5889eab30c572ebc5de27f3bd5ed9d",
 }
 
 # kind -> a spec of that kind
@@ -273,8 +276,9 @@ def test_seeded_panel_reports_are_byte_identical():
 
 @pytest.fixture(scope="module")
 def wide_dataset(tmp_path_factory):
-    """The full-domain files at n = 8 and 9, the pairwise files at n = 24
-    and 32, the planted cycle at n = 24 and the ranking mixture at n = 6."""
+    """The full-domain files at n = 8, 9 and 10, the pairwise files at
+    n = 24 and 32, the planted cycle at n = 24 and the ranking mixture at
+    n = 6."""
     labels = tuple("abcdefgh")
     base = luce(dict(zip(labels, (20, 13, 12, 11, 10, 9, 8, 1))))
     flat = luce(dict.fromkeys(labels, 1))
@@ -347,6 +351,7 @@ def wide_dataset(tmp_path_factory):
         "RUM6": folder / "rum6.csv",
         "FULL9": folder / "full9.csv",
         "CYCLE24": folder / "cycle24.csv",
+        "LUCE10": folder / "luce10.csv",
     }
     rows = [row for name, scf in full.items() for row in scf_to_rows(scf, name)]
     write_dataset_csv(files["FULL"], rows)
@@ -356,6 +361,7 @@ def wide_dataset(tmp_path_factory):
     rows = [row for name, scf in full9.items() for row in scf_to_rows(scf, name)]
     write_dataset_csv(files["FULL9"], rows)
     write_dataset_csv(files["CYCLE24"], scf_to_rows(planted_cycle(24, 24), "cycle"))
+    write_dataset_csv(files["LUCE10"], scf_to_rows(luce_counts(10, 10), "luce"))
     return files
 
 

@@ -8,6 +8,7 @@ the union must agree with direct axiom checking on the critical grid.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from stochrat import (
     triangular_condition,
     tremble,
 )
+from stochrat.core import SubjectCore
 from stochrat.dataset import parse_dataset
 
 LABELS = "abcdefghij"
@@ -106,13 +108,15 @@ def test_subjects_cover_both_selectivity_outcomes():
     assert any(not irrationality_sets(s).maximally_rational for s in full)
 
 
-# -- one-element selectivity steps and first-hit pairwise-winner bounds ---------
+# -- one-element steps, first-hit bounds and menu bitsets -----------------------
 #
 # Zero-free subjects near the independence of irrelevant alternatives (Luce,
 # Luce with some menus nudged, trembles) take the one-element route of the
 # selectivity checks, and subjects with zeros the nested scan.  Both must
-# agree with the nested scan of ``oracles``, and the pairwise-winner set with
-# the minimum over each menu's head-to-head ranks.
+# agree with the nested scan of ``oracles``, the pairwise-winner set with the
+# minimum over each menu's head-to-head ranks, and the contraction part and
+# its witnesses, read off menu bitsets, with the loop over every one-element
+# step and the scan over every nested pair.
 
 STEP_KINDS = ("luce", "noisy", "tremble", "zeros", "dominated", "masked")
 
@@ -153,6 +157,26 @@ def near_iia(seed: int, n: int, kind: str) -> StochasticChoiceFunction:
     return StochasticChoiceFunction.from_rows(rows, DomainKind.FULL)
 
 
+def luce_counts(seed: int, n: int) -> StochasticChoiceFunction:
+    """A full-domain Luce subject on utilities 1..1000, written as counts:
+    each member of each menu gets round(10^7 P), at least 1.  The rounding
+    breaks the product rule a little on every menu, so the subject is
+    near-rational, with thousands of cuts and many maximal intervals."""
+    gen = SplitMix64(seed)
+    u = [1 + gen.below(1000) for _ in range(n)]
+    rows = {}
+    for size in range(2, n + 1):
+        for menu in itertools.combinations(range(n), size):
+            total = sum(u[i] for i in menu)
+            row = [
+                max(1, round(Fraction(10**7 * u[i], total))) if i in menu else 0
+                for i in range(n)
+            ]
+            g = math.gcd(*row)
+            rows[frozenset(LABELS[i] for i in menu)] = tuple(v // g for v in row)
+    return StochasticChoiceFunction.from_rows(rows, DomainKind.FULL)
+
+
 STEP_SUBJECTS = {
     f"{kind}-n{n}-s{seed}": near_iia(100 * n + seed, n, kind)
     for kind in STEP_KINDS
@@ -168,6 +192,11 @@ def _scans_agree(scf):
     ):
         assert flag(scf) == oracles.nested_ratios_kept(scf, contractions)
     assert condorcet_set(scf) == oracles.core_condorcet_set(scf)
+    sets = irrationality_sets(scf)
+    assert chernoff_set(scf) == sets.chernoff == oracles.core_chernoff_set(scf)
+    for w in sets.witnesses:
+        if w.axiom == "chernoff":
+            assert w.detail == oracles.core_chernoff_witness(scf, w.interval[1])
 
 
 @pytest.mark.parametrize("name", sorted(STEP_SUBJECTS))
@@ -194,6 +223,44 @@ def test_step_subjects_reach_every_selectivity_outcome():
 @example(4, 0, "masked")  # masked subjects tell the two scans apart only at n = 4
 def test_step_scans_match_the_full_scans_on_drawn_subjects(n, seed, kind):
     _scans_agree(near_iia(seed, n, kind))
+
+
+def test_step_subjects_reach_several_contraction_witnesses():
+    counts = [
+        sum(w.axiom == "chernoff" for w in irrationality_sets(scf).witnesses)
+        for scf in STEP_SUBJECTS.values()
+    ]
+    assert 0 in counts
+    assert max(counts) >= 3
+
+
+def test_contraction_bitsets_match_the_nested_scans_at_n10():
+    scf = luce_counts(10, 10)
+    sets = irrationality_sets(scf)
+    assert chernoff_set(scf) == sets.chernoff == oracles.core_chernoff_set(scf)
+    assert len(sets.witnesses) == 44
+    for w in sets.witnesses:
+        assert w.axiom == "chernoff"
+        assert w.detail == oracles.core_chernoff_witness(scf, w.interval[1])
+
+
+def test_contraction_witnesses_walk_one_menu_s_supersets_each(monkeypatch):
+    # each witness walks only the supersets of its own S, of which there
+    # are at most 2^(n-2) - 1
+    scf = luce_counts(10, 10)
+    scf.core
+    walked = 0
+    supersets = SubjectCore.supersets
+
+    def counted(core, mask):
+        nonlocal walked
+        for large in supersets(core, mask):
+            walked += 1
+            yield large
+
+    monkeypatch.setattr(SubjectCore, "supersets", counted)
+    witnesses = irrationality_sets(scf).witnesses
+    assert 0 < walked <= len(witnesses) * 2 ** (10 - 2)
 
 
 # -- pairwise subjects at scale -------------------------------------------------
@@ -318,6 +385,22 @@ def test_wide_pairwise_matches_brute_force(name):
         assert got["witnesses"] == fractions["witnesses"]
         assert got["flags"] == oracles.transitivity_flags(scf)
         assert got["triangular"] == oracles.triangular_witness(scf)
+
+
+def test_pairwise_contraction_builds_no_menu_bitsets():
+    # bit T of a pairwise mask at n = 64 would need 2^64 bits, so the guard
+    # is checked first at n = 10, where such a table would still fit
+    assert noisy_ranking(10005, 10).core.menu_bitsets() == ([], 0, [])
+    scf = noisy_ranking(64005, 64)
+    scf.core
+    tracemalloc.start()
+    try:
+        part, sets = chernoff_set(scf), irrationality_sets(scf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part.is_empty and sets.chernoff.is_empty
+    assert peak < 4 * 2**20
 
 
 def test_wide_subjects_reach_interior_endpoints():
