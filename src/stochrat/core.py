@@ -9,14 +9,17 @@ analysis runs on small ints and converts back to ``Fraction`` only where an
 :class:`~stochrat.intervals.IntervalUnion` comes out.
 
 A core is built from a validated subject's integer rows, which it keeps as
-``scaled`` without copying, and never changes; the subject builds it on
-first use (``StochasticChoiceFunction.core``).  Sets of full-domain menus,
+``scaled`` without copying, and its menus' :class:`MenuLayout`, and never
+changes; the subject builds it on first use
+(``StochasticChoiceFunction.core``).  The layout holds what depends only on
+the menus, so subjects on equal menu sets share it.  Sets of full-domain menus,
 one bit per menu, are built per call (``menu_bitsets``) and not kept: at
 n = 12 they hold a 4,096-bit int per distinct rank of each alternative.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -35,14 +38,46 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class SubjectCore:
-    """Integer tables of one subject.
+class MenuLayout:
+    """The tables of a core that depend only on its menus, shared by every
+    subject on the same menu set (:class:`~stochrat.dataset.ChoiceDataset`
+    keeps one per distinct set; a subject built alone makes its own).
 
     * ``labels``: the universe in sorted order; alternative i is
       ``labels[i]`` (``index`` maps back) and bit i of a menu mask.
-    * ``by_key``: the menu masks in ``menu_key`` order, which is the order
-      of their ``members`` tuples.  ``menu_set`` maps a mask back to the
-      subject's frozenset and ``members`` to its ascending indices.
+    * ``menus``: the menus, read once to build ``tables``.
+    * ``tables``, built at the first core on the layout: ``mask``, each
+      menu's bitmask; ``menu_set`` and ``members``, each mask's menu and
+      its ascending indices; ``by_key``, the masks in ``menu_key`` order,
+      which is the order of their ``members`` tuples; and ``pairs``, (i, j,
+      mask of {i, j}) for i < j, in ``itertools.combinations`` order.
+    """
+
+    def __init__(self, labels: Sequence[str], menus: Iterable[frozenset[str]]) -> None:
+        self.labels = tuple(labels)
+        self.index = {label: i for i, label in enumerate(self.labels)}
+        self.n = len(self.labels)
+        self.full = (1 << self.n) - 1
+        self.menus = menus
+
+    @functools.cached_property
+    def tables(self) -> tuple[dict, dict, dict, tuple[int, ...], tuple]:
+        """(mask, menu_set, members, by_key, pairs)."""
+        index = self.index
+        mask = {menu: sum(1 << index[x] for x in menu) for menu in self.menus}
+        members = {m: tuple(bits(m)) for m in mask.values()}
+        pairs = tuple(
+            (i, j, 1 << i | 1 << j) for i, j in itertools.combinations(range(self.n), 2)
+        )
+        by_key = tuple(sorted(members, key=members.__getitem__))
+        return mask, {m: menu for menu, m in mask.items()}, members, by_key, pairs
+
+
+class SubjectCore:
+    """Integer tables of one subject: its layout's (see :class:`MenuLayout`:
+    ``labels``, ``index``, ``n``, ``full``, ``menu_set``, ``members`` and
+    ``by_key``) and its own values.
+
     * ``cuts``: 0 followed by the sorted distinct positive normalized
       likelihoods (the last is 1).
       Threshold region h >= 1 is (cuts[h-1], cuts[h]].
@@ -56,36 +91,30 @@ class SubjectCore:
     """
 
     def __init__(
-        self, labels: Sequence[str], rows: Mapping[frozenset[str], Sequence[int]]
+        self, layout: MenuLayout, rows: Mapping[frozenset[str], Sequence[int]]
     ) -> None:
-        n = len(labels)
-        index = {label: i for i, label in enumerate(labels)}
-        self.labels = tuple(labels)
-        self.index = index
-        self.n = n
-        self.full = (1 << n) - 1
+        n = layout.n
+        self.labels, self.index, self.n, self.full = (
+            layout.labels, layout.index, n, layout.full
+        )
+        mask, self.menu_set, self.members, self.by_key, pairs = layout.tables
+        members = self.members
 
-        self.menu_set: dict[int, frozenset[str]] = {}
-        self.members: dict[int, tuple[int, ...]] = {}
         self.scaled: dict[int, Sequence[int]] = {}
         # x's likelihood on a menu is row[x] / max(row); key each positive
         # one by its reduced (num, den) pair
         keyed: dict[int, list[tuple[int, tuple[int, int]]]] = {}
         for menu, row in rows.items():
-            members = tuple(sorted(index[x] for x in menu))
-            mask = sum(1 << i for i in members)
-            self.menu_set[mask] = menu
-            self.members[mask] = members
-            self.scaled[mask] = row
+            m = mask[menu]
+            self.scaled[m] = row
             top = max(row)
             row_keys = []
-            for i in members:
+            for i in members[m]:
                 num = row[i]
                 if num:
                     g = math.gcd(num, top)
                     row_keys.append((i, (num // g, top // g)))
-            keyed[mask] = row_keys
-        self.by_key = tuple(sorted(self.members, key=self.members.__getitem__))
+            keyed[m] = row_keys
 
         distinct = {key for row in keyed.values() for _, key in row}
         order = ascending(Fraction(*key) for key in distinct)
@@ -93,15 +122,15 @@ class SubjectCore:
         # a key is its value's reduced (numerator, denominator)
         rank_of = {(v.numerator, v.denominator): r for r, v in enumerate(order, 1)}
         self.rank: dict[int, list[int]] = {}
-        for mask, row_keys in keyed.items():
+        for m, row_keys in keyed.items():
             row_rank = [0] * n
             for i, key in row_keys:
                 row_rank[i] = rank_of[key]
-            self.rank[mask] = row_rank
+            self.rank[m] = row_rank
 
         self.pair_rank = [[0] * n for _ in range(n)]
-        for i, j in itertools.combinations(range(n), 2):
-            row_rank = self.rank[1 << i | 1 << j]
+        for i, j, m in pairs:
+            row_rank = self.rank[m]
             self.pair_rank[i][j], self.pair_rank[j][i] = row_rank[i], row_rank[j]
 
     def supersets(self, mask: int) -> Iterator[int]:

@@ -28,7 +28,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .choice import Menu, as_menu, menu_str
+from .choice import Menu, as_menu, menu_str, menu_table
+from .core import MenuLayout
 from .rationals import RATIONAL_TEXT_CAP, common_scale, format_rational, to_probability
 from .scf import DomainKind, StochasticChoiceFunction, missing_menus
 
@@ -211,10 +212,15 @@ class ChoiceDataset:
     nonnegative integer per label of the subject (the union of its menus)
     in sorted order, in lowest terms, so that a label's probability on the
     menu is its entry over the row's sum.  Every menu is a frozenset of at
-    least two alternatives.  :meth:`scf` infers the subject's domain kind
-    and builds a :class:`~stochrat.scf.StochasticChoiceFunction` on these
-    rows (:meth:`~stochrat.scf.StochasticChoiceFunction.from_rows`), which
+    least two alternatives.  :meth:`scf` builds a
+    :class:`~stochrat.scf.StochasticChoiceFunction` on these rows
+    (:meth:`~stochrat.scf.StochasticChoiceFunction.from_rows`), which
     validates them and the domain.
+
+    Subjects on equal menu sets share one
+    :class:`~stochrat.core.MenuLayout`, made at the first :meth:`scf` on
+    those menus: its domain kind is inferred and its labels checked once,
+    and its menu tables are built at the first core that reads them.
     """
 
     def __init__(self, table: Mapping[str, Mapping[Menu, Sequence[int]]]) -> None:
@@ -228,6 +234,8 @@ class ChoiceDataset:
                         "of at least two alternatives"
                     )
         self._table = {subject: table[subject] for subject in sorted(table)}
+        # a menu set -> its domain kind and layout
+        self._layouts: dict[frozenset[Menu], tuple[DomainKind, MenuLayout]] = {}
 
     def subject_ids(self) -> list[str]:
         return list(self._table)
@@ -263,8 +271,16 @@ class ChoiceDataset:
         self, subject: str, max_universe: Optional[int] = None
     ) -> StochasticChoiceFunction:
         menus = self._subject(subject)
-        kind = self.domain_kind(subject)
-        return StochasticChoiceFunction.from_rows(menus, kind, max_universe)
+        key = frozenset(menus)
+        shared = self._layouts.get(key)
+        if shared is None:
+            kind = self.domain_kind(subject)
+            labels = menu_table(menus)[1]
+            shared = self._layouts[key] = kind, MenuLayout(labels, menus)
+        kind, layout = shared
+        return StochasticChoiceFunction.from_rows(
+            menus, kind, max_universe, layout=layout
+        )
 
 
 # -- file front ends ---------------------------------------------------------

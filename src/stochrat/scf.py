@@ -36,7 +36,7 @@ from .choice import (
     menu_table,
     sort_menus,
 )
-from .core import SubjectCore
+from .core import MenuLayout, SubjectCore
 from .errors import CapacityError
 from .rationals import RationalLike, common_scale, to_probability
 
@@ -157,7 +157,8 @@ class StochasticChoiceFunction:
     ) -> None:
         domain_kind = DomainKind(domain_kind)
         table, labels = menu_table(probabilities)
-        index = {x: i for i, x in enumerate(labels)}
+        layout = MenuLayout(labels, table)
+        index = layout.index
         for menu, dist in table.items():
             _check_size(menu)
             values: dict[str, tuple[int, int]] = {}
@@ -181,10 +182,10 @@ class StochasticChoiceFunction:
                     f"probabilities on menu {menu_str(menu)} sum to "
                     f"{Fraction(total, scale)}, not 1"
                 )
-            row = table[menu] = [0] * len(labels)
+            row = table[menu] = [0] * layout.n
             for alt, num in zip(values, nums):
                 row[index[alt]] = num
-        self._build(table, labels, domain_kind, max_universe)
+        self._build(table, layout, domain_kind, max_universe)
 
     @classmethod
     def from_rows(
@@ -192,26 +193,37 @@ class StochasticChoiceFunction:
         rows: Mapping[Iterable[str], Sequence[int]],
         domain_kind: DomainKind = DomainKind.FULL,
         max_universe: Optional[int] = None,
+        *,
+        layout: Optional[MenuLayout] = None,
     ) -> "StochasticChoiceFunction":
         """The subject whose menus have the given integer rows: one
         nonnegative entry per label of the menus in sorted order, zero off
         the menu, in lowest terms; an entry over its row's sum is that
-        label's probability.  Validated as by the constructor."""
+        label's probability.  Validated as by the constructor.
+
+        ``layout``, when given, is the layout of exactly these menus, whose
+        labels have passed :func:`~stochrat.choice.menu_table`: a dataset
+        shares one among its subjects on equal menu sets.  The rows are
+        checked all the same."""
         domain_kind = DomainKind(domain_kind)
         scf = cls.__new__(cls)
-        scf._build(*menu_table(rows), domain_kind, max_universe)
+        if layout is None:
+            table, labels = menu_table(rows)
+            layout = MenuLayout(labels, table)
+        else:
+            table = dict(rows)
+        scf._build(table, layout, domain_kind, max_universe)
         return scf
 
     def _build(
         self,
         table: dict[Menu, Sequence[int]],
-        labels: tuple[str, ...],
+        layout: MenuLayout,
         domain_kind: DomainKind,
         max_universe: Optional[int],
     ) -> None:
         """Validate the integer rows and the domain, and keep the rows."""
-        n = len(labels)
-        index = {x: i for i, x in enumerate(labels)}
+        labels, index, n = layout.labels, layout.index, layout.n
         for menu, row in table.items():
             _check_size(menu)
             row = table[menu] = tuple(row)
@@ -247,6 +259,7 @@ class StochasticChoiceFunction:
             )
 
         self._kind = domain_kind
+        self._layout = layout
         self._universe = labels
         self._rows: dict[Menu, tuple[int, ...]] = table
 
@@ -266,7 +279,7 @@ class StochasticChoiceFunction:
     @functools.cached_property
     def core(self) -> SubjectCore:
         """Rank-coded integer tables of this subject, built on first use."""
-        return SubjectCore(self._universe, self._rows)
+        return SubjectCore(self._layout, self._rows)
 
     def _row(self, menu: Iterable[str], x: Optional[str] = None) -> dict[str, int]:
         """The menu's members and their integer numerators, which sum to the

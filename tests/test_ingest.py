@@ -6,10 +6,13 @@ the ingest divides out, ``p/q`` cells not in lowest terms, decimal cells,
 and menus whose zero-probability members are omitted or written out.
 Each is read as CSV and as JSON, and the subjects built from it must hold
 exactly the probabilities, likelihoods, cuts and core tables that
-``oracles.core_tables`` computes from the generating table.  A second part
-pins the message of every dataset error.
+``oracles.core_tables`` computes from the generating table.  Subjects on
+equal menu sets must share one menu layout and still get the cores and the
+error messages of subjects built alone.  A last part pins the message of
+every dataset error.
 """
 
+import functools
 import itertools
 import json
 from fractions import Fraction
@@ -22,12 +25,17 @@ from stochrat import (
     SplitMix64,
     StochasticChoiceFunction,
     parse_dataset,
+    random_scf,
+    scf_to_rows,
     threshold_cuts,
+    write_dataset_csv,
 )
 
 from stochrat import dataset as dataset_module
+from stochrat.core import MenuLayout
 from stochrat.rationals import to_probability
 
+from conftest import FIXTURES
 from oracles import core_tables, likelihoods
 
 LABELS = ["a", "b", "c", "d", "e", "f", "g"]
@@ -183,6 +191,111 @@ def test_the_core_keeps_the_datasets_rows_without_copying():
     core = ChoiceDataset({"s1": table}).scf("s1").core
     for mask, menu in core.menu_set.items():
         assert core.scaled[mask] is table[menu]
+
+
+# -- menu layouts shared by subjects on equal menu sets ---------------------------
+
+CORE_FIELDS = {"labels", "index", "n", "full", "menu_set", "members", "by_key",
+               "scaled", "cuts", "rank", "pair_rank"}
+
+
+def mixed_panel(tmp_path):
+    """A parsed seeded panel: pairwise n = 5 subjects on two label sets and
+    full-domain subjects at n = 4-6, several of them on equal menu sets."""
+    plan = [("pairwise", "abcde")] * 4 + [("pairwise", "vwxyz"), ("full", "abcd"),
+            ("full", "abcd"), ("full", "abcde"), ("full", "abcde"), ("full", "abcdef")]
+    rows = []
+    for k, (kind, labels) in enumerate(plan):
+        scf = random_scf(2400 + k, labels, 10 + k, DomainKind(kind))
+        rows += scf_to_rows(scf, subject=f"p{k:02d}")
+    write_dataset_csv(tmp_path / "panel.csv", rows)
+    return parse_dataset(tmp_path / "panel.csv")
+
+
+@pytest.mark.parametrize("source", ["fixture", "mixed"])
+def test_subjects_on_equal_menus_share_one_layout_and_keep_their_cores(
+    tmp_path, source
+):
+    if source == "fixture":
+        dataset = parse_dataset(FIXTURES / "pairwise5_panel26.csv")
+    else:
+        dataset = mixed_panel(tmp_path)
+    subjects = dataset.subject_ids()
+    built = {subject: dataset.scf(subject) for subject in subjects}
+    by_menus: dict = {}
+    for subject, scf in built.items():
+        by_menus.setdefault(frozenset(scf.menus()), []).append(scf)
+        rows = dataset._table[subject]
+        alone = StochasticChoiceFunction.from_rows(rows, scf.domain_kind)
+        assert alone._layout is not scf._layout
+        assert set(vars(scf.core)) == CORE_FIELDS
+        assert vars(scf.core) == vars(alone.core), subject
+    assert len(dataset._layouts) == len(by_menus)
+    for shared in by_menus.values():
+        assert len({id(scf._layout) for scf in shared}) == 1
+    if source == "fixture":
+        assert len(by_menus) == 1 and len(subjects) == 26
+    else:
+        assert sorted(map(len, by_menus.values())) == [1, 1, 2, 2, 4]
+
+
+def test_subjects_build_no_menu_tables_before_their_first_core(tmp_path, monkeypatch):
+    built = []
+    tables = MenuLayout.tables.func
+
+    def counted(layout):
+        built.append(layout)
+        return tables(layout)
+
+    monkeypatch.setattr(MenuLayout, "tables", functools.cached_property(counted))
+    MenuLayout.tables.__set_name__(MenuLayout, "tables")
+    dataset = mixed_panel(tmp_path)
+    subjects = [dataset.scf(subject) for subject in dataset.subject_ids()]
+    assert built == []
+    subjects[0].core
+    assert built == [subjects[0]._layout]
+    for scf in subjects:
+        scf.core
+    assert len(built) == len(dataset._layouts) == 5
+
+
+def _shared_pairs(labels, bad_row=None):
+    """Two subjects on the pairwise menus over ``labels``; the second's row
+    of the first menu is ``bad_row`` when given."""
+    menus = [frozenset(pair) for pair in itertools.combinations(labels, 2)]
+    good = {menu: tuple(int(x in menu) for x in sorted(labels, key=str)) for menu in menus}
+    second = dict(good)
+    if bad_row is not None:
+        second[menus[0]] = bad_row
+    return good, second
+
+
+@pytest.mark.parametrize(
+    "labels,bad_row,message",
+    [
+        (("", "a", "b"), None, "alternative labels must be nonempty strings: ''"),
+        (("a", "b", 3), None, "alternative labels must be nonempty strings: 3"),
+        ("abc", (2, 2, 0),
+         "row of menu {a,b} is not 3 nonnegative integers in lowest terms, "
+         "zero off the menu"),
+        ("abc", (1, 1, 1),
+         "row of menu {a,b} is not 3 nonnegative integers in lowest terms, "
+         "zero off the menu"),
+    ],
+    ids=["empty-label", "int-label", "not-lowest-terms", "nonzero-off-menu"],
+)
+@pytest.mark.parametrize("first", ["s1", "s2"])
+def test_shared_menus_are_checked_for_every_subject(labels, bad_row, message, first):
+    good, second = _shared_pairs(labels, bad_row)
+    dataset = ChoiceDataset({"s1": good, "s2": second})
+    order = [first, "s2" if first == "s1" else "s1"]
+    for subject in order:
+        if bad_row is None or subject == "s2":
+            with pytest.raises(ValueError) as info:
+                dataset.scf(subject)
+            assert str(info.value) == message
+        else:
+            dataset.scf(subject).core
 
 
 def test_a_parse_time_sum_error_comes_before_an_incomplete_subject(tmp_path):

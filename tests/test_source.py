@@ -93,6 +93,28 @@ def test_library_modules_read_only_their_own_private_attributes():
     assert found == []
 
 
+def test_library_keeps_no_function_cache():
+    # ``functools.cache`` and ``lru_cache`` hold their arguments and results
+    # for the life of the process, shared by every caller; state shared
+    # between subjects belongs to an object the caller creates, as a
+    # dataset's menu layouts belong to the dataset
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [node.attr] if node.value.id == "functools" else []
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name in ("cache", "lru_cache")
+            ]
+    assert found == []
+
+
 def test_json_is_parsed_only_by_dataset_read_json():
     # one reader keeps every JSON number's text and turns nesting too deep
     # to decode into a data error, for datasets and model specs alike
