@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .choice import Menu, as_menu, menu_str, menu_table
 from .core import MenuLayout
 from .rationals import RATIONAL_TEXT_CAP, common_scale, format_rational, to_probability
-from .scf import DomainKind, StochasticChoiceFunction, missing_menus
+from .scf import StochasticChoiceFunction
 
 
 class _RowFault(ValueError):
@@ -219,8 +219,8 @@ class ChoiceDataset:
 
     Subjects on equal menu sets share one
     :class:`~stochrat.core.MenuLayout`, made at the first :meth:`scf` on
-    those menus: its domain kind is inferred and its labels checked once,
-    and its menu tables are built at the first core that reads them.
+    those menus: its labels are checked once, and its menu tables are built
+    at the first core that reads them.
     """
 
     def __init__(self, table: Mapping[str, Mapping[Menu, Sequence[int]]]) -> None:
@@ -234,8 +234,8 @@ class ChoiceDataset:
                         "of at least two alternatives"
                     )
         self._table = {subject: table[subject] for subject in sorted(table)}
-        # a menu set -> its domain kind and layout
-        self._layouts: dict[frozenset[Menu], tuple[DomainKind, MenuLayout]] = {}
+        # a menu set -> its layout
+        self._layouts: dict[frozenset[Menu], MenuLayout] = {}
 
     def subject_ids(self) -> list[str]:
         return list(self._table)
@@ -246,41 +246,23 @@ class ChoiceDataset:
         except KeyError:
             raise ValueError(f"unknown subject {subject!r}") from None
 
-    def domain_kind(self, subject: str) -> DomainKind:
-        """Infer the domain kind from the menus present.
-
-        Menus that all have two members are a pairwise domain (this wins
-        for a two-label universe, where the kinds coincide); any larger
-        menu makes it a full domain.  The menus are distinct subsets of the
-        subject's labels with two or more members each, so the domain is
-        complete exactly when they are as many as it has; an incomplete
-        domain is an error that names its first missing menu.
-        """
-        menus = self._subject(subject)
-        labels = set().union(*menus)
-        pairwise = all(len(menu) == 2 for menu in menus)
-        kind = DomainKind.PAIRWISE if pairwise else DomainKind.FULL
-        if len(menus) < kind.menu_count(len(labels)):
-            raise ValueError(
-                f"subject {subject!r} covers an incomplete domain: "
-                + missing_menus(labels, kind, menus)
-            )
-        return kind
-
     def scf(
         self, subject: str, max_universe: Optional[int] = None
     ) -> StochasticChoiceFunction:
+        """The subject's :class:`~stochrat.scf.StochasticChoiceFunction`,
+        which infers its domain kind from its menus; a ``ValueError`` from
+        building it names the subject."""
         menus = self._subject(subject)
         key = frozenset(menus)
-        shared = self._layouts.get(key)
-        if shared is None:
-            kind = self.domain_kind(subject)
-            labels = menu_table(menus)[1]
-            shared = self._layouts[key] = kind, MenuLayout(labels, menus)
-        kind, layout = shared
-        return StochasticChoiceFunction.from_rows(
-            menus, kind, max_universe, layout=layout
-        )
+        try:
+            layout = self._layouts.get(key)
+            if layout is None:
+                layout = self._layouts[key] = MenuLayout(menu_table(menus)[1], menus)
+            return StochasticChoiceFunction.from_rows(
+                menus, max_universe=max_universe, layout=layout
+            )
+        except ValueError as exc:
+            raise ValueError(f"subject {subject!r}: {exc}") from None
 
 
 # -- file front ends ---------------------------------------------------------

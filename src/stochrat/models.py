@@ -117,7 +117,7 @@ def general_luce(
         focus = chosen_sets.get(menu, menu)
         total = sum(u[x] for x in focus)
         table[menu] = {x: (u[x] / total if x in focus else _ZERO) for x in menu}
-    return StochasticChoiceFunction(table, DomainKind.FULL, max_universe=max_universe)
+    return StochasticChoiceFunction(table, max_universe=max_universe)
 
 
 def two_stage_luce(
@@ -203,7 +203,7 @@ def drum(
         row[_argmax(u, menu)] += theta
         row[_argmax(v, menu)] += _ONE - theta
         table[menu] = row
-    return StochasticChoiceFunction(table, DomainKind.FULL, max_universe=max_universe)
+    return StochasticChoiceFunction(table, max_universe=max_universe)
 
 
 def rum(
@@ -238,7 +238,7 @@ def rum(
         for utility, weight in parsed:
             row[_argmax(utility, menu)] += weight
         table[menu] = row
-    return StochasticChoiceFunction(table, DomainKind.FULL, max_universe=max_universe)
+    return StochasticChoiceFunction(table, max_universe=max_universe)
 
 
 # -- consistency predicates for ranking mixtures ----------------------------
@@ -352,7 +352,7 @@ def tremble(
         row = {x: noise for x in menu}
         row[_argmax(u, menu)] += a
         table[menu] = row
-    return StochasticChoiceFunction(table, DomainKind.FULL, max_universe=max_universe)
+    return StochasticChoiceFunction(table, max_universe=max_universe)
 
 
 def tremble_irrationality(size: int, alpha: RationalLike) -> IntervalUnion:
@@ -458,9 +458,7 @@ def mum_pairwise(
                 f"on {menu_str(pair)}"
             )
         table[pair] = {x: table_f[arg], y: _ONE - table_f[arg]}
-    return StochasticChoiceFunction(
-        table, DomainKind.PAIRWISE, max_universe=max_universe
-    )
+    return StochasticChoiceFunction(table, max_universe=max_universe)
 
 
 # -- seeded random instances --------------------------------------------------
@@ -493,7 +491,7 @@ def random_scf(
             weights[0] = 1
         total = sum(weights)
         table[menu] = {x: Fraction(w, total) for x, w in zip(members, weights)}
-    return StochasticChoiceFunction(table, domain_kind, max_universe=max_universe)
+    return StochasticChoiceFunction(table, max_universe=max_universe)
 
 
 def random_ranking_utility(gen: SplitMix64, universe: Iterable[str]) -> Utility:

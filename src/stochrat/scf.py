@@ -1,7 +1,8 @@
 """Stochastic choice functions and their threshold correspondences.
 
 A stochastic choice function (SCF) assigns each menu a probability
-distribution over its members.  Two domains are supported:
+distribution over its members.  Two domains are supported, and the menus
+say which (any menu of three or more members makes the domain full):
 
 * ``FULL``: every menu of size >= 2 over the universe (singletons are
   implicit and always pick their only member);
@@ -139,9 +140,10 @@ class StochasticChoiceFunction:
     ``probabilities`` maps menus to member -> probability mappings.
     Members omitted from a menu's mapping get probability zero.  Values
     may be Fractions, ints, or rational strings (parsed exactly).  The
-    universe is the menus' labels; validation is eager: the domain over it
-    must be complete for its kind, every menu must sum to one, and its size
-    must respect the cap (``max_universe`` when given).
+    universe is the menus' labels and the domain kind is inferred from the
+    menus; validation is eager: the domain over the universe must be
+    complete for its kind, every menu must sum to one, and its size must
+    respect the cap (``max_universe`` when given).
 
     Each menu is kept as one integer row, the form :meth:`from_rows`
     takes: the numerators of its probabilities in lowest terms, one per
@@ -152,10 +154,9 @@ class StochasticChoiceFunction:
     def __init__(
         self,
         probabilities: Mapping[Iterable[str], Mapping[str, RationalLike]],
-        domain_kind: DomainKind = DomainKind.FULL,
+        *,
         max_universe: Optional[int] = None,
     ) -> None:
-        domain_kind = DomainKind(domain_kind)
         table, labels = menu_table(probabilities)
         layout = MenuLayout(labels, table)
         index = layout.index
@@ -185,15 +186,14 @@ class StochasticChoiceFunction:
             row = table[menu] = [0] * layout.n
             for alt, num in zip(values, nums):
                 row[index[alt]] = num
-        self._build(table, layout, domain_kind, max_universe)
+        self._build(table, layout, max_universe)
 
     @classmethod
     def from_rows(
         cls,
         rows: Mapping[Iterable[str], Sequence[int]],
-        domain_kind: DomainKind = DomainKind.FULL,
-        max_universe: Optional[int] = None,
         *,
+        max_universe: Optional[int] = None,
         layout: Optional[MenuLayout] = None,
     ) -> "StochasticChoiceFunction":
         """The subject whose menus have the given integer rows: one
@@ -205,24 +205,23 @@ class StochasticChoiceFunction:
         labels have passed :func:`~stochrat.choice.menu_table`: a dataset
         shares one among its subjects on equal menu sets.  The rows are
         checked all the same."""
-        domain_kind = DomainKind(domain_kind)
         scf = cls.__new__(cls)
         if layout is None:
             table, labels = menu_table(rows)
             layout = MenuLayout(labels, table)
         else:
             table = dict(rows)
-        scf._build(table, layout, domain_kind, max_universe)
+        scf._build(table, layout, max_universe)
         return scf
 
     def _build(
         self,
         table: dict[Menu, Sequence[int]],
         layout: MenuLayout,
-        domain_kind: DomainKind,
         max_universe: Optional[int],
     ) -> None:
-        """Validate the integer rows and the domain, and keep the rows."""
+        """Validate the integer rows, infer the domain kind from the menus
+        and check the domain, and keep the rows."""
         labels, index, n = layout.labels, layout.index, layout.n
         for menu, row in table.items():
             _check_size(menu)
@@ -241,24 +240,19 @@ class StochasticChoiceFunction:
                     "integers in lowest terms, zero off the menu"
                 )
 
-        check_universe(n, domain_kind, max_universe)
-        pairwise = domain_kind is DomainKind.PAIRWISE
-        extra = [m for m in table if len(m) > 2] if pairwise else []
-        # Every menu is a distinct subset of the universe with at least two
-        # members, so the domain is complete exactly when the menus of the
-        # domain's sizes are as many as the domain has.
-        if len(table) - len(extra) < domain_kind.menu_count(n):
+        # A two-label universe, where the kinds coincide, is pairwise.  Every
+        # menu is a distinct subset of the universe with at least two members,
+        # so the domain is complete exactly when its menus are as many as the
+        # kind has.
+        pairwise = all(len(menu) == 2 for menu in table)
+        kind = DomainKind.PAIRWISE if pairwise else DomainKind.FULL
+        if len(table) < kind.menu_count(n):
             raise ValueError(
-                f"incomplete {domain_kind.value} domain: "
-                + missing_menus(labels, domain_kind, table)
+                f"incomplete {kind.value} domain: " + missing_menus(labels, kind, table)
             )
-        if extra:
-            raise ValueError(
-                f"menu {menu_str(sort_menus(extra)[0])} does not belong to the "
-                f"{domain_kind.value} domain over {n} alternatives"
-            )
+        check_universe(n, kind, max_universe)
 
-        self._kind = domain_kind
+        self._kind = kind
         self._layout = layout
         self._universe = labels
         self._rows: dict[Menu, tuple[int, ...]] = table
@@ -327,11 +321,8 @@ class StochasticChoiceFunction:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StochasticChoiceFunction):
             return NotImplemented
-        return (
-            self._kind == other._kind
-            and self._universe == other._universe
-            and self._rows == other._rows
-        )
+        # the rows' menus fix the universe and the domain kind
+        return self._rows == other._rows
 
     def __repr__(self) -> str:
         return (

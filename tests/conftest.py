@@ -49,7 +49,6 @@ def _luce_with_a_flat_pair(size):
     pair = frozenset((labels[0], labels[-1]))
     return StochasticChoiceFunction(
         {m: (flat if m == pair else base).menu_probs(m) for m in base.menus()},
-        DomainKind.FULL,
     )
 
 
@@ -95,7 +94,7 @@ def demo_scf():
             ),
         ]
     )
-    return StochasticChoiceFunction(table, DomainKind.FULL)
+    return StochasticChoiceFunction(table)
 
 
 @pytest.fixture
@@ -108,7 +107,7 @@ def pairwise_cycle_23():
             (("x", "z"), {"x": Fraction(1, 3), "z": Fraction(2, 3)}),
         ]
     )
-    return StochasticChoiceFunction(table, DomainKind.PAIRWISE)
+    return StochasticChoiceFunction(table)
 
 
 @pytest.fixture
@@ -122,4 +121,4 @@ def pairwise_cycle_07():
             (("x", "z"), {"x": Fraction(3, 10), "z": Fraction(7, 10)}),
         ]
     )
-    return StochasticChoiceFunction(table, DomainKind.PAIRWISE)
+    return StochasticChoiceFunction(table)

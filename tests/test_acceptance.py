@@ -74,7 +74,7 @@ def _demo_scf():
             (("x", "y", "z"), {"x": F(6, 13), "y": F(1, 13), "z": F(6, 13)}),
         ]
     )
-    return StochasticChoiceFunction(table, DomainKind.FULL)
+    return StochasticChoiceFunction(table)
 
 
 def test_01_demo_subject_interval_set_and_index():
@@ -302,9 +302,7 @@ def test_10_almost_moderate_failures_are_never_maximal():
 
 
 def test_11_swap_index_values_and_order_reversal():
-    coin = StochasticChoiceFunction(
-        {frozenset(("x", "y")): {"x": F(1, 2), "y": F(1, 2)}}, DomainKind.PAIRWISE
-    )
+    coin = StochasticChoiceFunction({frozenset(("x", "y")): {"x": F(1, 2), "y": F(1, 2)}})
     coin_swap = swap_index(coin)
     assert coin_swap.value == F(1, 2)
     assert coin_swap.optimal_orders == 2
@@ -319,7 +317,6 @@ def test_11_swap_index_values_and_order_reversal():
                 (("x", "y", "z"), {"x": F(1, 3), "y": F(1, 3), "z": F(1, 3)}),
             ]
         ),
-        DomainKind.FULL,
     )
     assert swap_index(smooth).value == F(66137, 27417)
     assert swap_index(cycle).value == F(23, 10)
@@ -374,7 +371,6 @@ def test_13_maximal_rationality_without_total_rationality():
                 (("xp", "y"), {"xp": F(1, 2), "y": F(1, 2)}),
             ]
         ),
-        DomainKind.PAIRWISE,
     )
     sets = irrationality_sets(twin)
     assert sets.maximally_rational

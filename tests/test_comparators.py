@@ -34,10 +34,7 @@ F = Fraction
 
 
 def coin():
-    return StochasticChoiceFunction(
-        {frozenset(("x", "y")): {"x": F(1, 2), "y": F(1, 2)}},
-        DomainKind.PAIRWISE,
-    )
+    return StochasticChoiceFunction({frozenset(("x", "y")): {"x": F(1, 2), "y": F(1, 2)}})
 
 
 def cycle_scf(p):
@@ -53,7 +50,6 @@ def cycle_scf(p):
                 "z": F(1, 3),
             },
         },
-        DomainKind.FULL,
     )
 
 
@@ -139,7 +135,6 @@ def coin_pairs(labels):
             frozenset(pair): dict.fromkeys(pair, F(1, 2))
             for pair in itertools.combinations(labels, 2)
         },
-        DomainKind.PAIRWISE,
     )
 
 
@@ -159,7 +154,6 @@ def test_swap_is_label_invariant():
             }
             for menu in scf.menus()
         },
-        scf.domain_kind,
     )
     assert swap_index(scf).value == swap_index(relabeled).value
 
@@ -186,7 +180,7 @@ def ranked_pairs(reversed_pair=()):
         else:
             better, worse = (y, x) if (x, y) == reversed_pair else (x, y)
             table[frozenset((x, y))] = {better: F(2, 3), worse: F(1, 3)}
-    return StochasticChoiceFunction(table, DomainKind.PAIRWISE)
+    return StochasticChoiceFunction(table)
 
 
 def oracle_total_regions(scf):
@@ -242,7 +236,6 @@ def twin_pairwise():
             frozenset(("x", "xp")): {"xp": F(1)},
             frozenset(("xp", "y")): {"xp": F(1, 2), "y": F(1, 2)},
         },
-        DomainKind.PAIRWISE,
     )
 
 
@@ -253,7 +246,6 @@ def uniform_pairwise():
             frozenset(("x", "xp")): {"x": F(1, 2), "xp": F(1, 2)},
             frozenset(("xp", "y")): {"xp": F(1, 2), "y": F(1, 2)},
         },
-        DomainKind.PAIRWISE,
     )
 
 

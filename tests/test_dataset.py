@@ -64,16 +64,16 @@ def parse_json_doc(tmp_path):
 def test_parse_probability_rows(parse_csv):
     ds = parse_csv(FULL3_PROB)
     assert ds.subject_ids() == ["s1"]
-    assert ds.domain_kind("s1") is DomainKind.FULL
     scf = ds.scf("s1")
+    assert scf.domain_kind is DomainKind.FULL
     assert scf.pair_prob("x", "y") == F(4, 5)
     assert scf.prob("y", frozenset(("x", "y", "z"))) == F(1, 13)
 
 
 def test_parse_count_rows(parse_csv):
     ds = parse_csv(PAIRWISE_COUNTS)
-    assert ds.domain_kind("s1") is DomainKind.PAIRWISE
     scf = ds.scf("s1")
+    assert scf.domain_kind is DomainKind.PAIRWISE
     assert scf.pair_prob("a", "b") == F(7, 10)
     assert scf.pair_prob("a", "c") == F(1, 2)
 
@@ -99,13 +99,13 @@ def test_multiple_subjects_with_distinct_domains(parse_csv):
     body = FULL3_PROB + PAIRWISE_COUNTS.replace("s1", "s2")
     ds = parse_csv(body)
     assert ds.subject_ids() == ["s1", "s2"]
-    assert ds.domain_kind("s1") is DomainKind.FULL
-    assert ds.domain_kind("s2") is DomainKind.PAIRWISE
+    assert ds.scf("s1").domain_kind is DomainKind.FULL
+    assert ds.scf("s2").domain_kind is DomainKind.PAIRWISE
 
 
 def test_two_alternative_subject_is_pairwise(parse_csv):
     ds = parse_csv("s1,a|b,a,,0.5\ns1,a|b,b,,0.5\n")
-    assert ds.domain_kind("s1") is DomainKind.PAIRWISE
+    assert ds.scf("s1").domain_kind is DomainKind.PAIRWISE
 
 
 # -- CSV validation -----------------------------------------------------------------
@@ -190,7 +190,7 @@ s1,x|y|z,x,,1
 """
     ds = parse_csv(body)
     with pytest.raises(ValueError, match=r"\{x,z\}"):
-        ds.domain_kind("s1")
+        ds.scf("s1")
 
 
 def test_probability_out_of_range(parse_csv):
@@ -311,8 +311,10 @@ def test_scf_to_rows_omits_zero_probabilities(parse_csv):
 
 def test_max_universe_threaded_through(parse_csv):
     ds = parse_csv(PAIRWISE_COUNTS)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as info:
         ds.scf("s1", max_universe=2)
+    # not a ValueError, so the dataset passes it on as it is
+    assert str(info.value) == "universe of 3 alternatives exceeds the pairwise-domain cap of 2"
 
 
 def test_panel_fixture_script_is_reproducible(tmp_path):

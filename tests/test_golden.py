@@ -292,7 +292,6 @@ def wide_dataset(tmp_path_factory):
         )[0],
         "flat pair": StochasticChoiceFunction(
             {m: (flat if m == flat_pair else base).menu_probs(m) for m in base.menus()},
-            DomainKind.FULL,
         ),
         # contraction selectivity fails here, yet no one-element step does
         "zeros abxy": StochasticChoiceFunction(
@@ -336,11 +335,9 @@ def wide_dataset(tmp_path_factory):
                 m: {x: (p + tremble9.prob(x, m)) / 2 for x, p in luce9.menu_probs(m).items()}
                 for m in luce9.menus()
             },
-            DomainKind.FULL,
         ),
         "zeros": StochasticChoiceFunction(
             {m: (maximizer9 if top <= m else luce9).menu_probs(m) for m in luce9.menus()},
-            DomainKind.FULL,
         ),
     }
     folder = tmp_path_factory.mktemp("wide")

@@ -125,9 +125,9 @@ def test_ingest_matches_fraction_formulas(tmp_path, seed, suffix):
     dataset = parse_dataset(path)
     assert dataset.subject_ids() == sorted(expected)
     for subject, (kind, table) in expected.items():
-        assert dataset.domain_kind(subject) is kind
         scf = dataset.scf(subject)
-        assert scf == StochasticChoiceFunction(table, kind)
+        assert scf.domain_kind is kind
+        assert scf == StochasticChoiceFunction(table)
         lik = likelihoods(table)
         for menu, row in table.items():
             assert scf.menu_probs(menu) == {x: row.get(x, 0) for x in sorted(menu)}
@@ -226,7 +226,7 @@ def test_subjects_on_equal_menus_share_one_layout_and_keep_their_cores(
     for subject, scf in built.items():
         by_menus.setdefault(frozenset(scf.menus()), []).append(scf)
         rows = dataset._table[subject]
-        alone = StochasticChoiceFunction.from_rows(rows, scf.domain_kind)
+        alone = StochasticChoiceFunction.from_rows(rows)
         assert alone._layout is not scf._layout
         assert set(vars(scf.core)) == CORE_FIELDS
         assert vars(scf.core) == vars(alone.core), subject
@@ -293,7 +293,7 @@ def test_shared_menus_are_checked_for_every_subject(labels, bad_row, message, fi
         if bad_row is None or subject == "s2":
             with pytest.raises(ValueError) as info:
                 dataset.scf(subject)
-            assert str(info.value) == message
+            assert str(info.value) == f"subject {subject!r}: {message}"
         else:
             dataset.scf(subject).core
 
@@ -315,9 +315,7 @@ def test_a_parse_time_sum_error_comes_before_an_incomplete_subject(tmp_path):
     path.write_text(HEADER + "a,x|y,x,3,\na,y|z,y,1,\n", encoding="utf-8")
     with pytest.raises(ValueError) as info:
         parse_dataset(path).scf("a")
-    assert str(info.value) == (
-        "subject 'a' covers an incomplete domain: missing menu {x,z}"
-    )
+    assert str(info.value) == "subject 'a': incomplete pairwise domain: missing menu {x,z}"
 
 
 def test_each_distinct_cell_is_parsed_once(tmp_path, monkeypatch):
@@ -503,29 +501,27 @@ PAIRS_30 = list(itertools.combinations([f"l{i:02d}" for i in range(30)], 2))
     "body,message",
     [
         ("s1,x|y,x,,1\ns1,y|z,y,,1\ns1,x|y|z,x,,1\n",
-         "subject 's1' covers an incomplete domain: missing menu {x,z}"),
+         "subject 's1': incomplete full domain: missing menu {x,z}"),
         ("s1,w|x,w,1,\ns1,y|z,y,1,\n",
-         "subject 's1' covers an incomplete domain: missing menu {w,y} and 3 more"),
+         "subject 's1': incomplete pairwise domain: missing menu {w,y} and 3 more"),
         ("s1,w|x|y,w,1,\n",
-         "subject 's1' covers an incomplete domain: missing menu {w,x} and 2 more"),
+         "subject 's1': incomplete full domain: missing menu {w,x} and 2 more"),
         ("".join(f"s1,{m},{m[0]},1,\n" for m in ("w|x", "w|y", "w|z", "x|y", "x|z", "y|z", "w|x|y")),
-         "subject 's1' covers an incomplete domain: missing menu {w,x,z} and 3 more"),
+         "subject 's1': incomplete full domain: missing menu {w,x,z} and 3 more"),
         # 30 labels: all pairs but one, and the same pairs beside one triple.
         ("".join(f"s1,{a}|{b},{a},1,\n" for a, b in PAIRS_30[1:]),
-         "subject 's1' covers an incomplete domain: missing menu {l00,l01}"),
+         "subject 's1': incomplete pairwise domain: missing menu {l00,l01}"),
         ("".join(f"s1,{a}|{b},{a},1,\n" for a, b in PAIRS_30[1:]) + "s1,l00|l01|l02,l00,1,\n",
-         "subject 's1' covers an incomplete domain: missing menu {l00,l01} and "
+         "subject 's1': incomplete full domain: missing menu {l00,l01} and "
          f"{2**30 - 30 - 1 - 435 - 1} more"),
     ],
 )
 def test_incomplete_domain_messages(tmp_path, body, message):
     path = tmp_path / "data.csv"
     path.write_text(HEADER + body, encoding="utf-8")
-    dataset = parse_dataset(path)
-    for call in (dataset.domain_kind, dataset.scf):
-        with pytest.raises(ValueError) as info:
-            call("s1")
-        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        parse_dataset(path).scf("s1")
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import stochrat
 from stochrat import (
     DomainKind,
     SplitMix64,
+    StochasticChoiceFunction,
     classify_transitivity,
     consistent_over_triplets,
     consistent_over_tuples,
@@ -35,6 +36,8 @@ from stochrat import (
     uniform_drum,
     uniform_drum_irrationality,
 )
+
+from stochrat.scf import required_menus
 
 from oracles import two_stage_focus
 
@@ -494,3 +497,43 @@ def test_generator_reproducibility():
     assert random_ranking_utility(SplitMix64(7), ["p", "q"]) == random_ranking_utility(
         SplitMix64(7), ["p", "q"]
     )
+
+
+def _generated(n: int, seed: int):
+    """(expected kind, subject) for every generator of the library at n
+    labels, each drawn from a seed; full-domain generators need n >= 3."""
+    labels = [f"a{i}" for i in range(n)]
+    gen = SplitMix64(seed)
+    u, v = random_ranking_utility(gen, labels), random_ranking_utility(gen, labels)
+    positive = random_positive_utility(gen, labels)
+    pairs = [frozenset(pair) for pair in itertools.combinations(labels, 2)]
+    realized = [u[x] - u[y] for x, y in itertools.permutations(labels, 2)]
+    subjects = [
+        (DomainKind.PAIRWISE, random_scf(seed, labels, domain_kind=DomainKind.PAIRWISE)),
+        (DomainKind.PAIRWISE,
+         mum_pairwise(u, dict.fromkeys(pairs, 1), mum_response_table(realized))),
+    ]
+    if n >= 3:
+        full = [
+            random_scf(seed, labels),
+            luce(positive),
+            general_luce(positive, {tuple(labels[:3]): labels[1:3]}),
+            two_stage_luce(positive, [(labels[0], labels[1])])[0],
+            uniform_drum(u, v, F(1, 3)),
+            drum(u, v, {m: F(len(m), n + 1) for m in required_menus(labels, DomainKind.FULL)}),
+            rum([(u, F(1, 2)), (v, F(1, 4)), (random_ranking_utility(gen, labels), F(1, 4))]),
+            tremble(u, F(2, 5)),
+        ]
+        subjects += [(DomainKind.FULL, scf) for scf in full]
+    return subjects
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_every_generator_round_trips_through_the_inferring_constructor(n):
+    # the constructor reads the domain kind off the menus alone
+    for seed in (n, 100 + n):
+        for kind, scf in _generated(n, seed):
+            rebuilt = StochasticChoiceFunction({m: scf.menu_probs(m) for m in scf.menus()})
+            assert scf.domain_kind is kind
+            assert rebuilt == scf
+            assert rebuilt.domain_kind is kind

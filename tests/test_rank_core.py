@@ -154,7 +154,7 @@ def near_iia(seed: int, n: int, kind: str) -> StochasticChoiceFunction:
                 row[0], row[1] = row[1], row[0]
             g = math.gcd(*row)
             rows[frozenset(labels[i] for i in menu)] = tuple(v // g for v in row)
-    return StochasticChoiceFunction.from_rows(rows, DomainKind.FULL)
+    return StochasticChoiceFunction.from_rows(rows)
 
 
 def luce_counts(seed: int, n: int) -> StochasticChoiceFunction:
@@ -174,7 +174,7 @@ def luce_counts(seed: int, n: int) -> StochasticChoiceFunction:
             ]
             g = math.gcd(*row)
             rows[frozenset(LABELS[i] for i in menu)] = tuple(v // g for v in row)
-    return StochasticChoiceFunction.from_rows(rows, DomainKind.FULL)
+    return StochasticChoiceFunction.from_rows(rows)
 
 
 STEP_SUBJECTS = {
@@ -281,7 +281,7 @@ def _pairwise(n: int, win) -> StochasticChoiceFunction:
     for i, j in itertools.combinations(range(n), 2):
         p = win(i, j)
         table[frozenset((_label(i), _label(j)))] = {_label(i): p, _label(j): 1 - p}
-    return StochasticChoiceFunction(table, DomainKind.PAIRWISE)
+    return StochasticChoiceFunction(table)
 
 
 def _utilities(gen: SplitMix64, n: int, top: int) -> list[int]:
@@ -471,7 +471,7 @@ def _three_pairs(xy, yz, xz):
         total = sum(counts)
         table[frozenset((a, b))] = {a: Fraction(counts[0], total),
                                     b: Fraction(counts[1], total)}
-    return StochasticChoiceFunction(table, DomainKind.PAIRWISE)
+    return StochasticChoiceFunction(table)
 
 
 LONG = 10**40
@@ -559,7 +559,7 @@ def _relabelled(scf: StochasticChoiceFunction, seed: int):
         }
         for menu in scf.menus()
     }
-    return StochasticChoiceFunction(table, scf.domain_kind)
+    return StochasticChoiceFunction(table)
 
 
 @pytest.mark.parametrize("name", sorted(RELABEL))

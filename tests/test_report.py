@@ -204,6 +204,9 @@ def test_capacity_error_isolated_per_subject(tmp_path):
     by_subject = {entry.subject: entry for entry in report.subjects}
     assert isinstance(by_subject["big"], SubjectError)
     assert by_subject["big"].kind == "capacity"
+    assert by_subject["big"].message == (
+        "universe of 4 alternatives exceeds the pairwise-domain cap of 3"
+    )
     assert isinstance(by_subject["small"], SubjectAnalysis)
     # the surviving subject still gets compared (with itself only)
     assert report.comparison.names == ("small",)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,6 @@ def make_full3(pxy, pyz, pxz, px_full, py_full):
             frozenset(("x", "z")): {"x": pxz, "z": 1 - F(pxz)},
             XYZ: {"x": px_full, "y": py_full, "z": 1 - F(px_full) - F(py_full)},
         },
-        DomainKind.FULL,
     )
 
 
@@ -53,6 +53,9 @@ def test_accepts_mixed_value_types():
 
 XY, YZ, XZ = frozenset("xy"), frozenset("yz"), frozenset("xz")
 HALF = {"x": F(1, 2), "y": F(1, 2)}
+
+
+PAIRS_WXYZ = {frozenset(pair): {pair[0]: 1} for pair in itertools.combinations("wxyz", 2)}
 
 
 @pytest.mark.parametrize(
@@ -75,18 +78,32 @@ HALF = {"x": F(1, 2), "y": F(1, 2)}
          "not be supplied"),
         ({frozenset(["x", 1]): {"x": 1}}, "pairwise",
          "alternative labels must be nonempty strings: 1"),
-        ({XY: HALF}, "full", "full domain needs at least 3 alternatives; got 2"),
+        ({}, "pairwise", "pairwise domain needs at least 2 alternatives; got 0"),
         ({XY: HALF, XYZ: {"x": 1}}, "full", "incomplete full domain: missing menu {x,z} and 1 more"),
         ({XY: HALF, YZ: {"y": 1}}, "pairwise",
          "incomplete pairwise domain: missing menu {x,z}"),
-        ({XY: HALF, YZ: {"y": 1}, XZ: {"x": 1}, XYZ: {"x": 1}}, "pairwise",
-         "menu {x,y,z} does not belong to the pairwise domain over 3 alternatives"),
+        # every pair over four labels beside one triple is a full domain
+        ({**PAIRS_WXYZ, XYZ: {"x": 1}}, "pairwise",
+         "incomplete full domain: missing menu {w,x,y} and 3 more"),
     ],
 )
 def test_constructor_error_messages(table, kind, message):
     with pytest.raises(ValueError) as info:
-        StochasticChoiceFunction(table, kind)
+        StochasticChoiceFunction(table)
     assert str(info.value) == message
+    # ``kind`` is the argument that calls written for the older signature
+    # pass: it is refused before the table is read
+    with pytest.raises(TypeError):
+        StochasticChoiceFunction(table, kind)
+
+
+def test_a_positional_domain_kind_is_a_type_error():
+    # the kind is read off the menus; a stale positional kind is not taken
+    # for the keyword-only cap
+    with pytest.raises(TypeError):
+        StochasticChoiceFunction({XY: HALF}, DomainKind.FULL)
+    with pytest.raises(TypeError):
+        StochasticChoiceFunction.from_rows({XY: (1, 1)}, "pairwise")
 
 
 def test_from_rows_builds_the_subject_the_constructor_builds():
@@ -97,17 +114,16 @@ def test_from_rows_builds_the_subject_the_constructor_builds():
         XZ: {"x": F(1, 3), "z": F(2, 3)},
         XYZ: {"x": F(6, 13), "y": F(1, 13), "z": F(6, 13)},
     }
-    scf = StochasticChoiceFunction.from_rows(rows, "full")
-    assert scf == StochasticChoiceFunction(table, "full")
+    scf = StochasticChoiceFunction.from_rows(rows)
+    assert scf == StochasticChoiceFunction(table)
     assert scf.menu_probs(XYZ) == {"x": F(6, 13), "y": F(1, 13), "z": F(6, 13)}
     assert scf.support(YZ) == {"y"}
     # a row follows the sorted labels, however its menu is written
     given = StochasticChoiceFunction.from_rows(
-        {("y", "x"): (0, 1, 1), ("x", "w"): (3, 1, 0), ("y", "w"): (0, 0, 1)}, "pairwise"
+        {("y", "x"): (0, 1, 1), ("x", "w"): (3, 1, 0), ("y", "w"): (0, 0, 1)}
     )
     assert given == StochasticChoiceFunction(
-        {XY: HALF, frozenset("wx"): {"w": F(3, 4), "x": F(1, 4)}, frozenset("wy"): {"y": 1}},
-        "pairwise",
+        {XY: HALF, frozenset("wx"): {"w": F(3, 4), "x": F(1, 4)}, frozenset("wy"): {"y": 1}}
     )
 
 
@@ -129,11 +145,12 @@ BAD_ROW = "row of menu {x,y} is not %d nonnegative integers in lowest terms, zer
          "not be supplied"),
         ({("x", "y"): (1, 1), ("y", "x"): (1, 1)}, "duplicate menu {x,y}"),
         ({XY: (1, 1, 0), YZ: (0, 1, 1)}, "incomplete pairwise domain: missing menu {x,z}"),
+        ({}, "pairwise domain needs at least 2 alternatives; got 0"),
     ],
 )
 def test_from_rows_error_messages(rows, message):
     with pytest.raises(ValueError) as info:
-        StochasticChoiceFunction.from_rows(rows, "pairwise")
+        StochasticChoiceFunction.from_rows(rows)
     assert str(info.value) == message
 
 
@@ -145,7 +162,6 @@ def test_zero_fill_for_missing_members():
             frozenset(("x", "z")): {"x": F(1, 2), "z": F(1, 2)},
             XYZ: {"x": 1},
         },
-        DomainKind.FULL,
     )
     assert scf.prob("y", frozenset(("x", "y"))) == 0
     assert scf.prob("z", XYZ) == 0
@@ -160,23 +176,17 @@ def test_probabilities_must_sum_to_one():
                 frozenset(("x", "z")): {"x": F(1, 2), "z": F(1, 2)},
                 XYZ: {"x": F(1, 3), "y": F(1, 3), "z": F(1, 3)},
             },
-            DomainKind.FULL,
         )
 
 
 def test_negative_probability_rejected():
     with pytest.raises(ValueError):
-        StochasticChoiceFunction(
-            {frozenset(("x", "y")): {"x": F(3, 2), "y": F(-1, 2)}},
-            DomainKind.PAIRWISE,
-        )
+        StochasticChoiceFunction({frozenset(("x", "y")): {"x": F(3, 2), "y": F(-1, 2)}})
 
 
 def test_singleton_menu_rejected():
     with pytest.raises(ValueError, match="singleton"):
-        StochasticChoiceFunction(
-            {frozenset(("x",)): {"x": 1}}, DomainKind.PAIRWISE
-        )
+        StochasticChoiceFunction({frozenset(("x",)): {"x": 1}})
 
 
 def test_full_domain_completeness_enforced():
@@ -186,34 +196,28 @@ def test_full_domain_completeness_enforced():
                 frozenset(("x", "y")): {"x": F(1, 2), "y": F(1, 2)},
                 XYZ: {"x": 1},
             },
-            DomainKind.FULL,
         )
 
 
 def test_pairwise_domain_rejects_larger_menus():
-    with pytest.raises(ValueError):
-        StochasticChoiceFunction(
-            {
-                frozenset(("x", "y")): {"x": 1},
-                frozenset(("y", "z")): {"y": 1},
-                frozenset(("x", "z")): {"x": 1},
-                XYZ: {"x": 1},
-            },
-            DomainKind.PAIRWISE,
-        )
+    # a larger menu beside the pairs makes the domain full, which these
+    # menus leave incomplete; over three labels they complete it
+    with pytest.raises(ValueError, match="incomplete full domain"):
+        StochasticChoiceFunction({**PAIRS_WXYZ, XYZ: {"x": 1}})
+    pairs = {XY: {"x": 1}, YZ: {"y": 1}, XZ: {"x": 1}}
+    assert StochasticChoiceFunction(pairs).domain_kind is DomainKind.PAIRWISE
+    scf = StochasticChoiceFunction({**pairs, XYZ: {"x": 1}})
+    assert scf.domain_kind is DomainKind.FULL
+    assert scf.menus() == [XY, XZ, YZ, XYZ]
 
 
 def test_minimum_universe_sizes():
-    with pytest.raises(ValueError):
-        StochasticChoiceFunction(
-            {frozenset(("x", "y")): {"x": 1}}, DomainKind.FULL
-        )
-    # two alternatives are fine on the pairwise domain
-    coin = StochasticChoiceFunction(
-        {frozenset(("x", "y")): {"x": F(1, 2), "y": F(1, 2)}},
-        DomainKind.PAIRWISE,
-    )
-    assert coin.universe == ("x", "y")
+    # two alternatives make a pairwise subject, the one kind with one menu
+    for table in ({XY: {"x": 1}}, {XY: HALF}):
+        coin = StochasticChoiceFunction(table)
+        assert coin.universe == ("x", "y")
+        assert coin.domain_kind is DomainKind.PAIRWISE
+        assert coin.menus() == [XY]
 
 
 def test_universe_cap():
@@ -223,7 +227,12 @@ def test_universe_cap():
         for b in labels[i + 1 :]:
             menus[frozenset((a, b))] = {a: 1}
     with pytest.raises(CapacityError):
-        StochasticChoiceFunction(menus, DomainKind.FULL, max_universe=12)
+        StochasticChoiceFunction(menus, max_universe=12)
+    # the default cap of the kind the menus make
+    wide = [f"b{i:02d}" for i in range(65)]
+    pairs = {frozenset(pair): {pair[0]: 1} for pair in itertools.combinations(wide, 2)}
+    with pytest.raises(CapacityError, match="pairwise-domain cap of 64"):
+        StochasticChoiceFunction(pairs)
 
 
 def test_pairwise_cap_override():
@@ -233,7 +242,7 @@ def test_pairwise_cap_override():
         for b in labels[i + 1 :]:
             menus[frozenset((a, b))] = {a: 1}
     with pytest.raises(CapacityError):
-        StochasticChoiceFunction(menus, DomainKind.PAIRWISE, max_universe=4)
+        StochasticChoiceFunction(menus, max_universe=4)
 
 
 # -- accessors -------------------------------------------------------------------
@@ -333,7 +342,7 @@ def test_core_orders_likelihoods_whose_floats_tie_by_their_exact_values():
     table = {
         pair: {pair[0]: v / (1 + v), pair[1]: 1 / (1 + v)} for pair, v in lower.items()
     }
-    scf = StochasticChoiceFunction(table, DomainKind.PAIRWISE)
+    scf = StochasticChoiceFunction(table)
     core = scf.core
     assert all(a < b for a, b in zip(core.cuts, core.cuts[1:]))
     exact = sorted({Fraction(0), *lower.values()})
@@ -415,7 +424,7 @@ def test_menu_order_of_the_table_changes_nothing(seed, labels, kind):
     SplitMix64(seed).shuffle(menus)
     assert menus != list(canonical)
     shuffled = {menu: canonical[menu] for menu in menus}
-    built = [StochasticChoiceFunction(table, kind) for table in (canonical, shuffled)]
+    built = [StochasticChoiceFunction(table) for table in (canonical, shuffled)]
     left, right = built
     assert left.menus() == right.menus() == list(canonical)
     assert left.core.by_key == right.core.by_key

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -267,3 +268,14 @@ def test_lcm_is_taken_only_per_row_and_by_the_swap_index():
                 ]
                 found.append(f"{path.stem}.{'.'.join(inside) or '<module>'}")
     assert sorted(found) == ["comparators.swap_index", "rationals.common_scale"]
+
+
+def test_the_subject_infers_its_domain_kind():
+    # the menus say whether a domain is full or pairwise, so neither entry
+    # point takes a kind, and a positional argument cannot pass for the cap
+    subject = stochrat.StochasticChoiceFunction
+    for entry in (subject.__init__, subject.from_rows):
+        parameters = inspect.signature(entry).parameters
+        assert "domain_kind" not in parameters, entry.__qualname__
+        assert parameters["max_universe"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert not hasattr(stochrat.ChoiceDataset, "domain_kind")
