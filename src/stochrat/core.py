@@ -4,17 +4,15 @@ Every endpoint of a threshold set is a normalized likelihood or 0, so the
 set work only ever compares likelihoods with each other.  :class:`SubjectCore`
 replaces them by their ranks among the subject's distinct values, menus by
 bitmasks over the sorted universe, and probabilities by each menu's own
-integer row, never by a denominator common to several menus.  So the
-analysis runs on small ints and converts back to ``Fraction`` only where an
-:class:`~stochrat.intervals.IntervalUnion` comes out.
+integer row, never by a denominator common to several menus.  Likelihoods
+are keyed by reduced (num, den) int pairs; the cuts are the only
+``Fraction``s a core makes.
 
-A core is built from a validated subject's integer rows, which it keeps as
-``scaled`` without copying, and its menus' :class:`MenuLayout`, and never
-changes; the subject builds it on first use
-(``StochasticChoiceFunction.core``).  The layout holds what depends only on
-the menus, so subjects on equal menu sets share it.  Sets of full-domain menus,
-one bit per menu, are built per call (``menu_bitsets``) and not kept: at
-n = 12 they hold a 4,096-bit int per distinct rank of each alternative.
+A core is built on first use (``StochasticChoiceFunction.core``) from a
+validated subject's integer rows and its menus' :class:`MenuLayout`, and
+never changes.  Sets of full-domain menus, one bit per menu, are built per
+call (``menu_bitsets``) and not kept: at n = 12 they hold a 4,096-bit int
+per distinct rank of each alternative.
 """
 
 from __future__ import annotations
@@ -25,9 +23,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .intervals import IntervalUnion, ascending, from_cells
-
-_ZERO = Fraction(0)
+from .intervals import IntervalUnion, from_cells
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -116,11 +112,14 @@ class SubjectCore:
                     row_keys.append((i, (num // g, top // g)))
             keyed[m] = row_keys
 
-        distinct = {key for row in keyed.values() for _, key in row}
-        order = ascending(Fraction(*key) for key in distinct)
-        self.cuts: tuple[Fraction, ...] = (_ZERO, *order)
-        # a key is its value's reduced (numerator, denominator)
-        rank_of = {(v.numerator, v.denominator): r for r, v in enumerate(order, 1)}
+        # num / den rounds correctly: the floats never reverse two keys but
+        # may tie them, left in rows order; a tie out of order needs the exact sort
+        distinct = dict.fromkeys(key for row in keyed.values() for _, key in row)
+        order = sorted(distinct, key=lambda key: key[0] / key[1])
+        if any(a * d >= c * b for (a, b), (c, d) in zip(order, order[1:])):
+            order.sort(key=lambda key: Fraction(*key))
+        self.cuts = (Fraction(0), *itertools.starmap(Fraction, order))
+        rank_of = {key: r for r, key in enumerate(order, 1)}
         self.rank: dict[int, list[int]] = {}
         for m, row_keys in keyed.items():
             row_rank = [0] * n

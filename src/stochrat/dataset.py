@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .choice import Menu, as_menu, menu_str, menu_table
 from .core import MenuLayout
-from .rationals import RATIONAL_TEXT_CAP, common_scale, format_rational, to_probability
+from .rationals import RATIONAL_TEXT_CAP, common_scale, format_rational, probability_pair
 from .scf import StochasticChoiceFunction
 
 
@@ -54,9 +54,7 @@ class _Ingest:
     reuse while those fields repeat; :meth:`add` sums (counts) or collects
     (probabilities) the rest of the row there.  :meth:`table` then turns
     each slot into the one integer row that the dataset and the subject
-    keep, over its counts' gcd or its cells' common denominator.  A fault
-    of the row itself is a :class:`_RowFault`, which the reader turns into
-    an error naming the row's place.
+    keep, over its counts' gcd or its cells' common denominator.
 
     Each distinct subject and label is kept as one ``str`` in ``names``,
     however many rows name it, and :meth:`table` releases each (subject,
@@ -143,12 +141,11 @@ class _Ingest:
             value = self.cells.get(prob_text)
             if value is None:
                 try:
-                    prob = to_probability(prob_text, "probability")
+                    value = self.cells[prob_text] = probability_pair(prob_text)
                 except ValueError as exc:
                     # the row's place names the cell: text that does not
                     # parse gets the parser's own message, its cause
                     raise _RowFault(str(exc.__cause__ or exc)) from None
-                value = self.cells[prob_text] = prob.numerator, prob.denominator
         entry = self.slots.get(slot)
         if entry is None:
             entry = self.slots[slot] = (kind, {})
@@ -234,17 +231,10 @@ class ChoiceDataset:
                         "of at least two alternatives"
                     )
         self._table = {subject: table[subject] for subject in sorted(table)}
-        # a menu set -> its layout
         self._layouts: dict[frozenset[Menu], MenuLayout] = {}
 
     def subject_ids(self) -> list[str]:
         return list(self._table)
-
-    def _subject(self, subject: str) -> Mapping[Menu, Sequence[int]]:
-        try:
-            return self._table[subject]
-        except KeyError:
-            raise ValueError(f"unknown subject {subject!r}") from None
 
     def scf(
         self, subject: str, max_universe: Optional[int] = None
@@ -252,7 +242,10 @@ class ChoiceDataset:
         """The subject's :class:`~stochrat.scf.StochasticChoiceFunction`,
         which infers its domain kind from its menus; a ``ValueError`` from
         building it names the subject."""
-        menus = self._subject(subject)
+        try:
+            menus = self._table[subject]
+        except KeyError:
+            raise ValueError(f"unknown subject {subject!r}") from None
         key = frozenset(menus)
         try:
             layout = self._layouts.get(key)

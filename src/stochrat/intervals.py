@@ -14,11 +14,10 @@ distinct endpoints of some unions, and each union becomes an integer whose
 bit c stands for the cell (ends[c], ends[c+1]].  Union, intersection,
 difference and inclusion are then ``|``, ``&``, ``& ~`` and ``not a & ~b``,
 and :func:`from_cells` turns each run of set bits back into one interval.
-:func:`ascending`, which also orders the cuts of
-:class:`~stochrat.core.SubjectCore`, sorts by the float num / den, which
-Python rounds correctly.  Correct rounding is monotone: it never puts two
-values in the wrong order, it only maps some distinct values to one float,
-and only those ties are settled by comparing the exact Fractions.
+The endpoints are sorted by the float num / den, which Python rounds
+correctly.  Correct rounding is monotone: it never puts two values in the
+wrong order, it only maps some distinct values to one float, and only
+those ties are settled by comparing the exact Fractions.
 """
 
 from __future__ import annotations
@@ -164,7 +163,10 @@ def cell_masks(
     as a bitmask over the cells between them: bit c stands for
     (ends[c], ends[c+1]].  A union may be given as its list of nonempty
     (lo, hi] pairs, which may overlap or touch."""
-    order = ascending({end for union in unions for pair in union for end in pair})
+    order = sorted(
+        {end for union in unions for pair in union for end in pair},
+        key=lambda v: (v.numerator / v.denominator, v),  # exact only on float ties
+    )
     cell = {end: c for c, end in enumerate(order)}
     masks = []
     for union in unions:
@@ -173,12 +175,6 @@ def cell_masks(
             mask |= (1 << cell[hi]) - (1 << cell[lo])
         masks.append(mask)
     return order, masks
-
-
-def ascending(values: Iterable[Fraction]) -> list[Fraction]:
-    """The values in ascending order: by their floats, and by the exact
-    values only where the floats tie (see the module docstring)."""
-    return sorted(values, key=lambda v: (v.numerator / v.denominator, v))
 
 
 def from_cells(ends: Sequence[Fraction], mask: int) -> IntervalUnion:

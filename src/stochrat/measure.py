@@ -16,13 +16,13 @@ maximal interval, with menus tried in ``menu_key`` order.  On the full
 domain every mask of two or more bits is a menu, so the contraction part
 and its witnesses read sets of menus as ints, bit T for menu T.
 
-The selectivity checks walk nested menus on integer rows (each menu's
-probabilities times the least common multiple of their denominators): each
-side of an inequality multiplies one entry of each menu, so scaling a row
-by a positive constant scales both sides alike and the integer comparison
-is exact.  With every row positive on its menu, one-element steps decide: a
-strict premise P(x, .) > P(y, .) carries down each contraction step and up
-each expansion step of a chain, and the ratio inequalities compose.
+The selectivity checks walk nested menus on integer rows: each side of an
+inequality multiplies one entry of each menu, so scaling a row by a
+positive constant scales both sides alike and the comparison is exact.
+With every row positive on its menu, one-element steps decide: a strict
+premise P(x, .) > P(y, .) carries down each contraction step and up each
+expansion step of a chain, and the ratio inequalities compose.  If every
+row is the full menu's row scaled (Luce's IIA), no ratio moves at all.
 
 No two menus share a denominator.  One side of each pair {x, z} has
 likelihood 1, of rank top = len(cuts) - 1.  If x's side does, P(x over z) =
@@ -582,17 +582,26 @@ def triangular_condition(scf: StochasticChoiceFunction) -> TriangularResult:
 # -- selectivity -----------------------------------------------------------
 
 
+def _scaled_alike(row: Sequence[int], other: Sequence[int], menu: Sequence[int]) -> bool:
+    """Whether ``row`` is ``other`` scaled on the menu: |menu| cross products."""
+    a, b = row[menu[0]], other[menu[0]]
+    return [row[x] * b for x in menu] == [other[x] * a for x in menu]
+
+
 def _ratios_kept(scf: StochasticChoiceFunction, contractions: bool) -> bool:
     """Over nested S within T and x, y in S: when x beats y on the reference
     menu (T for contractions, S for expansions), y's likelihood relative to
     x's must not be lower there than on the other menu.  Zero-free rows
-    need only |T| = |S| + 1 (see the module docstring)."""
+    need only |T| = |S| + 1, and none under IIA (see the module docstring)."""
     if scf.domain_kind is DomainKind.PAIRWISE:
         return True
     core = scf.core
     scaled, members = core.scaled, core.members
     # a row is zero off its menu; positive on it when no other entry is
     steps = all(len(members[m]) + row.count(0) == core.n for m, row in scaled.items())
+    top = scaled[core.full]
+    if steps and all(_scaled_alike(row, top, members[m]) for m, row in scaled.items()):
+        return True  # Luce's IIA: every step keeps every ratio
     for small in core.by_key:
         row_small = scaled[small]
         pairs = list(itertools.permutations(members[small], 2))

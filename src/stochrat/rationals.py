@@ -4,7 +4,7 @@ All quantitative work in this package happens on ``fractions.Fraction``
 with arbitrary-precision integers.  Floats appear as presentation, via
 :func:`format_decimal`, and as filters that decide only where their error
 bound allows and leave every closer case to an exact comparison
-(``intervals.ascending``, ``measure.triangular_condition``).
+(``intervals.cell_masks``, ``measure.triangular_condition``).
 """
 
 from __future__ import annotations
@@ -49,12 +49,6 @@ def parse_rational(text: str) -> Fraction:
         # digit separators and non-ASCII digits are Python literal syntax,
         # not data
         raise ValueError(f"not a rational number: {text!r}")
-    num, slash, den = stripped.partition("/")
-    den = den if slash else "1"
-    if num.isdigit() and den.isdigit() and int(den):
-        # "p/q" and "n" in ASCII digits, the common data cell, need no
-        # text parser
-        return Fraction(int(num), int(den))
     _, marker, exponent = stripped.lower().partition("e")
     try:
         too_large = bool(marker) and abs(int(exponent)) > DECIMAL_EXPONENT_CAP
@@ -95,6 +89,19 @@ def to_probability(value: RationalLike, name: str, where: str = "") -> Fraction:
     if prob < 0 or prob > 1:
         raise ValueError(f"{name} {prob}{where} outside [0, 1]")
     return prob
+
+
+def probability_pair(text: str) -> tuple[int, int]:
+    """A probability cell's reduced (numerator, denominator): one gcd for
+    digits within [0, 1], and :func:`to_probability` for any other text."""
+    num, slash, den = text.partition("/")
+    if len(text) <= RATIONAL_TEXT_CAP and text.isascii() and num.isdigit():
+        p, q = int(num), int(den) if den.isdigit() else 0 if slash else 1
+        if 0 < q and p <= q:
+            g = math.gcd(p, q)
+            return p // g, q // g
+    prob = to_probability(text, "probability")
+    return prob.numerator, prob.denominator
 
 
 def common_scale(values: Collection[tuple[int, int]]) -> tuple[list[int], int]:

@@ -33,7 +33,7 @@ from stochrat import (
 
 from stochrat import dataset as dataset_module
 from stochrat.core import MenuLayout
-from stochrat.rationals import to_probability
+from stochrat.rationals import probability_pair, to_probability
 
 from conftest import FIXTURES
 from oracles import core_tables, likelihoods
@@ -324,15 +324,25 @@ def test_each_distinct_cell_is_parsed_once(tmp_path, monkeypatch):
     write(rows, path)
     parsed = []
 
-    def counting(text, *args):
+    def counting(text):
         parsed.append(text)
-        return to_probability(text, *args)
+        return probability_pair(text)
 
-    monkeypatch.setattr(dataset_module, "to_probability", counting)
+    monkeypatch.setattr(dataset_module, "probability_pair", counting)
     parse_dataset(path)
     cells = [prob for *_, prob in rows if prob is not None]
     assert len(cells) > len(set(cells))
     assert sorted(parsed) == sorted(set(cells))
+
+
+def test_equal_digit_cells_give_equal_integer_rows(tmp_path):
+    rows = {}
+    for cell in ("2/4", "1/2", "01/02"):
+        path = tmp_path / "data.csv"
+        path.write_text(f"{HEADER}s1,a|b,a,,{cell}\ns1,a|b,b,,1/2\n", encoding="utf-8")
+        rows[cell] = parse_dataset(path).scf("s1").core.scaled[0b11]
+    assert rows == dict.fromkeys(rows, (1, 1))
+    assert all(type(v) is int for row in rows.values() for v in row)
 
 
 # -- every dataset error, with its message ----------------------------------------
@@ -383,7 +393,13 @@ CSV_ERRORS = [
     (HEADER + "s1,a|b,a,\uff15,\n", "data.csv:2: count '\uff15' is not an integer"),
     (HEADER + "s1,a|b,a,,1_0/2_0\n", "data.csv:2: not a rational number: '1_0/2_0'"),
     (HEADER + "s1,a|b,a,,\uff11/\uff12\n",
-     "data.csv:2: not a rational number: '\uff11/\uff12'"),
+     "data.csv:2: not a rational number: '\uff11/\uff12'"),    # digit cells that the integer cell route leaves to the Fraction parser
+    (HEADER + "s1,a|b,a,,6/4\n", "data.csv:2: probability 3/2 outside [0, 1]"),
+    (HEADER + "s1,a|b,a,,0/0\n", "data.csv:2: not a rational number: '0/0'"),
+    (HEADER + "s1,a|b,a,,+1/2\ns1,a|b,b,,1/3\n",
+     "subject 's1', menu {a,b}: probabilities sum to 5/6, not 1"),
+    (HEADER + "s1,a|b,a,," + "1" * 500 + "/" + "2" * 500 + "\n",
+     "data.csv:2: rational text of 1001 characters exceeds the cap of 1000"),
 ]
 
 

@@ -37,6 +37,7 @@ from stochrat import (
     triangular_condition,
     tremble,
 )
+from stochrat import measure as measure_module
 from stochrat.core import SubjectCore
 from stochrat.dataset import parse_dataset
 
@@ -100,6 +101,36 @@ def test_union_agrees_with_axiom_checks_on_critical_grid(name):
         assert union.contains(lam) != bool(is_lambda_rational(scf, lam))
 
 
+# (lower, higher) likelihoods whose floats tie, as ``_FLOAT_TIES`` in
+# test_intervals; the last pair needs 31-digit counts
+FLOAT_TIES = [
+    (Fraction(1 / 3), Fraction(1, 3)),
+    (Fraction(1, 10), Fraction(1 / 10)),
+    (Fraction(2, 3), Fraction(2, 3) + Fraction(1, 10**30)),
+]
+
+
+@pytest.mark.parametrize("higher_first", [False, True])
+def test_cuts_order_likelihoods_whose_floats_tie(higher_first):
+    # a pairwise subject from count rows puts each tie on two menus, in rows
+    # order; the cuts sort by float, so the higher-first rows need the exact
+    # order
+    values = [v for tie in FLOAT_TIES for v in (tie[::-1] if higher_first else tie)]
+    assert (sorted(values, key=float) != sorted(values)) == higher_first
+    labels = "abcd"
+    rows, probs = {}, {}
+    for (x, y), v in zip(itertools.combinations(labels, 2), values):
+        count = {x: v.numerator, y: v.denominator}
+        rows[frozenset(count)] = tuple(count.get(label, 0) for label in labels)
+        probs[frozenset(count)] = {x: v / (1 + v), y: 1 / (1 + v)}
+    assert max(len(str(c)) for row in rows.values() for c in row) == 31
+    core = StochasticChoiceFunction.from_rows(rows).core
+    want = oracles.core_tables(probs)
+    assert all(a < b for a, b in zip(core.cuts, core.cuts[1:]))
+    for field in ("cuts", "rank", "pair_rank"):
+        assert getattr(core, field) == want[field], field
+
+
 def test_subjects_cover_both_selectivity_outcomes():
     full = [s for s in SUBJECTS.values() if s.domain_kind is DomainKind.FULL]
     assert any(is_selective_in_contractions(s) and is_selective_in_expansions(s) for s in full)
@@ -111,14 +142,15 @@ def test_subjects_cover_both_selectivity_outcomes():
 # -- one-element steps, first-hit bounds and menu bitsets -----------------------
 #
 # Zero-free subjects near the independence of irrelevant alternatives (Luce,
-# Luce with some menus nudged, trembles) take the one-element route of the
-# selectivity checks, and subjects with zeros the nested scan.  Both must
-# agree with the nested scan of ``oracles``, the pairwise-winner set with the
-# minimum over each menu's head-to-head ranks, and the contraction part and
-# its witnesses, read off menu bitsets, with the loop over every one-element
-# step and the scan over every nested pair.
+# Luce with some menus nudged or one menu off, trembles) take the one-element
+# route of the selectivity checks, exact Luce subjects no walk at all, and
+# subjects with zeros the nested scan.  All must agree with the nested scan
+# of ``oracles``, the pairwise-winner set with the minimum over each menu's
+# head-to-head ranks, and the contraction part and its witnesses, read off
+# menu bitsets, with the loop over every one-element step and the scan over
+# every nested pair.
 
-STEP_KINDS = ("luce", "noisy", "tremble", "zeros", "dominated", "masked")
+STEP_KINDS = ("luce", "noisy", "tremble", "zeros", "dominated", "masked", "off")
 
 
 def near_iia(seed: int, n: int, kind: str) -> StochasticChoiceFunction:
@@ -131,9 +163,14 @@ def near_iia(seed: int, n: int, kind: str) -> StochasticChoiceFunction:
     the pinned subject of ``test_measure`` that fails contraction
     selectivity on no one-element step: the two least labels are at zero
     on the menus that hold one of the next two, and their pair is
-    reversed."""
+    reversed.  "off" is :func:`luce_off` on a drawn menu and direction."""
     gen = SplitMix64(seed)
     labels = LABELS[:n]
+    if kind == "off":
+        menus = [
+            m for size in range(2, n + 1) for m in itertools.combinations(range(n), size)
+        ]
+        return luce_off(n, menus[gen.below(len(menus))], gen.below(2) == 1)
     if kind == "tremble":
         alpha = Fraction(1 + gen.below(9), 10)
         return tremble(random_ranking_utility(gen, labels), alpha)
@@ -155,6 +192,31 @@ def near_iia(seed: int, n: int, kind: str) -> StochasticChoiceFunction:
             g = math.gcd(*row)
             rows[frozenset(labels[i] for i in menu)] = tuple(v // g for v in row)
     return StochasticChoiceFunction.from_rows(rows)
+
+
+def luce_off(n: int, off: tuple[int, ...], up: bool) -> StochasticChoiceFunction:
+    """Luce on utilities 1..n in label order, from count rows, except on the
+    menu ``off``: there the last member's count is three times as large
+    (``up``), or the other members' counts are.  So only steps into or out
+    of ``off`` break proportionality; at n = 3, with ``off`` a pair, exactly
+    one step does."""
+    rows = {}
+    for size in range(2, n + 1):
+        for menu in itertools.combinations(range(n), size):
+            row = [i + 1 if i in menu else 0 for i in range(n)]
+            if menu == off:
+                row = [3 * v if (i == off[-1]) == up else v for i, v in enumerate(row)]
+            g = math.gcd(*row)
+            rows[frozenset(LABELS[i] for i in menu)] = tuple(v // g for v in row)
+    return StochasticChoiceFunction.from_rows(rows)
+
+
+# The menu taken off Luce's IIA comes first, in the middle or last in
+# ``menu_key`` order (the walk's order), or is the full menu.
+OFF_MENUS = {
+    3: [(0, 1), (0, 2), (1, 2), (0, 1, 2)],
+    6: [(0, 1), (0, 4), (4, 5), tuple(range(6))],
+}
 
 
 def luce_counts(seed: int, n: int) -> StochasticChoiceFunction:
@@ -183,6 +245,13 @@ STEP_SUBJECTS = {
     for n in range(3, 9)
     for seed in range(3 if n < 7 else 2 if n < 8 else 1)
 }
+STEP_SUBJECTS["luce-n10-s0"] = near_iia(1000, 10, "luce")
+STEP_SUBJECTS.update(
+    (f"off-n{n}-{''.join(map(str, off))}-{'up' if up else 'down'}", luce_off(n, off, up))
+    for n, menus in OFF_MENUS.items()
+    for off in menus
+    for up in (True, False)
+)
 
 
 def _scans_agree(scf):
@@ -223,6 +292,51 @@ def test_step_subjects_reach_every_selectivity_outcome():
 @example(4, 0, "masked")  # masked subjects tell the two scans apart only at n = 4
 def test_step_scans_match_the_full_scans_on_drawn_subjects(n, seed, kind):
     _scans_agree(near_iia(seed, n, kind))
+
+
+def _broken_steps(scf):
+    """The steps S -> S + {y}, by their menus, on which the larger menu's
+    probabilities on S are not the smaller's scaled, by Fractions."""
+    broken = []
+    for small in scf.menus():
+        for y in sorted(set(scf.universe) - small):
+            ratios = {scf.prob(x, small | {y}) / scf.prob(x, small) for x in small}
+            if len(ratios) > 1:
+                broken.append((small, small | {y}))
+    return broken
+
+
+@pytest.mark.parametrize("n", sorted(OFF_MENUS))
+def test_off_subjects_break_only_the_steps_at_their_menu(n):
+    outcomes = set()
+    for off in OFF_MENUS[n]:
+        menu = frozenset(LABELS[i] for i in off)
+        for up in (True, False):
+            scf = luce_off(n, off, up)
+            broken = _broken_steps(scf)
+            assert broken and all(menu in step for step in broken)
+            if n == 3 and len(off) == 2:
+                assert len(broken) == 1
+            flags = is_selective_in_contractions(scf), is_selective_in_expansions(scf)
+            outcomes.add(flags)
+    # each fails a check, so no walk that passes over its menu agrees
+    assert (True, True) not in outcomes and len(outcomes) >= 2
+
+
+def test_luce_rows_pass_both_checks_without_a_walk(monkeypatch):
+    # every row is the full menu's row scaled, so no step can move a ratio;
+    # a row off that takes the walk, which lists each step's menus by bits
+    def walked(mask):
+        raise AssertionError("walked the steps")
+
+    monkeypatch.setattr(measure_module, "bits", walked)
+    for name in ("luce-n3-s0", "luce-n8-s0", "luce-n10-s0"):
+        scf = STEP_SUBJECTS[name]
+        assert is_selective_in_contractions(scf) and is_selective_in_expansions(scf)
+    for off in OFF_MENUS[6]:
+        for check in (is_selective_in_contractions, is_selective_in_expansions):
+            with pytest.raises(AssertionError, match="walked"):
+                check(luce_off(6, off, True))
 
 
 def test_step_subjects_reach_several_contraction_witnesses():

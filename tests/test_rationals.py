@@ -2,7 +2,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochrat import format_decimal, format_rational, models, parse_rational
@@ -12,6 +12,7 @@ from stochrat.rationals import (
     DECIMAL_EXPONENT_CAP,
     RATIONAL_TEXT_CAP,
     common_scale,
+    probability_pair,
     to_fraction,
     to_probability,
 )
@@ -91,6 +92,44 @@ def test_text_beside_the_digit_forms_keeps_its_result(text, result):
         with pytest.raises(ValueError) as info:
             parse_rational(text)
         assert str(info.value) == result
+
+
+def _read(parse, text):
+    """(pair, None) or (None, the error's message and its cause's)."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return None, (str(exc), str(exc.__cause__))
+    if isinstance(value, Fraction):
+        value = value.numerator, value.denominator
+    return value, None
+
+
+# digit runs with leading zeros, long enough that "p/q" passes the cap, and
+# texts beside the digit forms
+DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=RATIONAL_TEXT_CAP // 2 + 50)
+CELLS = st.builds(
+    lambda sign, num, slash, den, pad: f"{pad}{sign}{num}{slash}{den}{pad}",
+    st.sampled_from(["", "", "+", "-"]),
+    DIGITS | st.just("0") | st.just(""),
+    st.sampled_from(["/", "/", ""]),
+    DIGITS | st.sampled_from(["0", "000", "", "-2", "x"]),
+    st.sampled_from(["", "", " "]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(CELLS)
+@example("6/4")
+@example("0/0")
+@example("+1/2")
+@example("01/02")
+@example("1" * 500 + "/" + "2" * 500)
+@example("1/" + "9" * (RATIONAL_TEXT_CAP - 2))
+def test_probability_cells_read_as_to_probability_reads_them(text):
+    assert _read(probability_pair, text) == _read(
+        lambda t: to_probability(t, "probability"), text
+    )
 
 
 def test_format_rational():

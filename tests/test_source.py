@@ -6,6 +6,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -279,3 +280,17 @@ def test_the_subject_infers_its_domain_kind():
         assert "domain_kind" not in parameters, entry.__qualname__
         assert parameters["max_universe"].kind is inspect.Parameter.KEYWORD_ONLY
     assert not hasattr(stochrat.ChoiceDataset, "domain_kind")
+
+
+def test_measure_module_stays_below_the_compile_step():
+    # every analyze run compiles measure.py, the largest module, when no
+    # bytecode is cached; under tracemalloc its compile peak rose by about
+    # 0.23 MiB between 4,089 and 4,113 tokens, a step every run pays in
+    # peak memory.  Tokens are counted without comments and blank lines.
+    with open(PACKAGE / "measure.py", encoding="utf-8") as handle:
+        tokens = [
+            token
+            for token in tokenize.generate_tokens(handle.readline)
+            if token.type not in (tokenize.COMMENT, tokenize.NL)
+        ]
+    assert len(tokens) <= 4000
