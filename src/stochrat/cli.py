@@ -20,7 +20,6 @@ import argparse
 import sys
 from typing import Iterator, Optional, Sequence
 
-from .choice import check_axioms, menu_str, sort_menus
 from .dataset import parse_dataset, scf_to_rows, write_dataset_csv
 from .errors import CapacityError, OracleMismatch
 from .measure import (
@@ -30,6 +29,7 @@ from .measure import (
     compare_many,
     triangular_condition,
 )
+from .menus import menu_str, sort_menus
 from .rationals import format_decimal, format_rational, parse_rational
 from .report import AnalysisConfig, analyze_scf, emit_report, run_analyze
 from .scf import StochasticChoiceFunction, fishburn_correspondence
@@ -195,6 +195,8 @@ def _cmd_model(args: argparse.Namespace, config: AnalysisConfig) -> int:
 
 
 def _cmd_lambda(args: argparse.Namespace, config: AnalysisConfig) -> int:
+    from .choice import check_axioms
+
     dataset = parse_dataset(args.data)
     scf = dataset.scf(args.subject, max_universe=config.max_universe)
     lam = parse_rational(args.threshold)

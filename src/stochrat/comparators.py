@@ -78,8 +78,8 @@ def swap_index(scf: StochasticChoiceFunction) -> SwapResult:
     for mask in core.by_key:
         row = core.scaled[mask]
         up = scale // sum(row)
-        for a, b in itertools.permutations(core.members[mask], 2):
-            cost[a][b] += row[b] * up
+        for (a, _), (b, num) in itertools.permutations(zip(core.members[mask], row), 2):
+            cost[a][b] += num * up
 
     full = (1 << n) - 1
     # completion[mask]: minimal remaining cost when `mask` is already

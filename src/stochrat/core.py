@@ -4,9 +4,9 @@ Every endpoint of a threshold set is a normalized likelihood or 0, so the
 set work only ever compares likelihoods with each other.  :class:`SubjectCore`
 replaces them by their ranks among the subject's distinct values, menus by
 bitmasks over the sorted universe, and probabilities by each menu's own
-integer row, never by a denominator common to several menus.  Likelihoods
-are keyed by reduced (num, den) int pairs; the cuts are the only
-``Fraction``s a core makes.
+integer row, one entry per member, never by a denominator common to
+several menus.  Likelihoods are keyed by reduced (num, den) int pairs; the
+cuts are the only ``Fraction``s a core makes.
 
 A core is built on first use (``StochasticChoiceFunction.core``) from a
 validated subject's integer rows and its menus' :class:`MenuLayout`, and
@@ -81,9 +81,10 @@ class SubjectCore:
       (0 for non-members and for zero probability).
     * ``pair_rank[i][j]``: rank of i's likelihood on {i, j}, which orders
       the head-to-head probabilities (see :mod:`stochrat.measure`).
-    * ``scaled[mask][i]``: the subject's integer row of the menu, taken as
-      it is: numerators in lowest terms over the row's sum, one per
-      alternative.  No integer of the core is longer than a row's entry.
+    * ``scaled[mask][k]``: the subject's integer row of the menu, taken as
+      it is: numerators in lowest terms over the row's sum, entry k for
+      member ``members[mask][k]``.  No integer of the core is longer than
+      a row's entry.
     """
 
     def __init__(
@@ -105,8 +106,7 @@ class SubjectCore:
             self.scaled[m] = row
             top = max(row)
             row_keys = []
-            for i in members[m]:
-                num = row[i]
+            for i, num in zip(members[m], row):
                 if num:
                     g = math.gcd(num, top)
                     row_keys.append((i, (num // g, top // g)))

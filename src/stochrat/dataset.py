@@ -28,8 +28,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .choice import Menu, as_menu, menu_str, menu_table
 from .core import MenuLayout
+from .menus import Menu, as_menu, menu_str, menu_table
 from .rationals import RATIONAL_TEXT_CAP, common_scale, format_rational, probability_pair
 from .scf import StochasticChoiceFunction
 
@@ -166,26 +166,23 @@ class _Ingest:
             row[alternative] = value
 
     def table(self) -> dict[str, dict[Menu, tuple[int, ...]]]:
-        """Each subject's menus and their integer rows, aligned to the
-        subject's sorted labels: counts over their gcd, probabilities over
+        """Each subject's menus and their integer rows, one entry per member
+        in sorted label order: counts over their gcd, probabilities over
         the lcm of their denominators."""
-        labels: dict[str, set[str]] = {}
-        for subject, menu in self.slots:
-            labels.setdefault(subject, set()).update(menu)
-        index = {
-            subject: {x: i for i, x in enumerate(sorted(members))}
-            for subject, members in labels.items()
-        }
+        members: dict[Menu, tuple[str, ...]] = {}  # each menu's sorted labels
         table: dict[str, dict[Menu, tuple[int, ...]]] = {}
         for subject, menu in list(self.slots):
             kind, cells = self.slots.pop((subject, menu))
+            order = members.get(menu)
+            if order is None:
+                order = members[menu] = tuple(sorted(menu))
             if kind == "count":
                 divisor = math.gcd(*cells.values())
                 if not divisor:
                     raise ValueError(
                         f"subject {subject!r}, menu {menu_str(menu)}: all counts zero"
                     )
-                nums = [count // divisor for count in cells.values()]
+                row = tuple(cells.get(x, 0) // divisor for x in order)
             else:
                 nums, scale = common_scale(cells.values())
                 total = sum(nums)
@@ -194,11 +191,9 @@ class _Ingest:
                         f"subject {subject!r}, menu {menu_str(menu)}: probabilities "
                         f"sum to {Fraction(total, scale)}, not 1"
                     )
-            at = index[subject]
-            row = [0] * len(at)
-            for x, num in zip(cells, nums):
-                row[at[x]] = num
-            table.setdefault(subject, {})[menu] = tuple(row)
+                num_of = dict(zip(cells, nums))
+                row = tuple(num_of.get(x, 0) for x in order)
+            table.setdefault(subject, {})[menu] = row
         return table
 
 
@@ -206,10 +201,12 @@ class ChoiceDataset:
     """Per-subject choice data, as read by :func:`parse_dataset`.
 
     ``table`` maps each subject to its menus and their integer rows: one
-    nonnegative integer per label of the subject (the union of its menus)
-    in sorted order, in lowest terms, so that a label's probability on the
-    menu is its entry over the row's sum.  Every menu is a frozenset of at
-    least two alternatives.  :meth:`scf` builds a
+    nonnegative integer per member of the menu in sorted label order, in
+    lowest terms, so that a member's probability on the menu is its entry
+    over the row's sum.  Every menu is a frozenset of at least two
+    alternatives.  A row of any other length, such as one entry per label
+    of the subject, fails at :meth:`scf` with a message that names the
+    menu and the count it needs.  :meth:`scf` builds a
     :class:`~stochrat.scf.StochasticChoiceFunction` on these rows
     (:meth:`~stochrat.scf.StochasticChoiceFunction.from_rows`), which
     validates them and the domain.

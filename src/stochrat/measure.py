@@ -558,9 +558,8 @@ def triangular_condition(scf: StochasticChoiceFunction) -> TriangularResult:
     # its float (see the module docstring for the margin m)
     num, den = [[0] * n for _ in range(n)], [[1] * n for _ in range(n)]
     for i, j in itertools.combinations(range(n), 2):
-        row = core.scaled[1 << i | 1 << j]
-        num[i][j], num[j][i] = row[i], row[j]
-        den[i][j] = den[j][i] = row[i] + row[j]
+        num[i][j], num[j][i] = a, b = core.scaled[1 << i | 1 << j]
+        den[i][j] = den[j][i] = a + b
     p = [[a / b for a, b in zip(*rows)] for rows in zip(num, den)]
     m = 2.0**-48
     for x in range(n):
@@ -582,10 +581,11 @@ def triangular_condition(scf: StochasticChoiceFunction) -> TriangularResult:
 # -- selectivity -----------------------------------------------------------
 
 
-def _scaled_alike(row: Sequence[int], other: Sequence[int], menu: Sequence[int]) -> bool:
-    """Whether ``row`` is ``other`` scaled on the menu: |menu| cross products."""
-    a, b = row[menu[0]], other[menu[0]]
-    return [row[x] * b for x in menu] == [other[x] * a for x in menu]
+def _scaled_alike(row: Sequence[int], top: Sequence[int], menu: Sequence[int]) -> bool:
+    """Whether a menu's row is the full menu's row ``top`` scaled on the
+    menu's members: |menu| cross products."""
+    a, b = row[0], top[menu[0]]
+    return [v * b for v in row] == [top[x] * a for x in menu]
 
 
 def _ratios_kept(scf: StochasticChoiceFunction, contractions: bool) -> bool:
@@ -597,21 +597,30 @@ def _ratios_kept(scf: StochasticChoiceFunction, contractions: bool) -> bool:
         return True
     core = scf.core
     scaled, members = core.scaled, core.members
-    # a row is zero off its menu; positive on it when no other entry is
-    steps = all(len(members[m]) + row.count(0) == core.n for m, row in scaled.items())
+    steps = all(0 not in row for row in scaled.values())
     top = scaled[core.full]
     if steps and all(_scaled_alike(row, top, members[m]) for m, row in scaled.items()):
         return True  # Luce's IIA: every step keeps every ratio
+    wide: dict[int, list[int]] = {}
+
+    def widened(m: int) -> list[int]:
+        """The menu's row, one entry per alternative, made at its first read."""
+        if m not in wide:
+            wide[m] = [0] * core.n
+            for i, v in zip(members[m], scaled[m]):
+                wide[m][i] = v
+        return wide[m]
+
     for small in core.by_key:
-        row_small = scaled[small]
+        row_small = widened(small)
         pairs = list(itertools.permutations(members[small], 2))
         larges = core.supersets(small)
         if steps:  # only S + {y}
             larges = [small | 1 << y for y in bits(core.full ^ small)]
         for large in larges:
-            ref, other = (
-                (scaled[large], row_small) if contractions else (row_small, scaled[large])
-            )
+            ref, other = widened(large), row_small
+            if not contractions:
+                ref, other = other, ref
             for x, y in pairs:
                 if ref[x] > ref[y] and ref[y] * other[x] < other[y] * ref[x]:
                     return False

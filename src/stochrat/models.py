@@ -19,8 +19,9 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .choice import Menu, Preorder, as_menu, menu_str
+from .choice import Preorder
 from .intervals import IntervalUnion
+from .menus import Menu, as_menu, menu_str
 from .prng import SplitMix64
 from .rationals import RationalLike, to_fraction, to_probability
 from .scf import DomainKind, StochasticChoiceFunction, check_universe, required_menus

@@ -24,7 +24,6 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 
-from .choice import menu_key
 from .errors import CapacityError, OracleMismatch
 from .dataset import ChoiceDataset
 from .intervals import IntervalUnion
@@ -42,6 +41,7 @@ from .measure import (
     is_selective_in_expansions,
     triangular_condition,
 )
+from .menus import menu_key
 from .rationals import DECIMAL_PLACES, format_decimal, format_rational
 from .record import Record
 from .scf import (

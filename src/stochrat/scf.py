@@ -25,21 +25,15 @@ import itertools
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
-from .choice import (
-    AxiomReport,
-    ChoiceCorrespondence,
-    Menu,
-    as_menu,
-    check_axioms,
-    menu_str,
-    menu_table,
-    sort_menus,
-)
 from .core import MenuLayout, SubjectCore
 from .errors import CapacityError
+from .menus import Menu, as_menu, menu_str, menu_table, sort_menus
 from .rationals import RationalLike, common_scale, to_probability
+
+if TYPE_CHECKING:
+    from .choice import AxiomReport, ChoiceCorrespondence
 
 FULL_UNIVERSE_CAP = 12
 PAIRWISE_UNIVERSE_CAP = 64
@@ -147,8 +141,8 @@ class StochasticChoiceFunction:
 
     Each menu is kept as one integer row, the form :meth:`from_rows`
     takes: the numerators of its probabilities in lowest terms, one per
-    alternative of the sorted universe (zero for non-members), so that the
-    row's sum is its scale.  The core reads these rows as they are.
+    member in sorted label order, so that the row's sum is its scale.  The
+    core reads these rows as they are.
     """
 
     def __init__(
@@ -158,8 +152,6 @@ class StochasticChoiceFunction:
         max_universe: Optional[int] = None,
     ) -> None:
         table, labels = menu_table(probabilities)
-        layout = MenuLayout(labels, table)
-        index = layout.index
         for menu, dist in table.items():
             _check_size(menu)
             values: dict[str, tuple[int, int]] = {}
@@ -183,10 +175,9 @@ class StochasticChoiceFunction:
                     f"probabilities on menu {menu_str(menu)} sum to "
                     f"{Fraction(total, scale)}, not 1"
                 )
-            row = table[menu] = [0] * layout.n
-            for alt, num in zip(values, nums):
-                row[index[alt]] = num
-        self._build(table, layout, max_universe)
+            num_of = dict(zip(values, nums))
+            table[menu] = tuple(num_of.get(x, 0) for x in sorted(menu))
+        self._build(table, MenuLayout(labels, table), max_universe)
 
     @classmethod
     def from_rows(
@@ -197,12 +188,14 @@ class StochasticChoiceFunction:
         layout: Optional[MenuLayout] = None,
     ) -> "StochasticChoiceFunction":
         """The subject whose menus have the given integer rows: one
-        nonnegative entry per label of the menus in sorted order, zero off
-        the menu, in lowest terms; an entry over its row's sum is that
-        label's probability.  Validated as by the constructor.
+        nonnegative entry per member of the menu in sorted label order, in
+        lowest terms; an entry over its row's sum is that member's
+        probability.  Validated as by the constructor: a row of any other
+        length, such as one entry per label of the universe, is an error
+        that names the menu and the count it needs.
 
         ``layout``, when given, is the layout of exactly these menus, whose
-        labels have passed :func:`~stochrat.choice.menu_table`: a dataset
+        labels have passed :func:`~stochrat.menus.menu_table`: a dataset
         shares one among its subjects on equal menu sets.  The rows are
         checked all the same."""
         scf = cls.__new__(cls)
@@ -222,22 +215,19 @@ class StochasticChoiceFunction:
     ) -> None:
         """Validate the integer rows, infer the domain kind from the menus
         and check the domain, and keep the rows."""
-        labels, index, n = layout.labels, layout.index, layout.n
+        labels, n = layout.labels, layout.n
         for menu, row in table.items():
             _check_size(menu)
             row = table[menu] = tuple(row)
-            # nonnegative entries sum to the members' entries exactly when
-            # every non-member's entry is zero
             if (
-                len(row) != n
+                len(row) != len(menu)
                 or set(map(type, row)) != {int}
                 or min(row) < 0
-                or sum(row[index[x]] for x in menu) != sum(row)
                 or math.gcd(*row) != 1
             ):
                 raise ValueError(
-                    f"row of menu {menu_str(menu)} is not {n} nonnegative "
-                    "integers in lowest terms, zero off the menu"
+                    f"row of menu {menu_str(menu)} is not {len(menu)} nonnegative "
+                    "integers in lowest terms, one per member"
                 )
 
         # A two-label universe, where the kinds coincide, is pairwise.  Every
@@ -286,7 +276,7 @@ class StochasticChoiceFunction:
             return dict.fromkeys(key, 1)
         if key not in self._rows:
             raise ValueError(f"menu {menu_str(key)} not in domain")
-        return {y: v for y, v in zip(self._universe, self._rows[key]) if y in key}
+        return dict(zip(sorted(key), self._rows[key]))
 
     def prob(self, x: str, menu: Iterable[str]) -> Fraction:
         """Choice probability of x from the menu (1 on singletons)."""
@@ -339,6 +329,8 @@ def fishburn_correspondence(
 ) -> ChoiceCorrespondence:
     """Threshold correspondence: keep x in S when its normalized likelihood
     reaches ``lam``.  At lam = 0 this is the support correspondence."""
+    from .choice import ChoiceCorrespondence
+
     lam = to_probability(lam, "threshold")
     core = scf.core
     # likelihood >= lam  <=>  rank >= floor; at lam = 0 keep rank >= 1 (> 0)
@@ -381,4 +373,6 @@ def is_lambda_rational(scf: StochasticChoiceFunction, lam: Fraction) -> AxiomRep
     deliberately independent of the interval-set route in
     :mod:`stochrat.measure`, so the two can cross-validate.
     """
+    from .choice import check_axioms
+
     return check_axioms(fishburn_correspondence(scf, lam))

@@ -24,13 +24,12 @@ def fraction_table(rows):
 def integer_rows(probs):
     """A probability table (menu -> member -> value, omitted members at
     zero) as the integer rows a dataset holds: each menu's numerators over
-    the lcm of its denominators, one per label of the table, sorted."""
-    labels = sorted(set().union(*probs))
+    the lcm of its denominators, one per member of the menu, sorted."""
     rows = {}
     for menu, row in probs.items():
         values = {x: Fraction(p) for x, p in row.items()}
         scale = math.lcm(*(p.denominator for p in values.values()))
-        rows[menu] = tuple(int(values.get(x, 0) * scale) for x in labels)
+        rows[menu] = tuple(int(values.get(x, 0) * scale) for x in sorted(menu))
     return rows
 
 

@@ -21,6 +21,7 @@ from stochrat import (
     SplitMix64,
     StochasticChoiceFunction,
 )
+from stochrat.core import MenuLayout, SubjectCore
 
 Relation = frozenset[tuple[str, str]]
 
@@ -603,12 +604,13 @@ def core_chernoff_witness(scf: StochasticChoiceFunction, hi: Fraction):
 
 def nested_ratios_kept(scf: StochasticChoiceFunction, contractions: bool) -> bool:
     """The selectivity scan over every nested pair S within T, on the
-    core's integer rows, for every subject: the route ``measure`` keeps
-    for rows with zeros."""
+    subject's integer rows over the whole universe, for every subject: the
+    route ``measure`` keeps for rows with zeros."""
     if scf.domain_kind is DomainKind.PAIRWISE:
         return True
     core = scf.core
-    scaled = core.scaled
+    dense = dense_rows(scf)
+    scaled = {m: dense[core.menu_set[m]] for m in core.by_key}
     for small in core.by_key:
         row_small = scaled[small]
         pairs = list(itertools.permutations(core.members[small], 2))
@@ -620,6 +622,76 @@ def nested_ratios_kept(scf: StochasticChoiceFunction, contractions: bool) -> boo
                 if ref[x] > ref[y] and ref[y] * other[x] < other[y] * ref[x]:
                     return False
     return True
+
+
+# -- the core on dense rows -----------------------------------------------------
+#
+# A dense row holds one entry per label of the universe, zero off the menu.
+# The core built on dense rows, with a keying loop that reads each member at its
+# index, is the reference for the core on member rows.
+
+
+def dense_rows(scf: StochasticChoiceFunction) -> dict:
+    """menu -> its integer row over the whole sorted universe: the menu's
+    probabilities over the lcm of their denominators, zero off the menu."""
+    rows = {}
+    for menu in scf.menus():
+        probs = scf.menu_probs(menu)
+        scale = math.lcm(*(p.denominator for p in probs.values()))
+        rows[menu] = tuple(
+            int(probs[x] * scale) if x in menu else 0 for x in scf.universe
+        )
+    return rows
+
+
+class DenseCore(SubjectCore):
+    """:class:`~stochrat.core.SubjectCore` built on dense rows: ``scaled``
+    holds them as they are, and each likelihood is read at its member's
+    index.  Every other method is the core's own."""
+
+    def __init__(self, layout: MenuLayout, rows: dict) -> None:
+        n = layout.n
+        self.labels, self.index, self.n, self.full = (
+            layout.labels, layout.index, n, layout.full
+        )
+        mask, self.menu_set, self.members, self.by_key, pairs = layout.tables
+        members = self.members
+
+        self.scaled = {}
+        keyed = {}
+        for menu, row in rows.items():
+            m = mask[menu]
+            self.scaled[m] = row
+            top = max(row)
+            row_keys = []
+            for i in members[m]:
+                num = row[i]
+                if num:
+                    g = math.gcd(num, top)
+                    row_keys.append((i, (num // g, top // g)))
+            keyed[m] = row_keys
+
+        distinct = dict.fromkeys(key for row in keyed.values() for _, key in row)
+        order = sorted(distinct, key=lambda key: Fraction(*key))
+        self.cuts = (Fraction(0), *itertools.starmap(Fraction, order))
+        rank_of = {key: r for r, key in enumerate(order, 1)}
+        self.rank = {}
+        for m, row_keys in keyed.items():
+            row_rank = [0] * n
+            for i, key in row_keys:
+                row_rank[i] = rank_of[key]
+            self.rank[m] = row_rank
+
+        self.pair_rank = [[0] * n for _ in range(n)]
+        for i, j, m in pairs:
+            row_rank = self.rank[m]
+            self.pair_rank[i][j], self.pair_rank[j][i] = row_rank[i], row_rank[j]
+
+
+def dense_core(scf: StochasticChoiceFunction) -> DenseCore:
+    """The reference core of ``scf``, on its own layout and dense rows."""
+    rows = dense_rows(scf)
+    return DenseCore(MenuLayout(scf.universe, rows), rows)
 
 
 # -- subject tables by plain Fraction formulas ----------------------------------
@@ -659,7 +731,7 @@ def core_tables(probs: dict) -> dict:
             cuts.index(lik[menu][x]) if x in menu else 0 for x in labels
         ]
         scaled[mask_of[menu]] = tuple(
-            int(Fraction(row.get(x, 0)) * scale) for x in labels
+            int(Fraction(row.get(x, 0)) * scale) for x in sorted(menu)
         )
     n = len(labels)
     pair_prob = [[None] * n for _ in range(n)]

@@ -26,6 +26,7 @@ from stochrat import (
     StochasticChoiceFunction,
     parse_dataset,
     random_scf,
+    run_analyze,
     scf_to_rows,
     threshold_cuts,
     write_dataset_csv,
@@ -183,14 +184,44 @@ def test_a_parsed_dataset_and_its_subjects_hold_integer_rows_only(tmp_path, seed
 
 def test_the_core_keeps_the_datasets_rows_without_copying():
     table = {
-        frozenset("ab"): (2, 1, 0),
-        frozenset("ac"): (1, 0, 0),
-        frozenset("bc"): (0, 1, 1),
+        frozenset("ab"): (2, 1),
+        frozenset("ac"): (1, 0),
+        frozenset("bc"): (1, 1),
         frozenset("abc"): (1, 1, 1),
     }
     core = ChoiceDataset({"s1": table}).scf("s1").core
     for mask, menu in core.menu_set.items():
         assert core.scaled[mask] is table[menu]
+
+
+def test_a_dataset_row_over_every_label_names_its_menu_and_count():
+    # rows hold one entry per member; a table whose rows cover every label
+    # of the subject, zero off the menu, is refused when its subject is
+    # built, and so by analyze, never misread
+    dense = {
+        frozenset("ab"): (2, 1, 0),
+        frozenset("ac"): (1, 0, 0),
+        frozenset("bc"): (0, 1, 1),
+        frozenset("abc"): (1, 1, 1),
+    }
+    dataset = ChoiceDataset({"s1": dense})
+    message = (
+        "subject 's1': row of menu {a,b} is not 2 nonnegative integers in "
+        "lowest terms, one per member"
+    )
+    for run in (lambda: dataset.scf("s1"), lambda: run_analyze(dataset)):
+        with pytest.raises(ValueError) as info:
+            run()
+        assert str(info.value) == message
+    # one such row among member rows is named the same way
+    rows = {frozenset("ab"): (2, 1), frozenset("ac"): (1, 0),
+            frozenset("bc"): (0, 1, 1), frozenset("abc"): (1, 1, 1)}
+    with pytest.raises(ValueError) as info:
+        ChoiceDataset({"s1": rows}).scf("s1")
+    assert str(info.value) == (
+        "subject 's1': row of menu {b,c} is not 2 nonnegative integers in "
+        "lowest terms, one per member"
+    )
 
 
 # -- menu layouts shared by subjects on equal menu sets ---------------------------
@@ -263,7 +294,7 @@ def _shared_pairs(labels, bad_row=None):
     """Two subjects on the pairwise menus over ``labels``; the second's row
     of the first menu is ``bad_row`` when given."""
     menus = [frozenset(pair) for pair in itertools.combinations(labels, 2)]
-    good = {menu: tuple(int(x in menu) for x in sorted(labels, key=str)) for menu in menus}
+    good = dict.fromkeys(menus, (1, 1))
     second = dict(good)
     if bad_row is not None:
         second[menus[0]] = bad_row
@@ -275,12 +306,12 @@ def _shared_pairs(labels, bad_row=None):
     [
         (("", "a", "b"), None, "alternative labels must be nonempty strings: ''"),
         (("a", "b", 3), None, "alternative labels must be nonempty strings: 3"),
-        ("abc", (2, 2, 0),
-         "row of menu {a,b} is not 3 nonnegative integers in lowest terms, "
-         "zero off the menu"),
+        ("abc", (2, 2),
+         "row of menu {a,b} is not 2 nonnegative integers in lowest terms, "
+         "one per member"),
         ("abc", (1, 1, 1),
-         "row of menu {a,b} is not 3 nonnegative integers in lowest terms, "
-         "zero off the menu"),
+         "row of menu {a,b} is not 2 nonnegative integers in lowest terms, "
+         "one per member"),
     ],
     ids=["empty-label", "int-label", "not-lowest-terms", "nonzero-off-menu"],
 )

@@ -9,6 +9,7 @@ the union must agree with direct axiom checking on the critical grid.
 import itertools
 import math
 import tracemalloc
+import types
 from fractions import Fraction
 
 import pytest
@@ -121,7 +122,7 @@ def test_cuts_order_likelihoods_whose_floats_tie(higher_first):
     rows, probs = {}, {}
     for (x, y), v in zip(itertools.combinations(labels, 2), values):
         count = {x: v.numerator, y: v.denominator}
-        rows[frozenset(count)] = tuple(count.get(label, 0) for label in labels)
+        rows[frozenset(count)] = tuple(count[label] for label in sorted(count))
         probs[frozenset(count)] = {x: v / (1 + v), y: 1 / (1 + v)}
     assert max(len(str(c)) for row in rows.values() for c in row) == 31
     core = StochasticChoiceFunction.from_rows(rows).core
@@ -190,7 +191,7 @@ def near_iia(seed: int, n: int, kind: str) -> StochasticChoiceFunction:
             if kind == "masked" and menu == (0, 1):
                 row[0], row[1] = row[1], row[0]
             g = math.gcd(*row)
-            rows[frozenset(labels[i] for i in menu)] = tuple(v // g for v in row)
+            rows[frozenset(labels[i] for i in menu)] = tuple(row[i] // g for i in menu)
     return StochasticChoiceFunction.from_rows(rows)
 
 
@@ -207,7 +208,7 @@ def luce_off(n: int, off: tuple[int, ...], up: bool) -> StochasticChoiceFunction
             if menu == off:
                 row = [3 * v if (i == off[-1]) == up else v for i, v in enumerate(row)]
             g = math.gcd(*row)
-            rows[frozenset(LABELS[i] for i in menu)] = tuple(v // g for v in row)
+            rows[frozenset(LABELS[i] for i in menu)] = tuple(row[i] // g for i in menu)
     return StochasticChoiceFunction.from_rows(rows)
 
 
@@ -235,7 +236,7 @@ def luce_counts(seed: int, n: int) -> StochasticChoiceFunction:
                 for i in range(n)
             ]
             g = math.gcd(*row)
-            rows[frozenset(LABELS[i] for i in menu)] = tuple(v // g for v in row)
+            rows[frozenset(LABELS[i] for i in menu)] = tuple(row[i] // g for i in menu)
     return StochasticChoiceFunction.from_rows(rows)
 
 
@@ -530,7 +531,7 @@ def test_wide_subjects_reach_interior_endpoints():
     assert {triangular_condition(scf).holds for scf in WIDE.values()} == {True, False}
     # each pair's own row: equal entries are a half, a zero entry a zero
     pair_rows = [
-        (core.scaled[1 << i | 1 << j][i], core.scaled[1 << i | 1 << j][j])
+        core.scaled[1 << i | 1 << j]
         for core in (scf.core for scf in WIDE.values() if scf.core.n <= 24)
         for i, j in itertools.combinations(range(core.n), 2)
     ]
@@ -695,3 +696,109 @@ def test_relabelling_keeps_sets_and_moves_witnesses_to_the_least(name):
 def test_relabelling_checks_many_witnesses():
     count = sum(len(irrationality_sets(scf).witnesses) for scf in RELABEL.values())
     assert count >= 100
+
+
+# -- member rows against the dense-row core -------------------------------------
+#
+# A menu's row holds one entry per member.  ``oracles.DenseCore`` is the core
+# on rows over the whole universe, zero off the menu, reading each member at
+# its index; on full subjects with and without zeros and on pairwise subjects
+# up to n = 64, both must give the same cuts, ranks and sets.
+
+
+def _member_row_subjects():
+    for n in range(3, 9):
+        for seed in range(2):
+            yield f"random-n{n}-s{seed}", random_scf(3000 + 10 * n + seed, LABELS[:n])
+        for kind in ("luce", "noisy", "zeros", "dominated"):
+            yield f"{kind}-n{n}", near_iia(3100 + n, n, kind)
+    for n in (2, 3, 8, 32, 64):
+        labels = [_label(i) for i in range(n)]
+        yield f"pairwise-n{n}", random_scf(
+            3200 + n, labels, domain_kind=DomainKind.PAIRWISE
+        )
+    for kind, make in WIDE_KINDS.items():
+        yield f"{kind}-n64", make(3300, 64)
+
+
+MEMBER_ROWS = dict(_member_row_subjects())
+
+
+@pytest.mark.parametrize("name", sorted(MEMBER_ROWS))
+def test_member_rows_give_the_dense_core(name):
+    scf = MEMBER_ROWS[name]
+    core, dense = scf.core, oracles.dense_core(scf)
+    assert all(len(core.scaled[m]) == len(core.members[m]) for m in core.by_key)
+    for field in ("cuts", "rank", "pair_rank"):
+        assert getattr(core, field) == getattr(dense, field), field
+    # the measures read nothing of a subject but its core
+    on_dense = types.SimpleNamespace(core=dense)
+    for part in (chernoff_set, condorcet_set, transitivity_set, classify_transitivity):
+        assert part(on_dense) == part(scf), part.__name__
+    assert irrationality_sets(on_dense) == irrationality_sets(scf)
+
+
+def test_member_row_subjects_have_rows_with_and_without_zeros():
+    full = [s for s in MEMBER_ROWS.values() if s.domain_kind is DomainKind.FULL]
+    zeros = {any(0 in row for row in s.core.scaled.values()) for s in full}
+    assert zeros == {True, False}
+    assert {len(s.universe) for s in full} == set(range(3, 9))
+
+
+def test_a_pairwise_subject_at_n64_holds_two_entries_per_menu():
+    scf = MEMBER_ROWS["pairwise-n64"]
+    assert sum(map(len, scf.core.scaled.values())) == 2016 * 2 == 4032
+    assert sum(map(len, oracles.dense_rows(scf).values())) == 2016 * 64 == 129024
+
+
+# -- selectivity on rows with zeros ---------------------------------------------
+#
+# A row with a zero sends both selectivity checks down the walk over every
+# nested pair, not the one-element steps.
+
+
+def zero_rows(seed: int, n: int, kind: str) -> StochasticChoiceFunction:
+    """A full-domain subject over n labels from count rows with zeros on
+    some menus: counts 0..3 drawn per member, at least one positive, and
+    the two least labels' pair at (0, 1) ("random"), or Luce on utilities 1..9 in which a drawn set of labels
+    gets zero on every menu that holds another label ("null")."""
+    gen = SplitMix64(seed)
+    u = [1 + gen.below(9) for _ in range(n)]
+    order = list(range(n))
+    gen.shuffle(order)
+    null = set(order[: 1 + gen.below(n - 1)])
+    rows = {}
+    for size in range(2, n + 1):
+        for menu in itertools.combinations(range(n), size):
+            if kind == "random":
+                row = [gen.below(4) for _ in menu]
+                row[gen.below(size)] += 1
+                if menu == (0, 1):
+                    row = [0, 1]
+            else:
+                live = [i for i in menu if i not in null] or menu
+                row = [u[i] if i in live else 0 for i in menu]
+            g = math.gcd(*row)
+            rows[frozenset(LABELS[i] for i in menu)] = tuple(v // g for v in row)
+    return StochasticChoiceFunction.from_rows(rows)
+
+
+ZERO_SUBJECTS = {
+    f"{kind}-n{n}-s{seed}": zero_rows(3400 + 10 * n + seed, n, kind)
+    for kind in ("random", "null")
+    for n in range(3, 8)
+    for seed in range(4)
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_SUBJECTS))
+def test_selectivity_walk_matches_the_nested_scan_on_rows_with_zeros(name):
+    scf = ZERO_SUBJECTS[name]
+    assert any(0 in row for row in scf.core.scaled.values())
+    assert is_selective_in_contractions(scf) == oracles.nested_ratios_kept(scf, True)
+    assert is_selective_in_expansions(scf) == oracles.nested_ratios_kept(scf, False)
+
+
+def test_zero_subjects_reach_both_selectivity_outcomes():
+    for check in (is_selective_in_contractions, is_selective_in_expansions):
+        assert {check(scf) for scf in ZERO_SUBJECTS.values()} == {True, False}

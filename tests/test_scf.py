@@ -22,6 +22,7 @@ from stochrat import (
     threshold_cuts,
     triangular_condition,
 )
+from stochrat.menus import menu_str
 
 import oracles
 from conftest import integer_rows
@@ -107,7 +108,7 @@ def test_a_positional_domain_kind_is_a_type_error():
 
 
 def test_from_rows_builds_the_subject_the_constructor_builds():
-    rows = {XY: (1, 1, 0), YZ: (0, 1, 0), XZ: [1, 0, 2], XYZ: (6, 1, 6)}
+    rows = {XY: (1, 1), YZ: (1, 0), XZ: [1, 2], XYZ: (6, 1, 6)}
     table = {
         XY: HALF,
         YZ: {"y": 1},
@@ -118,16 +119,16 @@ def test_from_rows_builds_the_subject_the_constructor_builds():
     assert scf == StochasticChoiceFunction(table)
     assert scf.menu_probs(XYZ) == {"x": F(6, 13), "y": F(1, 13), "z": F(6, 13)}
     assert scf.support(YZ) == {"y"}
-    # a row follows the sorted labels, however its menu is written
+    # a row follows its members' sorted labels, however its menu is written
     given = StochasticChoiceFunction.from_rows(
-        {("y", "x"): (0, 1, 1), ("x", "w"): (3, 1, 0), ("y", "w"): (0, 0, 1)}
+        {("y", "x"): (1, 1), ("x", "w"): (3, 1), ("y", "w"): (0, 1)}
     )
     assert given == StochasticChoiceFunction(
         {XY: HALF, frozenset("wx"): {"w": F(3, 4), "x": F(1, 4)}, frozenset("wy"): {"y": 1}}
     )
 
 
-BAD_ROW = "row of menu {x,y} is not %d nonnegative integers in lowest terms, zero off the menu"
+BAD_ROW = "row of menu {x,y} is not %d nonnegative integers in lowest terms, one per member"
 
 
 @pytest.mark.parametrize(
@@ -139,12 +140,12 @@ BAD_ROW = "row of menu {x,y} is not %d nonnegative integers in lowest terms, zer
         ({XY: (F(1, 2), F(1, 2))}, BAD_ROW % 2),
         ({XY: (2, 2)}, BAD_ROW % 2),
         ({XY: (0, 0)}, BAD_ROW % 2),
-        ({XY: (1, 1, 1), YZ: (0, 1, 1), XZ: (1, 0, 1)}, BAD_ROW % 3),
+        ({XY: (1, 1, 1), YZ: (0, 1, 1), XZ: (1, 0, 1)}, BAD_ROW % 2),
         ({frozenset("x"): (1,)},
          "menu {x} has a single member; singleton menus are implicit and must "
          "not be supplied"),
         ({("x", "y"): (1, 1), ("y", "x"): (1, 1)}, "duplicate menu {x,y}"),
-        ({XY: (1, 1, 0), YZ: (0, 1, 1)}, "incomplete pairwise domain: missing menu {x,z}"),
+        ({XY: (1, 1), YZ: (1, 1)}, "incomplete pairwise domain: missing menu {x,z}"),
         ({}, "pairwise domain needs at least 2 alternatives; got 0"),
     ],
 )
@@ -152,6 +153,28 @@ def test_from_rows_error_messages(rows, message):
     with pytest.raises(ValueError) as info:
         StochasticChoiceFunction.from_rows(rows)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_row_over_the_whole_universe_names_its_menu_and_count(n):
+    # rows hold one entry per member; a row over every label of the
+    # universe is refused on each menu it does not fill, never misread
+    scf = random_scf(n, "vwxyz"[:n], denominator_bound=6)
+    member_rows = integer_rows({menu: scf.menu_probs(menu) for menu in scf.menus()})
+    assert StochasticChoiceFunction.from_rows(member_rows) == scf
+    dense = oracles.dense_rows(scf)
+    for menu in scf.menus()[:-1]:
+        with pytest.raises(ValueError) as info:
+            StochasticChoiceFunction.from_rows({**member_rows, menu: dense[menu]})
+        assert str(info.value) == (
+            f"row of menu {menu_str(menu)} is not {len(menu)} nonnegative "
+            "integers in lowest terms, one per member"
+        )
+    # the full menu's row is the same in both forms
+    full = scf.menus()[-1]
+    assert dense[full] == member_rows[full]
+    with pytest.raises(ValueError, match=r"^row of menu \{v,w\} is not 2 "):
+        StochasticChoiceFunction.from_rows(dense)
 
 
 def test_zero_fill_for_missing_members():

@@ -207,6 +207,9 @@ def test_cli_import_loads_only_what_analyze_runs():
     setup = _modules_after("from stochrat.dataset import parse_dataset")
     for modules in (loaded, setup):
         assert not modules & {"dataclasses", "inspect"}
+        # the correspondence code is loaded only by what builds a
+        # correspondence: --oracle, lambda and the comparators
+        assert "stochrat.choice" not in modules
 
 
 def test_library_modules_do_not_import_dataclasses():
