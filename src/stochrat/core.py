@@ -170,17 +170,11 @@ class SubjectCore:
 
     def union_of(self, spans: Iterable[tuple[int, int]]) -> IntervalUnion:
         """Union of the intervals (cuts[lo], cuts[hi]] for rank pairs
-        (lo, hi).  A difference array over the ranks counts the spans that
-        cover each cell (cuts[c], cuts[c+1]], threshold region c + 1; the
-        covered cells are one mask over ``cuts`` for
-        :func:`~stochrat.intervals.from_cells`."""
-        diff = [0] * len(self.cuts)
+        (lo, hi): bits lo to hi - 1 of one mask over ``cuts`` stand for the
+        cells (cuts[c], cuts[c+1]], threshold regions lo + 1 to hi, as in
+        :func:`~stochrat.intervals.cell_masks`."""
+        mask = 0
         for lo, hi in spans:
             if lo < hi:
-                diff[lo] += 1
-                diff[hi] -= 1
-        mask = 0
-        for c, depth in enumerate(itertools.accumulate(diff)):
-            if depth:
-                mask |= 1 << c
+                mask |= (1 << hi) - (1 << lo)
         return from_cells(self.cuts, mask)

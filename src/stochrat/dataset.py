@@ -24,13 +24,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import MenuLayout
 from .menus import Menu, as_menu, menu_str, menu_table
-from .rationals import RATIONAL_TEXT_CAP, common_scale, format_rational, probability_pair
+from .rationals import (
+    RATIONAL_TEXT_CAP, format_rational, probability_pair, probability_row
+)
 from .scf import StochasticChoiceFunction
 
 
@@ -184,15 +185,12 @@ class _Ingest:
                     )
                 row = tuple(cells.get(x, 0) // divisor for x in order)
             else:
-                nums, scale = common_scale(cells.values())
-                total = sum(nums)
-                if total != scale:
+                try:
+                    row = probability_row(cells, order)
+                except ValueError as exc:
                     raise ValueError(
-                        f"subject {subject!r}, menu {menu_str(menu)}: probabilities "
-                        f"sum to {Fraction(total, scale)}, not 1"
-                    )
-                num_of = dict(zip(cells, nums))
-                row = tuple(num_of.get(x, 0) for x in order)
+                        f"subject {subject!r}, menu {menu_str(menu)}: {exc}"
+                    ) from None
             table.setdefault(subject, {})[menu] = row
         return table
 

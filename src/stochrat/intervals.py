@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .rationals import format_rational, parse_rational, to_probability
+from .rationals import format_rational, to_probability
 from .record import Record
 
 _ZERO = Fraction(0)
@@ -67,10 +67,6 @@ class IntervalUnion(Record):
                 kept.append((lo, hi))
         ends, (mask,) = cell_masks([kept])
         return from_cells(ends, mask)
-
-    def insert(self, lo: Fraction, hi: Fraction) -> "IntervalUnion":
-        """Return this union with (lo, hi] added.  Empty inputs are no-ops."""
-        return self.union(IntervalUnion.single(lo, hi))
 
     # -- predicates ----------------------------------------------------
 
@@ -136,21 +132,6 @@ class IntervalUnion(Record):
             for lo, hi in self.intervals
         ]
         return " ∪ ".join(parts)
-
-    def to_json(self) -> list[list[str]]:
-        """JSON-ready form: a list of ["lo", "hi"] rational strings."""
-        return [
-            [format_rational(lo), format_rational(hi)] for lo, hi in self.intervals
-        ]
-
-    @classmethod
-    def from_json(cls, data: Sequence[Sequence[str]]) -> "IntervalUnion":
-        pairs = []
-        for item in data:
-            if len(item) != 2:
-                raise ValueError(f"interval entry must have two endpoints: {item!r}")
-            pairs.append((parse_rational(item[0]), parse_rational(item[1])))
-        return cls.from_pairs(pairs)
 
 
 _UNIT = IntervalUnion(((_ZERO, _ONE),))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Collection, Union
+from typing import Collection, Mapping, Sequence, Union
 
 from .errors import CapacityError
 
@@ -109,6 +109,22 @@ def common_scale(values: Collection[tuple[int, int]]) -> tuple[list[int], int]:
     denominators, and that lcm; ``[]`` and 1 for no pairs."""
     scale = math.lcm(*(den for _, den in values))
     return [num * (scale // den) for num, den in values], scale
+
+
+def probability_row(
+    cells: Mapping[str, tuple[int, int]], members: Sequence[str]
+) -> tuple[int, ...]:
+    """A menu's integer row from its members' (numerator, denominator)
+    probability cells: the numerators over the lcm of the denominators, one
+    per member of ``members`` and 0 for a member without a cell.  Cells
+    that do not sum to one raise a ``ValueError``, to which the caller adds
+    the menu's place."""
+    nums, scale = common_scale(cells.values())
+    total = sum(nums)
+    if total != scale:
+        raise ValueError(f"probabilities sum to {Fraction(total, scale)}, not 1")
+    num_of = dict(zip(cells, nums))
+    return tuple(num_of.get(x, 0) for x in members)
 
 
 def format_rational(value: Fraction) -> str:

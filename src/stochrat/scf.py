@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 from .core import MenuLayout, SubjectCore
 from .errors import CapacityError
 from .menus import Menu, as_menu, menu_str, menu_table, sort_menus
-from .rationals import RationalLike, common_scale, to_probability
+from .rationals import RationalLike, probability_row, to_probability
 
 if TYPE_CHECKING:
     from .choice import AxiomReport, ChoiceCorrespondence
@@ -120,14 +120,6 @@ def missing_menus(
     return f"missing menu {menu_str(first)}{more}"
 
 
-def _check_size(menu: Menu) -> None:
-    if len(menu) < 2:
-        raise ValueError(
-            f"menu {menu_str(menu)} has a single member; singleton menus "
-            "are implicit and must not be supplied"
-        )
-
-
 class StochasticChoiceFunction:
     """Validated menu-by-menu choice probabilities on a complete domain.
 
@@ -153,7 +145,6 @@ class StochasticChoiceFunction:
     ) -> None:
         table, labels = menu_table(probabilities)
         for menu, dist in table.items():
-            _check_size(menu)
             values: dict[str, tuple[int, int]] = {}
             for alt, value in dist.items():
                 if alt not in menu:
@@ -166,17 +157,11 @@ class StochasticChoiceFunction:
                     value = to_probability(
                         value, "probability", f" for {alt!r} in {menu_str(menu)}"
                     )
-                if value:
-                    values[alt] = value.numerator, value.denominator
-            nums, scale = common_scale(values.values())
-            total = sum(nums)
-            if total != scale:
-                raise ValueError(
-                    f"probabilities on menu {menu_str(menu)} sum to "
-                    f"{Fraction(total, scale)}, not 1"
-                )
-            num_of = dict(zip(values, nums))
-            table[menu] = tuple(num_of.get(x, 0) for x in sorted(menu))
+                values[alt] = value.numerator, value.denominator
+            try:
+                table[menu] = probability_row(values, sorted(menu))
+            except ValueError as exc:
+                raise ValueError(f"menu {menu_str(menu)}: {exc}") from None
         self._build(table, MenuLayout(labels, table), max_universe)
 
     @classmethod
@@ -217,7 +202,11 @@ class StochasticChoiceFunction:
         and check the domain, and keep the rows."""
         labels, n = layout.labels, layout.n
         for menu, row in table.items():
-            _check_size(menu)
+            if len(menu) < 2:
+                raise ValueError(
+                    f"menu {menu_str(menu)} has a single member; singleton "
+                    "menus are implicit and must not be supplied"
+                )
             row = table[menu] = tuple(row)
             if (
                 len(row) != len(menu)
@@ -244,14 +233,13 @@ class StochasticChoiceFunction:
 
         self._kind = kind
         self._layout = layout
-        self._universe = labels
         self._rows: dict[Menu, tuple[int, ...]] = table
 
     # -- basic accessors ----------------------------------------------
 
     @property
     def universe(self) -> tuple[str, ...]:
-        return self._universe
+        return self._layout.labels
 
     @property
     def domain_kind(self) -> DomainKind:
@@ -292,9 +280,6 @@ class StochasticChoiceFunction:
         """P(x beats y) on the two-element menu {x, y}."""
         return self.prob(x, (x, y))
 
-    def max_prob(self, menu: Iterable[str]) -> Fraction:
-        return max(self.menu_probs(menu).values())
-
     def normalized_likelihood(self, x: str, menu: Iterable[str]) -> Fraction:
         """Choice probability of x divided by the menu's best probability."""
         nums = self._row(menu, x)
@@ -316,7 +301,7 @@ class StochasticChoiceFunction:
 
     def __repr__(self) -> str:
         return (
-            f"StochasticChoiceFunction(|X|={len(self._universe)}, "
+            f"StochasticChoiceFunction(|X|={self._layout.n}, "
             f"kind={self._kind.value}, menus={len(self._rows)})"
         )
 

@@ -35,14 +35,45 @@ def checkout_env(bin_dir=None):
     return env
 
 
+def console_script_target(pyproject: Path, name: str) -> str:
+    """The ``module:function`` target of console script ``name``: its
+    ``name = "..."`` line in the ``[project.scripts]`` table of
+    ``pyproject``.  Read line by line, since ``tomllib`` is new in Python
+    3.11 and the package supports 3.10."""
+    table = None
+    for line in pyproject.read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            table = line
+        elif table == "[project.scripts]":
+            key, eq, value = line.partition("=")
+            if eq and key.strip() == name:
+                return json.loads(value)
+    raise LookupError(f"no console script {name!r} in {pyproject}")
+
+
+def test_console_script_target_is_read_from_the_scripts_table(tmp_path):
+    assert console_script_target(SRC.parent / "pyproject.toml", "stochrat") == (
+        "stochrat.cli:main"
+    )
+    pyproject = tmp_path / "pyproject.toml"
+    pyproject.write_text(
+        '[project]\nstochrat = "elsewhere:main"\n\n'
+        '[project.scripts]\nother = "other:main"\n  stochrat  =  "pkg.cli:run"\n\n'
+        '[tool.x]\nstochrat = "tool:main"\n',
+        encoding="utf-8",
+    )
+    assert console_script_target(pyproject, "stochrat") == "pkg.cli:run"
+    with pytest.raises(LookupError, match="no console script 'absent'"):
+        console_script_target(pyproject, "absent")
+
+
 @pytest.fixture
 def console_script_env(tmp_path):
     """Write the ``stochrat`` console script declared in this checkout's
     ``pyproject.toml`` the way an installer does, and return an environment
     that runs it by that name."""
-    tomllib = pytest.importorskip("tomllib")
-    with (SRC.parent / "pyproject.toml").open("rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"]["stochrat"]
+    target = console_script_target(SRC.parent / "pyproject.toml", "stochrat")
     module, _, attr = target.partition(":")
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()

@@ -44,10 +44,13 @@ def test_canonical_form_ignores_insertion_order():
 
 
 def test_insert():
-    u = IntervalUnion.empty().insert(F(1, 2), F(3, 4)).insert(F(0), F(1, 2))
+    single = IntervalUnion.single
+    u = IntervalUnion.empty() | single(F(1, 2), F(3, 4)) | single(F(0), F(1, 2))
+    # touching intervals merge
     assert u == iu((0, "3/4"))
-    # inserting an empty interval is a no-op
-    assert u.insert(F(1, 4), F(1, 4)) == u
+    assert u.intervals == ((F(0), F(3, 4)),)
+    # adding an empty interval is a no-op
+    assert u | single(F(1, 4), F(1, 4)) == u
 
 
 def test_union_and_intersection_operators():
@@ -87,12 +90,6 @@ def test_measure():
 
 def test_str_rendering():
     assert str(iu(("1/6", "1/4"), ("1/2", 1))) == "(1/6,1/4] ∪ (1/2,1]"
-
-
-def test_json_round_trip():
-    u = iu(("1/6", "1/4"), ("1/2", 1))
-    assert IntervalUnion.from_json(u.to_json()) == u
-    assert u.to_json() == [["1/6", "1/4"], ["1/2", "1"]]
 
 
 def test_out_of_range_bounds_rejected():
@@ -139,11 +136,12 @@ def test_algebra_on_random_unions():
         assert a.is_subset(union) and inter.is_subset(a) and inter.is_subset(b)
         # the merged intersection is already canonical
         assert inter.intervals == IntervalUnion.from_pairs(inter.intervals).intervals
-        # the merged union and insert equal the sorted-and-merged canonical form
+        # the merged union, one interval at a time or at once, equals the
+        # sorted-and-merged canonical form
         assert union == IntervalUnion.from_pairs(a.intervals + b.intervals)
         inserted = a
         for lo, hi in b:
-            inserted = inserted.insert(lo, hi)
+            inserted = inserted | IntervalUnion.single(lo, hi)
         assert inserted == union
         assert a.complement().measure() == 1 - a.measure()
 

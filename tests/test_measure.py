@@ -382,12 +382,6 @@ def test_compare_many_of_one_or_no_subject_has_no_pairs():
     assert single.verdict("only", "only") is Verdict.EQUIVALENT
 
 
-def test_sets_to_json_round_trip(demo_scf):
-    sets = irrationality_sets(demo_scf)
-    encoded = sets.union.to_json()
-    assert IntervalUnion.from_json(encoded) == sets.union
-
-
 # -- seeded sweeps ------------------------------------------------------------------
 
 

@@ -132,6 +132,58 @@ def test_cuts_order_likelihoods_whose_floats_tie(higher_first):
         assert getattr(core, field) == want[field], field
 
 
+# cores with many cuts, a pairwise one and one with few cuts
+UNION_CORES = {
+    "full-n5": random_scf(505, LABELS[:5]).core,
+    "pairwise-n6": random_scf(606, LABELS[:6], domain_kind=DomainKind.PAIRWISE).core,
+    "luce-n3": luce({"a": 1, "b": 2, "c": 4}).core,
+}
+
+
+def _check_union_of(core, spans):
+    """``union_of`` is the union of the intervals (cuts[lo], cuts[hi]], and
+    it holds each cell's cut and midpoint exactly when a span covers it."""
+    cuts = core.cuts
+    got = core.union_of(spans)
+    assert got == IntervalUnion.from_pairs((cuts[lo], cuts[hi]) for lo, hi in spans)
+    for c in range(1, len(cuts)):
+        covered = any(lo < c <= hi for lo, hi in spans)
+        assert got.contains(cuts[c]) == covered, c
+        assert got.contains((cuts[c - 1] + cuts[c]) / 2) == covered, c
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(UNION_CORES))
+def test_union_of_on_edge_spans(name):
+    core = UNION_CORES[name]
+    top = len(core.cuts) - 1
+    mid = top // 2
+    assert top >= 3
+    empty = [[], [(mid, mid)], [(0, 0), (top, top)], [(top, 0), (mid, mid - 1)]]
+    for spans in empty:
+        assert _check_union_of(core, spans).is_empty, spans
+    # spans that cover every cell, touch or overlap give one interval
+    for spans in [
+        [(0, top)],
+        [(0, mid), (mid, top)],
+        [(mid, top), (0, mid)],
+        [(0, mid + 1), (mid - 1, top)],
+        [(c, c + 1) for c in range(top)],
+        [(0, top), (1, 2), (mid, mid), (top, 0)],
+    ]:
+        assert _check_union_of(core, spans).intervals == ((0, 1),), spans
+    gap = _check_union_of(core, [(0, 1), (2, top), (1, 1), (3, 2)])
+    assert gap.intervals == ((0, core.cuts[1]), (core.cuts[2], 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_union_of_matches_the_union_of_its_intervals(data):
+    core = UNION_CORES[data.draw(st.sampled_from(sorted(UNION_CORES)))]
+    ranks = st.integers(0, len(core.cuts) - 1)
+    _check_union_of(core, data.draw(st.lists(st.tuples(ranks, ranks), max_size=8)))
+
+
 def test_subjects_cover_both_selectivity_outcomes():
     full = [s for s in SUBJECTS.values() if s.domain_kind is DomainKind.FULL]
     assert any(is_selective_in_contractions(s) and is_selective_in_expansions(s) for s in full)

@@ -70,8 +70,8 @@ PAIRS_WXYZ = {frozenset(pair): {pair[0]: 1} for pair in itertools.combinations("
         ({XY: {"x": "abc"}}, "pairwise",
          "bad probability 'abc' for 'x' in {x,y}: not a rational number: 'abc'"),
         ({XY: {"x": F(2, 5), "y": F(2, 5)}}, "pairwise",
-         "probabilities on menu {x,y} sum to 4/5, not 1"),
-        ({XY: {}}, "pairwise", "probabilities on menu {x,y} sum to 0, not 1"),
+         "menu {x,y}: probabilities sum to 4/5, not 1"),
+        ({XY: {}}, "pairwise", "menu {x,y}: probabilities sum to 0, not 1"),
         ({XY: {"z": 1}}, "pairwise", "alternative 'z' not a member of menu {x,y}"),
         ({("x", "y"): HALF, ("y", "x"): HALF}, "pairwise", "duplicate menu {x,y}"),
         ({frozenset("x"): {"x": 1}}, "pairwise",
@@ -281,7 +281,6 @@ def test_pair_prob(demo_scf):
 
 
 def test_normalized_likelihood(demo_scf):
-    assert demo_scf.max_prob(XYZ) == F(6, 13)
     assert demo_scf.normalized_likelihood("y", XYZ) == F(1, 6)
     assert demo_scf.normalized_likelihood("x", XYZ) == 1
     assert demo_scf.normalized_likelihood("z", XYZ) == 1

@@ -244,10 +244,11 @@ def test_package_namespace_lists_and_star_imports_all():
         stochrat.no_such_name
 
 
-def test_lcm_is_taken_only_per_row_and_by_the_swap_index():
-    # a denominator common to several menus grows with the number of menus,
-    # not with any one row; rows are scaled by one helper, and only the swap
-    # index's exact value needs a common denominator
+def _uses(name: str) -> list[str]:
+    """Where the package reads ``name``: ``module.function`` (or
+    ``module.Class.method``, or ``module.<module>``) for each name or
+    attribute of that name, and ``module imports name`` for each import
+    of it; sorted."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -258,20 +259,42 @@ def test_lcm_is_taken_only_per_row_and_by_the_swap_index():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "math":
+            if isinstance(node, ast.ImportFrom):
                 found += [
                     f"{path.stem} imports {alias.name}"
                     for alias in node.names
-                    if alias.name == "lcm"
+                    if alias.name == name
                 ]
-            elif isinstance(node, ast.Attribute) and node.attr == "lcm":
+            elif (isinstance(node, ast.Attribute) and node.attr == name) or (
+                isinstance(node, ast.Name) and node.id == name
+            ):
                 inside = [
-                    name
-                    for name, scope in scopes
+                    scope_name
+                    for scope_name, scope in scopes
                     if scope.lineno <= node.lineno <= scope.end_lineno
                 ]
                 found.append(f"{path.stem}.{'.'.join(inside) or '<module>'}")
-    assert sorted(found) == ["comparators.swap_index", "rationals.common_scale"]
+    return sorted(found)
+
+
+def test_lcm_is_taken_only_per_row_and_by_the_swap_index():
+    # a denominator common to several menus grows with the number of menus,
+    # not with any one row; rows are scaled by one helper, and only the swap
+    # index's exact value needs a common denominator
+    assert _uses("lcm") == ["comparators.swap_index", "rationals.common_scale"]
+
+
+def test_probability_cells_become_rows_in_one_helper():
+    # the subject's constructor and the dataset's ingest both build their
+    # probability rows with rationals.probability_row, the only caller of
+    # the row scaler
+    assert _uses("common_scale") == ["rationals.probability_row"]
+    assert _uses("probability_row") == [
+        "dataset imports probability_row",
+        "dataset._Ingest.table",
+        "scf imports probability_row",
+        "scf.StochasticChoiceFunction.__init__",
+    ]
 
 
 def test_the_subject_infers_its_domain_kind():
