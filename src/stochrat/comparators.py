@@ -25,10 +25,10 @@ import math
 from fractions import Fraction
 
 from .choice import houtman_maks, is_totally_rational
-from .core import bits
 from .errors import CapacityError
 from .intervals import IntervalUnion
 from .measure import ComparisonResult
+from .menus import bits
 from .record import Record
 from .scf import (
     FULL_UNIVERSE_CAP,

@@ -8,69 +8,28 @@ integer row, one entry per member, never by a denominator common to
 several menus.  Likelihoods are keyed by reduced (num, den) int pairs; the
 cuts are the only ``Fraction``s a core makes.
 
-A core is built on first use (``StochasticChoiceFunction.core``) from a
-validated subject's integer rows and its menus' :class:`MenuLayout`, and
-never changes.  Sets of full-domain menus, one bit per menu, are built per
+A core is built on first use (``StochasticChoiceFunction.core``, which
+is also the first to load this module) from a validated subject's integer
+rows and its menus' :class:`~stochrat.menus.MenuLayout`, and never
+changes.  Sets of full-domain menus, one bit per menu, are built per
 call (``menu_bitsets``) and not kept: at n = 12 they hold a 4,096-bit int
 per distinct rank of each alternative.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .intervals import IntervalUnion, from_cells
-
-
-def bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-class MenuLayout:
-    """The tables of a core that depend only on its menus, shared by every
-    subject on the same menu set (:class:`~stochrat.dataset.ChoiceDataset`
-    keeps one per distinct set; a subject built alone makes its own).
-
-    * ``labels``: the universe in sorted order; alternative i is
-      ``labels[i]`` (``index`` maps back) and bit i of a menu mask.
-    * ``menus``: the menus, read once to build ``tables``.
-    * ``tables``, built at the first core on the layout: ``mask``, each
-      menu's bitmask; ``menu_set`` and ``members``, each mask's menu and
-      its ascending indices; ``by_key``, the masks in ``menu_key`` order,
-      which is the order of their ``members`` tuples; and ``pairs``, (i, j,
-      mask of {i, j}) for i < j, in ``itertools.combinations`` order.
-    """
-
-    def __init__(self, labels: Sequence[str], menus: Iterable[frozenset[str]]) -> None:
-        self.labels = tuple(labels)
-        self.index = {label: i for i, label in enumerate(self.labels)}
-        self.n = len(self.labels)
-        self.full = (1 << self.n) - 1
-        self.menus = menus
-
-    @functools.cached_property
-    def tables(self) -> tuple[dict, dict, dict, tuple[int, ...], tuple]:
-        """(mask, menu_set, members, by_key, pairs)."""
-        index = self.index
-        mask = {menu: sum(1 << index[x] for x in menu) for menu in self.menus}
-        members = {m: tuple(bits(m)) for m in mask.values()}
-        pairs = tuple(
-            (i, j, 1 << i | 1 << j) for i, j in itertools.combinations(range(self.n), 2)
-        )
-        by_key = tuple(sorted(members, key=members.__getitem__))
-        return mask, {m: menu for menu, m in mask.items()}, members, by_key, pairs
+from .menus import MenuLayout
 
 
 class SubjectCore:
-    """Integer tables of one subject: its layout's (see :class:`MenuLayout`:
+    """Integer tables of one subject: its layout's (see
+    :class:`~stochrat.menus.MenuLayout`:
     ``labels``, ``index``, ``n``, ``full``, ``menu_set``, ``members`` and
     ``by_key``) and its own values.
 

@@ -22,13 +22,11 @@ menus.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .core import MenuLayout
-from .menus import Menu, as_menu, menu_str, menu_table
+from .menus import Menu, MenuLayout, as_menu, menu_str, menu_table
 from .rationals import (
     RATIONAL_TEXT_CAP, format_rational, probability_pair, probability_row
 )
@@ -210,7 +208,7 @@ class ChoiceDataset:
     validates them and the domain.
 
     Subjects on equal menu sets share one
-    :class:`~stochrat.core.MenuLayout`, made at the first :meth:`scf` on
+    :class:`~stochrat.menus.MenuLayout`, made at the first :meth:`scf` on
     those menus: its labels are checked once, and its menu tables are built
     at the first core that reads them.
     """
@@ -318,7 +316,10 @@ def read_json(path: Path) -> object:
     """The JSON document in ``path``, with a byte-order mark skipped.
     Integers within the rational text cap are ``int``s; every other number,
     ``NaN`` and ``Infinity`` included, stays as its source text, so that the
-    exact rational parser reads it and no binary float comes between."""
+    exact rational parser reads it and no binary float comes between.
+    ``json`` is loaded here, so reading a CSV dataset never loads it."""
+    import json
+
     with path.open(encoding="utf-8-sig") as handle:
         try:
             return json.load(

@@ -47,8 +47,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .core import SubjectCore, bits
+from .core import SubjectCore
 from .intervals import IntervalUnion, cell_masks
+from .menus import bits
 from .record import Record
 from .scf import DomainKind, StochasticChoiceFunction
 

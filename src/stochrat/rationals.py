@@ -1,7 +1,9 @@
-"""Exact rational parsing and rendering.
+"""Exact rational parsing and rendering, and a menu's integer row.
 
 All quantitative work in this package happens on ``fractions.Fraction``
-with arbitrary-precision integers.  Floats appear as presentation, via
+with arbitrary-precision integers, or on integer rows that stand for
+them: :func:`probability_row` puts a menu's probability cells over their
+least common denominator.  Floats appear as presentation, via
 :func:`format_decimal`, and as filters that decide only where their error
 bound allows and leave every closer case to an exact comparison
 (``intervals.cell_masks``, ``measure.triangular_condition``).
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Collection, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import CapacityError
 
@@ -104,27 +106,22 @@ def probability_pair(text: str) -> tuple[int, int]:
     return prob.numerator, prob.denominator
 
 
-def common_scale(values: Collection[tuple[int, int]]) -> tuple[list[int], int]:
-    """Numerators of the (numerator, denominator) pairs over the lcm of their
-    denominators, and that lcm; ``[]`` and 1 for no pairs."""
-    scale = math.lcm(*(den for _, den in values))
-    return [num * (scale // den) for num, den in values], scale
-
-
 def probability_row(
     cells: Mapping[str, tuple[int, int]], members: Sequence[str]
 ) -> tuple[int, ...]:
     """A menu's integer row from its members' (numerator, denominator)
-    probability cells: the numerators over the lcm of the denominators, one
-    per member of ``members`` and 0 for a member without a cell.  Cells
-    that do not sum to one raise a ``ValueError``, to which the caller adds
-    the menu's place."""
-    nums, scale = common_scale(cells.values())
-    total = sum(nums)
+    probability cells, one entry per member of ``members``, in one pass:
+    the list of the members' cells (a member without a cell reads as
+    (0, 1)), one ``math.lcm`` of their denominators and one list of the
+    numerators over it, whose sum is checked.  Cells that do not sum to one
+    raise a ``ValueError``, to which the caller adds the menu's place."""
+    pairs = [cells.get(x, (0, 1)) for x in members]
+    scale = math.lcm(*[den for _, den in pairs])
+    row = [num * (scale // den) for num, den in pairs]
+    total = sum(row)
     if total != scale:
         raise ValueError(f"probabilities sum to {Fraction(total, scale)}, not 1")
-    num_of = dict(zip(cells, nums))
-    return tuple(num_of.get(x, 0) for x in members)
+    return tuple(row)
 
 
 def format_rational(value: Fraction) -> str:

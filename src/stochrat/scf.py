@@ -27,13 +27,13 @@ from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
-from .core import MenuLayout, SubjectCore
 from .errors import CapacityError
-from .menus import Menu, as_menu, menu_str, menu_table, sort_menus
+from .menus import Menu, MenuLayout, as_menu, menu_str, menu_table, sort_menus
 from .rationals import RationalLike, probability_row, to_probability
 
 if TYPE_CHECKING:
     from .choice import AxiomReport, ChoiceCorrespondence
+    from .core import SubjectCore
 
 FULL_UNIVERSE_CAP = 12
 PAIRWISE_UNIVERSE_CAP = 64
@@ -250,7 +250,11 @@ class StochasticChoiceFunction:
 
     @functools.cached_property
     def core(self) -> SubjectCore:
-        """Rank-coded integer tables of this subject, built on first use."""
+        """Rank-coded integer tables of this subject, built on first use.
+        The first use also loads :mod:`stochrat.core` and the interval
+        algebra, so reading data and building subjects compile neither."""
+        from .core import SubjectCore
+
         return SubjectCore(self._layout, self._rows)
 
     def _row(self, menu: Iterable[str], x: Optional[str] = None) -> dict[str, int]:

@@ -21,7 +21,8 @@ from stochrat import (
     SplitMix64,
     StochasticChoiceFunction,
 )
-from stochrat.core import MenuLayout, SubjectCore
+from stochrat.core import SubjectCore
+from stochrat.menus import MenuLayout
 
 Relation = frozenset[tuple[str, str]]
 

@@ -33,7 +33,7 @@ from stochrat import (
 )
 
 from stochrat import dataset as dataset_module
-from stochrat.core import MenuLayout
+from stochrat.menus import MenuLayout
 from stochrat.rationals import probability_pair, to_probability
 
 from conftest import FIXTURES

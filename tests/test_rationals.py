@@ -1,3 +1,5 @@
+import json
+import math
 import sys
 from fractions import Fraction
 
@@ -5,14 +7,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stochrat import format_decimal, format_rational, models, parse_rational
+from stochrat import (
+    StochasticChoiceFunction,
+    format_decimal,
+    format_rational,
+    models,
+    parse_dataset,
+    parse_rational,
+)
 from stochrat.errors import CapacityError
 from stochrat.intervals import IntervalUnion
 from stochrat.rationals import (
     DECIMAL_EXPONENT_CAP,
     RATIONAL_TEXT_CAP,
-    common_scale,
     probability_pair,
+    probability_row,
     to_fraction,
     to_probability,
 )
@@ -247,7 +256,99 @@ def test_to_probability_checks_the_unit_interval():
         to_probability(-1, "threshold")
 
 
-def test_common_scale_is_the_lcm_of_reduced_denominators():
-    values = [(1, 2), (1, 6), (1, 3), (0, 1)]
-    assert common_scale(values) == ([3, 1, 2, 0], 6)
-    assert common_scale([]) == ([], 1)
+BIG = 10**40
+
+
+def fraction_row(cells, members):
+    """The integer row of the cells, computed on ``Fraction``s: each
+    member's probability (0 without a cell) times the lcm of their reduced
+    denominators."""
+    probs = [Fraction(*cells[x]) if x in cells else Fraction(0) for x in members]
+    scale = math.lcm(*(p.denominator for p in probs))
+    return tuple(int(p * scale) for p in probs)
+
+
+@pytest.mark.parametrize(
+    "cells,members,row",
+    [
+        # a member without a cell gets 0
+        ({"b": (1, 1)}, "abc", (0, 1, 0)),
+        ({"a": (1, 3), "c": (2, 3)}, "abc", (1, 0, 2)),
+        # denominators of 1
+        ({"a": (0, 1), "b": (1, 1)}, "ab", (0, 1)),
+        # 40-digit denominators
+        ({"a": (1, BIG - 1), "b": (BIG - 2, BIG - 1)}, "ab", (1, BIG - 2)),
+        ({"a": (1, 3 * BIG), "b": (2, 3), "c": ((BIG - 1) // 3, BIG)}, "abcd",
+         (1, 2 * BIG, BIG - 1, 0)),
+    ],
+)
+def test_probability_row_puts_the_cells_over_their_lcm(cells, members, row):
+    assert probability_row(cells, members) == row == fraction_row(cells, members)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 50), st.integers(1, BIG), st.booleans()),
+        min_size=2,
+        max_size=8,
+    ).filter(lambda draws: any(weight for weight, _, _ in draws)),
+    st.integers(2, BIG),
+    st.sampled_from([-1, 1]),
+)
+@settings(max_examples=200, deadline=None)
+def test_probability_row_matches_fractions(draws, off_den, sign):
+    weights = [Fraction(weight, den) for weight, den, _ in draws]
+    total = sum(weights)
+    members = [f"x{k}" for k in range(len(draws))]
+    # a zero probability is a (0, 1) cell or no cell at all
+    cells = {
+        x: ((w / total).numerator, (w / total).denominator)
+        for x, w, (_, _, keep) in zip(members, weights, draws)
+        if w or keep
+    }
+    row = probability_row(cells, members)
+    assert row == fraction_row(cells, members)
+    assert math.gcd(*row) == 1
+    assert [Fraction(num, sum(row)) for num in row] == [w / total for w in weights]
+
+    # the same cells with the largest off by at most 1/2, down to 10^-40,
+    # in the drawn direction where the cell stays within [0, 1]
+    x = max(cells, key=lambda x: Fraction(*cells[x]))
+    off = sign * Fraction(1, off_den)
+    if not 0 <= Fraction(*cells[x]) + off <= 1:
+        off = -off
+    p = Fraction(*cells[x]) + off
+    with pytest.raises(ValueError) as info:
+        probability_row({**cells, x: (p.numerator, p.denominator)}, members)
+    assert str(info.value) == f"probabilities sum to {1 + off}, not 1"
+
+
+@pytest.mark.parametrize("off", [Fraction(1, BIG), -Fraction(1, BIG)], ids=["over", "under"])
+def test_a_sum_off_one_by_ten_to_the_minus_40_is_refused(tmp_path, off):
+    # the same text from the row builder, the constructor and a data file
+    message = f"probabilities sum to {1 + off}, not 1"
+    half, rest = Fraction(1, 2), Fraction(1, 2) + off
+    with pytest.raises(ValueError) as info:
+        probability_row({"x": (1, 2), "y": (rest.numerator, rest.denominator)}, "xy")
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        StochasticChoiceFunction({("x", "y"): {"x": half, "y": rest}})
+    assert str(info.value) == f"menu {{x,y}}: {message}"
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text(
+        f"subject,menu,alternative,prob\ns1,a|b,a,1/2\ns1,a|b,b,{rest}\n",
+        encoding="utf-8",
+    )
+    json_path = tmp_path / "data.json"
+    observations = [
+        {"menu": ["a", "b"], "alternative": x, "prob": str(p)}
+        for x, p in (("a", half), ("b", rest))
+    ]
+    json_path.write_text(
+        json.dumps({"subjects": [{"subject": "s1", "observations": observations}]}),
+        encoding="utf-8",
+    )
+    for path in (csv_path, json_path):
+        with pytest.raises(ValueError) as info:
+            parse_dataset(path)
+        assert str(info.value) == f"subject 's1', menu {{a,b}}: {message}"

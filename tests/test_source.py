@@ -13,6 +13,8 @@ import pytest
 
 import stochrat
 
+from conftest import FIXTURES
+
 PACKAGE = Path(stochrat.__file__).resolve().parent
 
 
@@ -212,6 +214,28 @@ def test_cli_import_loads_only_what_analyze_runs():
         assert "stochrat.choice" not in modules
 
 
+def test_reading_a_dataset_loads_only_the_ingest():
+    # parsing a CSV dataset and building its subjects compiles neither the
+    # rank-coded core, nor the interval algebra and its records, nor json:
+    # a subject loads the core when its .core is first read
+    setup = (
+        "from stochrat.dataset import parse_dataset\n"
+        f"data = parse_dataset({str(FIXTURES / 'pairwise5_panel26.csv')!r})\n"
+        "subjects = [data.scf(subject) for subject in data.subject_ids()]\n"
+    )
+    loaded = _modules_after(setup)
+    assert "stochrat.scf" in loaded
+    for unused in ("stochrat.core", "stochrat.intervals", "stochrat.record", "json"):
+        assert unused not in loaded
+    assert "stochrat.core" in _modules_after(setup + "subjects[0].core\n")
+    # the JSON form, read with json loaded on demand, gives the same table
+    from_csv = stochrat.parse_dataset(FIXTURES / "pairwise5_panel26.csv")
+    from_json = stochrat.parse_dataset(FIXTURES / "pairwise5_panel26.json")
+    assert from_json.subject_ids() == from_csv.subject_ids()
+    for subject in from_csv.subject_ids():
+        assert from_json.scf(subject) == from_csv.scf(subject)
+
+
 def test_library_modules_do_not_import_dataclasses():
     found = [
         f"{path.name}:{node.lineno}"
@@ -279,16 +303,14 @@ def _uses(name: str) -> list[str]:
 
 def test_lcm_is_taken_only_per_row_and_by_the_swap_index():
     # a denominator common to several menus grows with the number of menus,
-    # not with any one row; rows are scaled by one helper, and only the swap
-    # index's exact value needs a common denominator
-    assert _uses("lcm") == ["comparators.swap_index", "rationals.common_scale"]
+    # not with any one row; rows are scaled by their one builder, and only
+    # the swap index's exact value needs a common denominator
+    assert _uses("lcm") == ["comparators.swap_index", "rationals.probability_row"]
 
 
 def test_probability_cells_become_rows_in_one_helper():
     # the subject's constructor and the dataset's ingest both build their
-    # probability rows with rationals.probability_row, the only caller of
-    # the row scaler
-    assert _uses("common_scale") == ["rationals.probability_row"]
+    # probability rows with rationals.probability_row
     assert _uses("probability_row") == [
         "dataset imports probability_row",
         "dataset._Ingest.table",
