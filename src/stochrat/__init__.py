@@ -16,7 +16,9 @@ _EXPORTS = {
         "ChoiceCorrespondence",
         "Preorder",
         "check_axioms",
+        "fishburn_correspondence",
         "houtman_maks",
+        "is_lambda_rational",
         "is_rational",
         "is_totally_rational",
         "max_correspondence",
@@ -86,14 +88,7 @@ _EXPORTS = {
         "render_plotdata",
         "run_analyze",
     ),
-    "scf": (
-        "DomainKind",
-        "StochasticChoiceFunction",
-        "fishburn_correspondence",
-        "is_lambda_rational",
-        "lambda_floor",
-        "threshold_cuts",
-    ),
+    "scf": ("DomainKind", "StochasticChoiceFunction", "threshold_cuts"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

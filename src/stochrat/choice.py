@@ -22,18 +22,36 @@ actually present.
 The stronger demand that one *complete* preorder generates the
 correspondence is decided by Richter's congruence axiom on the transitive
 closure of revealed weak preference (:func:`is_totally_rational`).
+
+The direct route from a stochastic choice function lives here too: its
+threshold correspondence at one lambda, that correspondence's axiom
+checks, and the ``--oracle`` check of the interval sets against them.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from typing import Iterable, Iterator, Mapping, Optional
+from fractions import Fraction
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
-from .errors import CapacityError
+from .errors import CapacityError, OracleMismatch
 from .menus import Menu, as_menu, menu_str, menu_table, sort_menus
+from .rationals import to_probability
 from .record import Record
+from .scf import StochasticChoiceFunction, threshold_cuts
+
+if TYPE_CHECKING:
+    from .measure import IrrationalitySets
 
 HOUTMAN_MAKS_CAP = 20
+
+# each axiom's key in reports and witnesses and its name in messages, in order
+AXIOM_NAMES = {
+    "chernoff": "contraction",
+    "condorcet": "pairwise-winner",
+    "transitivity": "cycle",
+}
 
 
 class ChoiceCorrespondence:
@@ -124,15 +142,10 @@ class AxiomReport(Record):
 
     @property
     def failures(self) -> tuple[tuple[str, tuple], ...]:
-        """(axiom, witness) for each violated axiom, in the fixed order
-        contraction ("chernoff"), pairwise winner ("condorcet"), cycle
-        composition ("transitivity")."""
-        named = (
-            ("chernoff", self.chernoff_witness),
-            ("condorcet", self.condorcet_witness),
-            ("transitivity", self.no_cycle_witness),
-        )
-        return tuple((axiom, w) for axiom, w in named if w is not None)
+        """(axiom, witness) for each violated axiom, keyed and ordered as
+        in :data:`AXIOM_NAMES`."""
+        found = self.chernoff_witness, self.condorcet_witness, self.no_cycle_witness
+        return tuple((a, w) for a, w in zip(AXIOM_NAMES, found) if w is not None)
 
     def __bool__(self) -> bool:
         return self.all_hold
@@ -205,6 +218,74 @@ def is_rational(c: ChoiceCorrespondence) -> bool:
     """True when some preorder generates the correspondence (axioms hold)."""
     beats = _beats(c)
     return all(next(scan(c._table, beats), None) is None for scan in _SCANS)
+
+
+# -- threshold correspondences ------------------------------------------
+
+
+def fishburn_correspondence(
+    scf: StochasticChoiceFunction, lam: Fraction
+) -> ChoiceCorrespondence:
+    """Threshold correspondence: keep x in S when its normalized likelihood
+    reaches ``lam``.
+
+    At lam = 0 this is the support correspondence, and so it is at every
+    threshold up to the smallest positive normalized likelihood,
+    ``threshold_cuts(scf)[0]``: the ranks from 1 up are kept at each
+    threshold in that range, which makes the family continuous at zero.
+    """
+    lam = to_probability(lam, "threshold")
+    core = scf.core
+    # likelihood >= lam  <=>  rank >= floor; at lam = 0 keep rank >= 1 (> 0)
+    floor = max(1, bisect.bisect_left(core.cuts, lam))
+    # in menu_key order, which the correspondence keeps
+    table = {}
+    for mask in core.by_key:
+        row = core.rank[mask]
+        table[core.menu_set[mask]] = frozenset(
+            core.labels[i] for i in core.members[mask] if row[i] >= floor
+        )
+    return ChoiceCorrespondence(table, universe=scf.universe)
+
+
+def is_lambda_rational(scf: StochasticChoiceFunction, lam: Fraction) -> AxiomReport:
+    """Check whether the threshold correspondence at ``lam`` is rational.
+
+    The report is true when all three axioms hold.  This runs the
+    deterministic axiom checks on the constructed correspondence; it is
+    deliberately independent of the interval-set route in
+    :mod:`stochrat.measure`, so the two can cross-validate.
+    """
+    return check_axioms(fishburn_correspondence(scf, lam))
+
+
+def check_threshold_sets(
+    scf: StochasticChoiceFunction, sets: IrrationalitySets, subject: str
+) -> None:
+    """Raise :class:`OracleMismatch` unless each part of ``sets``, and
+    their union, ends only at 0 and cuts (so it is fixed on each region
+    (cuts[c-1], cuts[c]], as the correspondence is) and holds each cut
+    exactly when direct axiom checking finds its axioms violated there."""
+    parts = [
+        (name, getattr(sets, axiom), {axiom}) for axiom, name in AXIOM_NAMES.items()
+    ]
+    parts.append(("irrationality", sets.union, set(AXIOM_NAMES)))
+    cuts = threshold_cuts(scf)
+    for name, part, _ in parts:
+        stray = {end for pair in part.intervals for end in pair} - {0, *cuts}
+        if stray:
+            raise OracleMismatch(
+                f"subject {subject}, {name} set has endpoint {min(stray)}, "
+                "which is neither 0 nor a cut"
+            )
+    for lam in cuts:
+        failed = {axiom for axiom, _ in is_lambda_rational(scf, lam).failures}
+        for name, part, axioms in parts:
+            if part.contains(lam) != bool(failed & axioms):
+                raise OracleMismatch(
+                    f"subject {subject}, {name} set and axiom checking "
+                    f"disagree at {lam}"
+                )
 
 
 # -- preorders ----------------------------------------------------------

@@ -32,7 +32,7 @@ from .measure import (
 from .menus import menu_str, sort_menus
 from .rationals import format_decimal, format_rational, parse_rational
 from .report import AnalysisConfig, analyze_scf, emit_report, run_analyze
-from .scf import StochasticChoiceFunction, fishburn_correspondence
+from .scf import FULL_UNIVERSE_CAP, PAIRWISE_UNIVERSE_CAP, StochasticChoiceFunction
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,8 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "override the universe-size caps (defaults: 12 alternatives on the "
-            "full domain, 64 on the pairwise domain)"
+            "override the universe-size caps (defaults: %d alternatives on the "
+            "full domain, %d on the pairwise domain)"
+            % (FULL_UNIVERSE_CAP, PAIRWISE_UNIVERSE_CAP)
         ),
     )
     parser.add_argument(
@@ -195,7 +196,7 @@ def _cmd_model(args: argparse.Namespace, config: AnalysisConfig) -> int:
 
 
 def _cmd_lambda(args: argparse.Namespace, config: AnalysisConfig) -> int:
-    from .choice import check_axioms
+    from .choice import AXIOM_NAMES, check_axioms, fishburn_correspondence
 
     dataset = parse_dataset(args.data)
     scf = dataset.scf(args.subject, max_universe=config.max_universe)
@@ -208,11 +209,6 @@ def _cmd_lambda(args: argparse.Namespace, config: AnalysisConfig) -> int:
     if report:
         print("lambda-rational: yes")
     else:
-        names = {
-            "chernoff": "contraction",
-            "condorcet": "pairwise-winner",
-            "transitivity": "cycle",
-        }
         for axiom, witness in report.failures:
             if axiom == "chernoff":
                 small, large, alternative = witness
@@ -222,7 +218,7 @@ def _cmd_lambda(args: argparse.Namespace, config: AnalysisConfig) -> int:
                 where = f"({menu_str(menu)}, {alternative})"
             else:
                 where = "(" + ",".join(witness) + ")"
-            print(f"not lambda-rational: {names[axiom]} violation at {where}")
+            print(f"not lambda-rational: {AXIOM_NAMES[axiom]} violation at {where}")
     return 0
 
 

@@ -24,18 +24,13 @@ import itertools
 import math
 from fractions import Fraction
 
-from .choice import houtman_maks, is_totally_rational
+from .choice import fishburn_correspondence, houtman_maks, is_totally_rational
 from .errors import CapacityError
 from .intervals import IntervalUnion
 from .measure import ComparisonResult
 from .menus import bits
 from .record import Record
-from .scf import (
-    FULL_UNIVERSE_CAP,
-    StochasticChoiceFunction,
-    fishburn_correspondence,
-    threshold_cuts,
-)
+from .scf import FULL_UNIVERSE_CAP, StochasticChoiceFunction, threshold_cuts
 
 _ZERO = Fraction(0)
 

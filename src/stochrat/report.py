@@ -24,7 +24,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 
-from .errors import CapacityError, OracleMismatch
+from .errors import CapacityError
 from .dataset import ChoiceDataset
 from .intervals import IntervalUnion
 from .measure import (
@@ -44,12 +44,7 @@ from .measure import (
 from .menus import menu_key
 from .rationals import DECIMAL_PLACES, format_decimal, format_rational
 from .record import Record
-from .scf import (
-    DomainKind,
-    StochasticChoiceFunction,
-    is_lambda_rational,
-    threshold_cuts,
-)
+from .scf import DomainKind, StochasticChoiceFunction
 
 SCHEMA_VERSION = 1
 
@@ -95,35 +90,16 @@ def analyze_scf(
 ) -> SubjectAnalysis:
     """Full single-subject analysis bundle.
 
-    With ``config.oracle`` each printed set must end only at 0 and cuts,
-    so it is fixed on each region (cuts[c-1], cuts[c]], as the
-    correspondence is, and is checked against direct axiom checking at
-    each cut.  A mismatch is a bug, raised as :class:`OracleMismatch`.
+    With ``config.oracle`` each set is checked against direct axiom
+    checking by :func:`stochrat.choice.check_threshold_sets`, loaded only
+    then; a mismatch is a bug, raised as
+    :class:`~stochrat.errors.OracleMismatch`.
     """
     sets = irrationality_sets(scf)
     if config.oracle:
-        parts = (
-            ("contraction", sets.chernoff, "chernoff"),
-            ("pairwise-winner", sets.condorcet, "condorcet"),
-            ("cycle", sets.transitivity, "no_cycle"),
-            ("irrationality", sets.union, "all_hold"),
-        )
-        cuts = threshold_cuts(scf)
-        for name, part, _ in parts:
-            stray = {end for pair in part.intervals for end in pair} - {0, *cuts}
-            if stray:
-                raise OracleMismatch(
-                    f"subject {subject}, {name} set has endpoint {min(stray)}, "
-                    "which is neither 0 nor a cut"
-                )
-        for lam in cuts:
-            axioms = is_lambda_rational(scf, lam)
-            for name, part, axiom in parts:
-                if part.contains(lam) == getattr(axioms, axiom):
-                    raise OracleMismatch(
-                        f"subject {subject}, {name} set and axiom checking "
-                        f"disagree at {lam}"
-                    )
+        from .choice import check_threshold_sets
+
+        check_threshold_sets(scf, sets, subject)
     if scf.domain_kind is DomainKind.FULL:
         contractions: Optional[bool] = is_selective_in_contractions(scf)
         expansions: Optional[bool] = is_selective_in_expansions(scf)

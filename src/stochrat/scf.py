@@ -1,4 +1,4 @@
-"""Stochastic choice functions and their threshold correspondences.
+"""Stochastic choice functions and their cut grid.
 
 A stochastic choice function (SCF) assigns each menu a probability
 distribution over its members.  Two domains are supported, and the menus
@@ -13,12 +13,13 @@ The central derived quantity is the *normalized likelihood* of x in S:
 the choice probability of x divided by the largest choice probability in
 S.  Thresholding it at lambda in (0, 1] yields a one-parameter family of
 choice correspondences (the Fishburn family), shrinking as the threshold
-rises; at lambda = 0 the correspondence is the support.
+rises; at lambda = 0 the correspondence is the support.  The family is
+constant between consecutive cuts (:func:`threshold_cuts`); the
+correspondences themselves are built in :mod:`stochrat.choice`.
 """
 
 from __future__ import annotations
 
-import bisect
 import collections
 import functools
 import itertools
@@ -32,7 +33,6 @@ from .menus import Menu, MenuLayout, as_menu, menu_str, menu_table, sort_menus
 from .rationals import RationalLike, probability_row, to_probability
 
 if TYPE_CHECKING:
-    from .choice import AxiomReport, ChoiceCorrespondence
     from .core import SubjectCore
 
 FULL_UNIVERSE_CAP = 12
@@ -310,39 +310,7 @@ class StochasticChoiceFunction:
         )
 
 
-# -- threshold machinery ------------------------------------------------
-
-
-def fishburn_correspondence(
-    scf: StochasticChoiceFunction, lam: Fraction
-) -> ChoiceCorrespondence:
-    """Threshold correspondence: keep x in S when its normalized likelihood
-    reaches ``lam``.  At lam = 0 this is the support correspondence."""
-    from .choice import ChoiceCorrespondence
-
-    lam = to_probability(lam, "threshold")
-    core = scf.core
-    # likelihood >= lam  <=>  rank >= floor; at lam = 0 keep rank >= 1 (> 0)
-    floor = max(1, bisect.bisect_left(core.cuts, lam))
-    # in menu_key order, which the correspondence keeps
-    table = {}
-    for mask in core.by_key:
-        row = core.rank[mask]
-        table[core.menu_set[mask]] = frozenset(
-            core.labels[i] for i in core.members[mask] if row[i] >= floor
-        )
-    return ChoiceCorrespondence(table, universe=scf.universe)
-
-
-def lambda_floor(scf: StochasticChoiceFunction) -> Fraction:
-    """Smallest positive normalized likelihood.
-
-    Thresholds at or below this value all produce the support
-    correspondence, which makes the family continuous at zero: by
-    construction :func:`fishburn_correspondence` keeps the ranks from 1 up
-    at every threshold in [0, floor].
-    """
-    return scf.core.cuts[1]
+# -- the cut grid -------------------------------------------------------
 
 
 def threshold_cuts(scf: StochasticChoiceFunction) -> tuple[Fraction, ...]:
@@ -352,16 +320,3 @@ def threshold_cuts(scf: StochasticChoiceFunction) -> tuple[Fraction, ...]:
     which the correspondence family is constant; the last cut is always 1.
     """
     return scf.core.cuts[1:]
-
-
-def is_lambda_rational(scf: StochasticChoiceFunction, lam: Fraction) -> AxiomReport:
-    """Check whether the threshold correspondence at ``lam`` is rational.
-
-    The report is true when all three axioms hold.  This runs the
-    deterministic axiom checks on the constructed correspondence; it is
-    deliberately independent of the interval-set route in
-    :mod:`stochrat.measure`, so the two can cross-validate.
-    """
-    from .choice import check_axioms
-
-    return check_axioms(fishburn_correspondence(scf, lam))

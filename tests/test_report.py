@@ -80,6 +80,24 @@ def test_oracle_checks_each_part_not_only_the_union(monkeypatch):
         analyze_scf(scf, config=config)
 
 
+@pytest.mark.parametrize(
+    "producer, message",
+    [
+        ("chernoff_set", "contraction set and axiom checking disagree at 1"),
+        ("condorcet_set", "pairwise-winner set and axiom checking disagree at 1/4"),
+        ("transitivity_set", "cycle set and axiom checking disagree at 1"),
+    ],
+)
+def test_oracle_names_the_part_that_disagrees(monkeypatch, producer, message):
+    # each part is checked and named on its own, not only the cycle part
+    scf = parse_dataset(FIXTURES / "demo_full3.csv").scf("s1")
+    empty = IntervalUnion.empty()
+    monkeypatch.setattr(measure, producer, lambda scf, tables=None: empty)
+    with pytest.raises(OracleMismatch) as caught:
+        analyze_scf(scf, subject="s1", config=AnalysisConfig(oracle=True))
+    assert str(caught.value) == f"subject s1, {message}"
+
+
 def test_run_analyze_demo(demo_report):
     assert [s.subject for s in demo_report.subjects] == ["s1"]
     (entry,) = demo_report.ok_subjects()

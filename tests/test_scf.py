@@ -15,7 +15,6 @@ from stochrat import (
     is_lambda_rational,
     is_selective_in_contractions,
     is_selective_in_expansions,
-    lambda_floor,
     random_scf,
     render_json,
     run_analyze,
@@ -335,7 +334,7 @@ def test_top_threshold_keeps_argmax(demo_scf):
 
 
 def test_lambda_floor(demo_scf):
-    assert lambda_floor(demo_scf) == F(1, 6)
+    assert threshold_cuts(demo_scf)[0] == F(1, 6)
     c = fishburn_correspondence(demo_scf, F(1, 6))
     for menu in demo_scf.menus():
         assert c.choice(menu) == demo_scf.support(menu)

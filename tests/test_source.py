@@ -214,6 +214,16 @@ def test_cli_import_loads_only_what_analyze_runs():
         assert "stochrat.choice" not in modules
 
 
+def test_analyze_loads_the_correspondence_code_only_under_oracle(tmp_path):
+    panel = str(FIXTURES / "pairwise5_panel26.csv")
+    for oracle in ([], ["--oracle"]):
+        argv = [*oracle, "analyze", panel, "--out", str(tmp_path / "report.json")]
+        loaded = _modules_after(
+            f"import stochrat.cli\nassert stochrat.cli.main({argv!r}) == 0"
+        )
+        assert ("stochrat.choice" in loaded) == bool(oracle), argv
+
+
 def test_reading_a_dataset_loads_only_the_ingest():
     # parsing a CSV dataset and building its subjects compiles neither the
     # rank-coded core, nor the interval algebra and its records, nor json:
@@ -317,6 +327,46 @@ def test_probability_cells_become_rows_in_one_helper():
         "scf imports probability_row",
         "scf.StochasticChoiceFunction.__init__",
     ]
+
+
+def _defined(name: str) -> list[str]:
+    """The modules whose top level defines ``name`` by a def, a class or an
+    assignment; sorted."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            if name in names:
+                found.append(path.stem)
+    return found
+
+
+def test_the_direct_axiom_route_has_one_home():
+    # the threshold correspondence, its axiom check, the --oracle check and
+    # the axioms' names are defined in choice.py alone; scf.py never loads
+    # choice.py, and report.py loads it only under --oracle
+    for name in (
+        "fishburn_correspondence",
+        "is_lambda_rational",
+        "check_threshold_sets",
+        "AXIOM_NAMES",
+    ):
+        assert _defined(name) == ["choice"], name
+    assert _uses("is_lambda_rational") == ["choice.check_threshold_sets"]
+    assert _uses("check_threshold_sets") == [
+        "report imports check_threshold_sets",
+        "report.analyze_scf",
+    ]
+    scf = ast.parse((PACKAGE / "scf.py").read_text(encoding="utf-8"))
+    report = ast.parse((PACKAGE / "report.py").read_text(encoding="utf-8"))
+    for nodes in (ast.walk(scf), report.body):
+        modules = {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+        assert "choice" not in modules
 
 
 def test_the_subject_infers_its_domain_kind():
